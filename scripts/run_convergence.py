@@ -18,7 +18,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/convergence")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1)
+    ap.add_argument(
+        "--jobs", type=int, default=1,
+        help="sequential path chunks per run, bounding memory; output is identical",
+    )
     ap.add_argument("--ensemble", type=int, default=200)
     ap.add_argument(
         "--reference-level", type=int, default=12,

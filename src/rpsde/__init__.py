@@ -15,12 +15,9 @@ from .analysis import (
 )
 from .integrator import (
     NewtonError,
-    PathSolution,
     ThetaScheme,
     exact_linear_step,
-    implicit_step,
     simulate_ensemble,
-    simulate_path,
     step,
 )
 from .models import (
@@ -39,10 +36,9 @@ from .noise import (
     WienerGrid,
     WindowError,
     coarse_increment,
-    dump_path,
+    ensemble_increments,
     generate,
     generate_uniform,
-    load_path,
     shift_view,
 )
 from .periodic import (

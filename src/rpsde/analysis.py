@@ -16,7 +16,7 @@ import numpy as np
 
 from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
-from .noise import generate
+from .noise import ensemble_increments
 
 __all__ = [
     "ContractionConstants",
@@ -95,7 +95,6 @@ class ConvergenceReport:
     reference_level: int
     theta: float
     levels: list = field(default_factory=list)
-    sup_errors: np.ndarray | None = None
 
 
 def ms_error(
@@ -109,7 +108,6 @@ def ms_error(
     seed: int,
     xi=0.6,
     newton_tol: float = 1e-5,
-    sup_over_grid: bool = False,
     jobs: int = 1,
 ) -> ConvergenceReport:
     """Root-mean-square error at t_end of dyadic-stepsize runs vs a fine reference.
@@ -132,62 +130,32 @@ def ms_error(
     all_levels = list(levels) + [reference_level]
     span = t_end - t_start
     m = problem.noise_dim
-
-    def run_chunk(p_lo, p_hi):
+    sq_all = {lvl: [] for lvl in levels}
+    # paths run in `jobs` sequential chunks, which bounds the fine-increment
+    # array to about ensemble/jobs paths; each path's result is chunk-free
+    for p_lo, p_hi in _chunk_ranges(ensemble, jobs):
         n_paths = p_hi - p_lo
-        n_fine = round(span * 2.0**reference_level)
-        fine = np.empty((n_paths, n_fine, m))
-        for p in range(p_lo, p_hi):
-            g = generate(seed, p, reference_level, (t_start, t_end), m)
-            fine[p - p_lo] = g.step_increments(t_start, n_fine, 2.0**-reference_level)
-        finals = {}
-        sups = {}
+        fine = ensemble_increments(
+            seed, range(p_lo, p_hi), (t_start, t_end), m,
+            2.0**-reference_level, fine_level=reference_level,
+        )
         x0 = np.broadcast_to(xi, (n_paths, problem.state_dim))
-        traj = {}
+        finals = {}
         for lvl in all_levels:
-            dt = 2.0**-lvl
             n_steps = round(span * 2.0**lvl)
             q = 2 ** (reference_level - lvl)
             incs = fine.reshape(n_paths, n_steps, q, m).sum(axis=2)
-            scheme = ThetaScheme(theta=theta, dt=dt, newton_tol=newton_tol)
-            _, states, _ = simulate_ensemble(
-                problem, scheme, t_start, n_steps, x0, incs, record=sup_over_grid
+            scheme = ThetaScheme(theta=theta, dt=2.0**-lvl, newton_tol=newton_tol)
+            _, finals[lvl], _ = simulate_ensemble(
+                problem, scheme, t_start, n_steps, x0, incs, record=False
             )
-            if sup_over_grid:
-                traj[lvl] = states
-                finals[lvl] = states[:, -1]
-            else:
-                finals[lvl] = states
-        sq = {}
         for lvl in levels:
             diff = finals[lvl] - finals[reference_level]
-            sq[lvl] = np.sum(diff**2, axis=-1)
-            if sup_over_grid:
-                stride = 2 ** (reference_level - lvl)
-                d = traj[lvl] - traj[reference_level][:, ::stride]
-                sups[lvl] = np.sqrt(np.sum(d**2, axis=-1)).max(axis=1)
-        return sq, sups
-
-    sq_all = {lvl: [] for lvl in levels}
-    sup_all = {lvl: [] for lvl in levels}
-    chunks = _chunk_ranges(ensemble, jobs)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(lambda c: run_chunk(*c), chunks))
-    else:
-        results = [run_chunk(*c) for c in chunks]
-    for sq, sups in results:
-        for lvl in levels:
-            sq_all[lvl].append(sq[lvl])
-            if sup_over_grid:
-                sup_all[lvl].append(sups[lvl])
+            sq_all[lvl].append(np.sum(diff**2, axis=-1))
 
     stepsizes = np.array([2.0**-lvl for lvl in levels])
     rms = np.empty(len(levels))
     stderrs = np.empty(len(levels))
-    sup_errors = np.empty(len(levels)) if sup_over_grid else None
     for i, lvl in enumerate(levels):
         s = np.concatenate(sq_all[lvl])
         mean_sq = s.mean()
@@ -195,12 +163,8 @@ def ms_error(
         # delta-method standard error of sqrt(mean of squares)
         se_mean = s.std(ddof=1) / math.sqrt(s.size) if s.size > 1 else 0.0
         stderrs[i] = se_mean / (2.0 * rms[i]) if rms[i] > 0.0 else 0.0
-        if sup_over_grid:
-            sup_errors[i] = np.concatenate(sup_all[lvl]).max()
     order = np.argsort(-stepsizes)  # strictly decreasing stepsizes
     stepsizes, rms, stderrs = stepsizes[order], rms[order], stderrs[order]
-    if sup_over_grid:
-        sup_errors = sup_errors[order]
     if (rms > 0.0).all():
         slope, intercept = fit_slope(stepsizes, rms)
     else:
@@ -215,7 +179,6 @@ def ms_error(
         reference_level=reference_level,
         theta=theta,
         levels=list(levels),
-        sup_errors=sup_errors,
     )
 
 
@@ -253,9 +216,9 @@ def moment_monitor(
     start = -k * tau
     n_steps = round(-start / dt)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    from .periodic import _ensemble_noise
-
-    incs = _ensemble_noise(seed, dt, (start, 0.0), problem.noise_dim, ensemble)
+    incs = ensemble_increments(
+        seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
+    )
     x0 = np.broadcast_to(xi, (ensemble, problem.state_dim))
     times, states, _ = simulate_ensemble(
         problem, scheme, start, n_steps, x0, incs, record=True
@@ -305,9 +268,9 @@ def numerical_contraction_test(
     dt = scheme.dt
     start = -k * tau
     n_steps = round(-start / dt)
-    from .periodic import _ensemble_noise
-
-    incs = _ensemble_noise(seed, dt, (start, 0.0), problem.noise_dim, ensemble)
+    incs = ensemble_increments(
+        seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
+    )
     x0 = np.broadcast_to(xi, (ensemble, problem.state_dim))
     y0 = np.broadcast_to(eta, (ensemble, problem.state_dim))
     _, xs, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
@@ -337,14 +300,10 @@ def numerical_contraction_test(
     )
 
 
-def write_convergence_csv(report: ConvergenceReport, file) -> None:
+def write_convergence_csv(report: ConvergenceReport, path) -> None:
     """CSV export: level, dt, rms_error, stderr rows plus slope/intercept footer."""
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(file)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
         w.writerow(["level", "dt", "rms_error", "stderr"])
         for lvl, dt, e, se in zip(
             report.levels, report.stepsizes, report.rms_errors, report.stderrs
@@ -352,6 +311,3 @@ def write_convergence_csv(report: ConvergenceReport, file) -> None:
             w.writerow([lvl, f"{dt:.17g}", f"{e:.17g}", f"{se:.17g}"])
         w.writerow(["slope", f"{report.fitted_slope:.17g}", "", ""])
         w.writerow(["intercept", f"{report.intercept:.17g}", "", ""])
-    finally:
-        if close:
-            file.close()

@@ -4,7 +4,8 @@ Subcommands: simulate, pullback, periodicity, converge, contraction.
 Configuration is a flat key=value file, overridable by command-line flags
 (flags win). Every run writes its outputs, a gnuplot script, and a manifest
 (resolved config + seed + library version) into the output directory; the
-exit code is 0 iff every pass/fail check in the run passed.
+exit code is 0 iff every pass/fail check in the run passed, and 2, with one
+`error:` line, for an unknown key, a bad value or a failed Newton solve.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from .analysis import (
     numerical_contraction_test,
     write_convergence_csv,
 )
-from .integrator import ThetaScheme, simulate_ensemble
+from .integrator import NewtonError, ThetaScheme, simulate_ensemble
 from .models import ModelCatalogEntry, catalog_entry
+from .noise import ensemble_increments
 from .periodic import (
     PullbackError,
-    _ensemble_noise,
     initial_value_independence,
     periodicity_check_pullback,
     periodicity_check_shifted,
@@ -37,6 +38,7 @@ from .periodic import (
 __all__ = ["main"]
 
 _FLOAT_FMT = "{:.17g}"
+_JOBS_HELP = "converge: path chunks run in turn, bounding memory; same output for any value"
 
 
 class ConfigError(ValueError):
@@ -107,33 +109,6 @@ def _write_plot_script(out: Path, name: str, lines: list[str]):
     (out / name).write_text("\n".join(header + lines) + "\n")
 
 
-def _chunked_shared_noise_paths(problem, scheme, start, n_steps, x0s, incs, jobs):
-    """Simulate several initial values under one shared noise path, chunked.
-
-    Results are concatenated in initial-value order; per-path values are
-    independent of the chunking, so any worker count gives identical output.
-    """
-    n = x0s.shape[0]
-    jobs = max(1, min(jobs, n))
-    size = (n + jobs - 1) // jobs
-    chunks = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-    def run(lo, hi):
-        _, states, _ = simulate_ensemble(
-            problem, scheme, start, n_steps, x0s[lo:hi], incs, record=True
-        )
-        return states
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(lambda c: run(*c), chunks))
-    else:
-        parts = [run(*c) for c in chunks]
-    return np.concatenate(parts, axis=0)
-
-
 def run_simulate(cfg: dict, out: Path, jobs: int) -> bool:
     entry = _resolve_model(cfg)
     problem = entry.problem
@@ -147,14 +122,13 @@ def run_simulate(cfg: dict, out: Path, jobs: int) -> bool:
     x0s = np.array(xis, dtype=float)[:, None]
     times = start + scheme.dt * np.arange(n_steps + 1)
     if n_steps == 0:
-        states = np.repeat(x0s[:, None, :], 1, axis=1)
+        states = x0s[:, None, :]
     else:
-        incs = _ensemble_noise(
-            seed, scheme.dt, (start, horizon), problem.noise_dim, 1
+        # every initial value runs under the one noise path 0
+        incs = ensemble_increments(
+            seed, range(1), (start, horizon), problem.noise_dim, scheme.dt
         )
-        states = _chunked_shared_noise_paths(
-            problem, scheme, start, n_steps, x0s, incs, jobs
-        )
+        _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0s, incs)
     csv_path = out / "trajectories.csv"
     with open(csv_path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -203,10 +177,11 @@ def run_pullback(cfg: dict, out: Path, jobs: int) -> bool:
             w.writerow([_FLOAT_FMT.format(t), _FLOAT_FMT.format(x[0])])
         w.writerow(["k_used", result.k_used])
         w.writerow(["l2_gap", _FLOAT_FMT.format(result.l2_gap)])
-        w.writerow(["converged", int(result.converged)])
+        # failure raises PullbackError above, so a written result converged
+        w.writerow(["converged", 1])
     _write_plot_script(out, "pullback.gp", ["plot 'pullback.csv' using 1:2 with lines"])
     print(f"pullback: converged k={result.k_used} gap={result.l2_gap:.3g}")
-    return result.converged
+    return True
 
 
 def run_periodicity(cfg: dict, out: Path, jobs: int) -> bool:
@@ -343,6 +318,26 @@ _COMMANDS = {
     "contraction": run_contraction,
 }
 
+_SCHEME_KEYS = "theta dt level newton_tol newton_max_iter "
+# config keys each subcommand reads, besides model, model.<param> and seed
+_KEYS = {
+    "simulate": _SCHEME_KEYS + "k horizon initial_values",
+    "pullback": _SCHEME_KEYS + "t_eval xi tolerance k_max ensemble",
+    "periodicity": _SCHEME_KEYS + "k window xi x0 horizon threshold",
+    "converge": "theta newton_tol levels reference_level ensemble t_start t_end xi",
+    "contraction": _SCHEME_KEYS + "xi eta k ensemble",
+}
+
+
+def _check_keys(cfg: dict, command: str):
+    accepted = ["model", "seed", *_KEYS[command].split()]
+    unknown = [k for k in cfg if k not in accepted and not k.startswith("model.")]
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(sorted(unknown))} for {command}; "
+            f"accepted: {', '.join(sorted(accepted))}, model.<param>"
+        )
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
         p.add_argument("--out", type=str, default=".")
         p.add_argument(
             "--set",
@@ -379,11 +374,12 @@ def main(argv=None) -> int:
             cfg[key.strip()] = value.strip()
         if args.seed is not None:
             cfg["seed"] = str(args.seed)
+        _check_keys(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(out, cfg, args.command)
         ok = _COMMANDS[args.command](cfg, out, max(1, args.jobs))
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -9,33 +9,27 @@ One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
 The implicit stage is solved by damped Newton iteration; dissipativity
 (L_f < lambda) makes the stage map strongly monotone, so the root is unique.
 
-All stepping routines are batched: states have shape (batch, d) and every
-path in the batch evolves independently (elementwise masking in the Newton
-loop), so results per path do not depend on how paths are grouped into
-batches.
+simulate_ensemble is the one stepping loop (`step` is a single step of it).
+It is batched: states have shape (batch, d) and every path in the batch
+evolves independently (elementwise masking in the Newton loop), so results
+per path do not depend on how paths are grouped into batches.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .models import SdeProblem
-from .noise import ShiftedView, WienerGrid
 
 __all__ = [
     "ThetaScheme",
-    "PathSolution",
     "NewtonError",
-    "implicit_step",
     "step",
-    "simulate_path",
     "simulate_ensemble",
     "exact_linear_step",
-    "write_path_csv",
 ]
 
 
@@ -63,17 +57,6 @@ class ThetaScheme:
             raise ValueError(f"dt must be in (0, 1), got {self.dt}")
         if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
             raise ValueError("invalid Newton settings")
-
-
-@dataclass
-class PathSolution:
-    """One trajectory from a pull-back start time on an equidistant grid."""
-
-    start_time: float
-    times: np.ndarray
-    states: np.ndarray  # (n_times, d)
-    scheme: ThetaScheme
-    newton_stats: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
 def _reduce_time(t: float, period: float) -> float:
@@ -147,25 +130,6 @@ def _newton_solve(problem, scheme, t_next, rhs, guess):
     return y, iters
 
 
-def implicit_step(
-    problem: SdeProblem,
-    scheme: ThetaScheme,
-    t_next: float,
-    rhs: np.ndarray,
-    guess: np.ndarray,
-) -> np.ndarray:
-    """Solve the implicit stage y - theta*dt*(-A y + f(t_next, y)) = rhs."""
-    rhs = np.asarray(rhs, dtype=float)
-    if not np.isfinite(rhs).all():
-        raise NewtonError("non-finite right-hand side")
-    squeeze = rhs.ndim == 1
-    rhs2 = rhs[None, :] if squeeze else rhs
-    guess2 = np.asarray(guess, dtype=float)
-    guess2 = guess2[None, :] if squeeze else guess2
-    y, _ = _newton_solve(problem, scheme, t_next, rhs2, guess2)
-    return y[0] if squeeze else y
-
-
 def _assemble_rhs(problem, scheme, t_j, x, dw):
     """Explicit part of the step: x + (1-theta)*dt*(-A x + f) + g dW, batched."""
     t = _reduce_time(t_j, problem.period)
@@ -173,33 +137,6 @@ def _assemble_rhs(problem, scheme, t_j, x, dw):
     expl = x + (1.0 - scheme.theta) * scheme.dt * (problem.drift(t, x) - x @ a.T)
     gx = problem.diffusion(t, x)
     return expl + np.einsum("...ij,...j->...i", gx, dw)
-
-
-def step(
-    problem: SdeProblem,
-    scheme: ThetaScheme,
-    t_j: float,
-    x_j: np.ndarray,
-    dw: np.ndarray,
-) -> np.ndarray:
-    """One full theta step from (t_j, x_j) with Brownian increment dw."""
-    x_j = np.asarray(x_j, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    if not np.isfinite(x_j).all():
-        raise NewtonError("non-finite state")
-    squeeze = x_j.ndim == 1
-    x2 = x_j[None, :] if squeeze else x_j
-    dw2 = dw[None, :] if squeeze else dw
-    rhs = _assemble_rhs(problem, scheme, t_j, x2, dw2)
-    y, _ = _newton_solve(problem, scheme, t_j + scheme.dt, rhs, x2)
-    return y[0] if squeeze else y
-
-
-def _check_grid_aligned(value, dt, name):
-    q = round(value / dt)
-    if abs(q * dt - value) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"{name} {value} is not aligned to stepsize {dt}")
-    return q
 
 
 def simulate_ensemble(
@@ -241,41 +178,26 @@ def simulate_ensemble(
     return times, (out if record else x), iters
 
 
-def simulate_path(
+def step(
     problem: SdeProblem,
     scheme: ThetaScheme,
-    k: int,
-    horizon: float,
-    xi: np.ndarray,
-    noise: WienerGrid | ShiftedView,
-) -> PathSolution:
-    """Iterate the scheme from the pull-back start -k*tau up to the horizon."""
-    start = -k * problem.period
-    _check_grid_aligned(problem.period, scheme.dt, "period")
-    _check_grid_aligned(start, scheme.dt, "start time")
-    n_steps = _check_grid_aligned(horizon - start, scheme.dt, "horizon-start")
-    if n_steps < 0:
-        raise ValueError("horizon precedes start time")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if n_steps == 0:
-        return PathSolution(
-            start_time=start,
-            times=np.array([start]),
-            states=xi[None, :].copy(),
-            scheme=scheme,
-            newton_stats=np.zeros(0, dtype=np.int64),
-        )
-    incs = noise.step_increments(start, n_steps, scheme.dt)[None, :, :]
-    times, states, iters = simulate_ensemble(
-        problem, scheme, start, n_steps, xi[None, :], incs, record=True
+    t_j: float,
+    x_j: np.ndarray,
+    dw: np.ndarray,
+) -> np.ndarray:
+    """One full theta step from (t_j, x_j) with Brownian increment dw.
+
+    x_j is (d,) or (batch, d) and dw is (m,) or (batch, m); this is
+    simulate_ensemble over a single step.
+    """
+    x_j = np.asarray(x_j, dtype=float)
+    if not np.isfinite(x_j).all():
+        raise NewtonError("non-finite state")
+    dw = np.atleast_2d(np.asarray(dw, dtype=float))
+    _, y, _ = simulate_ensemble(
+        problem, scheme, t_j, 1, np.atleast_2d(x_j), dw[:, None, :], record=False
     )
-    return PathSolution(
-        start_time=start,
-        times=times,
-        states=states[0],
-        scheme=scheme,
-        newton_stats=iters,
-    )
+    return y[0] if x_j.ndim == 1 else y
 
 
 def exact_linear_step(
@@ -285,22 +207,3 @@ def exact_linear_step(
     return (x * (1.0 - (1.0 - scheme.theta) * lam * scheme.dt) + sigma * dw) / (
         1.0 + scheme.theta * lam * scheme.dt
     )
-
-
-def write_path_csv(path_solution: PathSolution, file) -> None:
-    """CSV export: columns t, x_1..x_d, newton_iters."""
-    d = path_solution.states.shape[1]
-    close = False
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(file)
-        w.writerow(["t"] + [f"x_{i + 1}" for i in range(d)] + ["newton_iters"])
-        stats = path_solution.newton_stats
-        for j, (t, x) in enumerate(zip(path_solution.times, path_solution.states)):
-            it = int(stats[j - 1]) if 1 <= j <= len(stats) else 0
-            w.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in x] + [it])
-    finally:
-        if close:
-            file.close()

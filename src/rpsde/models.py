@@ -46,7 +46,7 @@ class SdeProblem:
     """One dissipative semi-linear SDE instance.
 
     Immutable after construction; drift/diffusion must be pure functions so
-    problems can be shared freely across concurrent workers.
+    problems can be shared freely.
     """
 
     state_dim: int
@@ -98,7 +98,6 @@ class ModelCatalogEntry:
     name: str
     problem: SdeProblem
     parameters: dict
-    has_exact_step: bool = False
 
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
@@ -232,19 +231,25 @@ def build_linear_model(lam: float, sigma: float) -> SdeProblem:
 
 def catalog_entry(name: str, **params) -> ModelCatalogEntry:
     """Look up a built-in model by name with optional parameter overrides."""
-    if name == "cubic_multiplicative":
-        defaults = dict(lam=5.0 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
-        defaults.update(params)
-        return ModelCatalogEntry(name, build_cubic_model(**defaults), defaults, False)
-    if name == "additive_sine":
-        if params:
-            raise ParameterError("additive_sine takes no parameters")
-        return ModelCatalogEntry(name, build_additive_model(), {}, False)
-    if name == "linear_ou":
-        defaults = dict(lam=1.0, sigma=0.3)
-        defaults.update(params)
-        return ModelCatalogEntry(name, build_linear_model(**defaults), defaults, True)
-    raise ParameterError(f"unknown model name {name!r}; choose from {MODEL_NAMES}")
+    catalog = {
+        "cubic_multiplicative": (
+            build_cubic_model,
+            dict(lam=5.0 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0),
+        ),
+        "additive_sine": (build_additive_model, {}),
+        "linear_ou": (build_linear_model, dict(lam=1.0, sigma=0.3)),
+    }
+    if name not in catalog:
+        raise ParameterError(f"unknown model name {name!r}; choose from {MODEL_NAMES}")
+    build, defaults = catalog[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterError(
+            f"{name} has no parameter {', '.join(unknown)}; "
+            f"accepted: {', '.join(defaults) or 'none'}"
+        )
+    values = {**defaults, **params}
+    return ModelCatalogEntry(name, build(**values), values)
 
 
 def check_dissipativity(

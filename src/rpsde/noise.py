@@ -12,6 +12,9 @@ Two grid modes:
     Brownian increment is the exact partial sum of fine increments.
   * uniform: arbitrary cell width dt (e.g. 0.1); no refinement, used for the
     qualitative fixed-stepsize experiments.
+
+`ensemble_increments` turns a seed and a range of path indices into the
+(paths, steps, m) increment array that every batched estimator consumes.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ __all__ = [
     "generate_uniform",
     "coarse_increment",
     "shift_view",
-    "dump_path",
-    "load_path",
+    "ensemble_increments",
 ]
 
 # Cell positions are offset by 2^62 blocks-worth of draws so that negative
@@ -153,14 +155,6 @@ class ShiftedView:
         if abs(round(self.shift / h) * h - self.shift) > 1e-9 * max(1.0, abs(self.shift)):
             raise WindowError(f"shift {self.shift} is not a multiple of cell width {h}")
 
-    @property
-    def noise_dim(self) -> int:
-        return self.base.noise_dim
-
-    @property
-    def cell_width(self) -> float:
-        return self.base.cell_width
-
     def step_increments(self, t_start: float, n_steps: int, dt: float) -> np.ndarray:
         return self.base.step_increments(t_start + self.shift, n_steps, dt)
 
@@ -190,6 +184,33 @@ def generate_uniform(
     if dt <= 0.0:
         raise WindowError("dt must be positive")
     return _generate(seed, path_index, dt, window, noise_dim, None)
+
+
+def ensemble_increments(
+    seed: int,
+    paths,
+    window: tuple[float, float],
+    noise_dim: int,
+    dt: float,
+    fine_level: int | None = None,
+) -> np.ndarray:
+    """Step increments of width dt over the window, one row per path index.
+
+    Returns shape (len(paths), n_steps, noise_dim). Row i is path paths[i]
+    on a uniform grid of width dt, or on the dyadic grid 2^-fine_level
+    summed to width dt; each row depends only on its own path index, so
+    any split of the paths into chunks gives the same rows.
+    """
+    t_min, t_max = window
+    n = round((t_max - t_min) / dt)
+    out = np.empty((len(paths), n, noise_dim))
+    for row, p in enumerate(paths):
+        if fine_level is None:
+            grid = generate_uniform(seed, p, dt, window, noise_dim)
+        else:
+            grid = generate(seed, p, fine_level, window, noise_dim)
+        out[row] = grid.step_increments(t_min, n, dt)
+    return out
 
 
 def _generate(seed, path_index, h, window, noise_dim, fine_level):
@@ -240,54 +261,3 @@ def shift_view(grid: WienerGrid | ShiftedView, shift: float) -> ShiftedView:
     if isinstance(grid, ShiftedView):
         return ShiftedView(grid.base, grid.shift + shift)
     return ShiftedView(grid, shift)
-
-
-_DUMP_MAGIC = b"RPSDEW1\x00"
-
-
-def dump_path(grid: WienerGrid, path) -> None:
-    """Binary dump for cross-implementation comparison.
-
-    Header: magic, seed, path_index, noise_dim, fine_level (-1 if uniform),
-    cell_width, t_min, t_max, n_cells; payload: little-endian float64
-    increments in cell-major order.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(
-            struct.pack(
-                "<qqqq3dq",
-                grid.seed,
-                grid.path_index,
-                grid.noise_dim,
-                -1 if grid.fine_level is None else grid.fine_level,
-                grid.cell_width,
-                grid.t_min,
-                grid.t_max,
-                grid.n_cells,
-            )
-        )
-        fh.write(np.ascontiguousarray(grid.increments, dtype="<f8").tobytes())
-
-
-def load_path(path) -> WienerGrid:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not a Wiener path dump")
-        seed, path_index, noise_dim, level, h, t_min, t_max, n = struct.unpack(
-            "<qqqq3dq", fh.read(8 * 8)
-        )
-        incs = np.frombuffer(fh.read(n * noise_dim * 8), dtype="<f8").reshape(n, noise_dim)
-    incs = incs.copy()
-    incs.setflags(write=False)
-    return WienerGrid(
-        seed=seed,
-        path_index=path_index,
-        noise_dim=noise_dim,
-        cell_width=h,
-        t_min=t_min,
-        t_max=t_max,
-        increments=incs,
-        fine_level=None if level < 0 else level,
-    )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
-from .noise import generate_uniform, shift_view
+from .noise import ensemble_increments, generate_uniform, shift_view
 
 __all__ = [
     "PullbackResult",
@@ -41,28 +41,17 @@ class PullbackError(RuntimeError):
         self.last_gap = last_gap
 
 
-def _is_dyadic(dt: float) -> bool:
-    lvl = round(np.log2(1.0 / dt))
-    return 0 <= lvl <= 30 and abs(2.0**-lvl - dt) <= 1e-12 * dt
-
-
-def _ensemble_noise(seed, dt, window, noise_dim, ensemble, shift=0.0):
-    """Per-path increment arrays, shape (ensemble, n_steps, m), key-deterministic."""
-    t_min, t_max = window
-    n = round((t_max - t_min) / dt)
-    out = np.empty((ensemble, n, noise_dim))
-    for p in range(ensemble):
-        g = generate_uniform(seed, p, dt, window, noise_dim)
-        src = shift_view(g, shift) if shift != 0.0 else g
-        out[p] = src.step_increments(t_min, n, dt)
-    return out
+def _steps_per_period(tau: float, dt: float) -> int:
+    steps = round(tau / dt)
+    if abs(steps * dt - tau) > 1e-9:
+        raise ValueError("period must be a multiple of the stepsize")
+    return steps
 
 
 @dataclass
 class PullbackResult:
     k_used: int
     tolerance: float
-    converged: bool
     l2_gap: float
     sample_times: np.ndarray
     states: np.ndarray  # trajectory of path 0 over sample_times
@@ -92,9 +81,7 @@ def pullback_converge(
     tau = problem.period
     dt = scheme.dt
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    steps_per_tau = round(tau / dt)
-    if abs(steps_per_tau * dt - tau) > 1e-9:
-        raise ValueError("period must be a multiple of the stepsize")
+    steps_per_tau = _steps_per_period(tau, dt)
     n_eval = round(t_eval / dt)
     if abs(n_eval * dt - t_eval) > 1e-9 * max(1.0, abs(t_eval)):
         raise ValueError("t_eval must be grid-aligned")
@@ -104,46 +91,35 @@ def pullback_converge(
     for k in range(1, k_max + 1):
         start = -k * tau
         n_steps = k * steps_per_tau + n_eval
-        window = (start, t_eval)
-        incs = _ensemble_noise(seed, dt, window, problem.noise_dim, ensemble)
+        incs = ensemble_increments(
+            seed, range(ensemble), (start, t_eval), problem.noise_dim, dt
+        )
         x0 = np.broadcast_to(xi, (ensemble, problem.state_dim))
         _, states, _ = simulate_ensemble(
             problem, scheme, start, n_steps, x0, incs, record=True
         )
         final = states[:, -1]
+        gap = float("inf")
         if prev is not None:
             gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
             gap_history.append(gap)
-            if gap <= tolerance or not np.isfinite(tolerance):
-                return _pullback_result(
-                    k, tolerance, True, gap, states, t_eval, tau, dt, gap_history
-                )
-        elif not np.isfinite(tolerance):
-            # degenerate tolerance: accept the first iterate
-            return _pullback_result(
-                k, tolerance, True, float("inf"), states, t_eval, tau, dt, gap_history
+        # the first depth has no gap; only an infinite tolerance accepts it
+        if gap <= tolerance:
+            n_keep = min(steps_per_tau, n_steps)
+            return PullbackResult(
+                k_used=k,
+                tolerance=tolerance,
+                l2_gap=gap,
+                sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
+                states=states[0, -(n_keep + 1) :],
+                final_ensemble=final.copy(),
+                gap_history=gap_history,
             )
         prev = final
     raise PullbackError(
         f"pull-back gap {gap_history[-1] if gap_history else float('nan'):g} "
         f"above tolerance {tolerance:g} after k_max={k_max}",
         gap_history[-1] if gap_history else float("nan"),
-    )
-
-
-def _pullback_result(k, tol, converged, gap, states, t_eval, tau, dt, history):
-    steps_per_tau = round(tau / dt)
-    n_keep = min(steps_per_tau, states.shape[1] - 1)
-    times = t_eval - dt * np.arange(n_keep, -1, -1)
-    return PullbackResult(
-        k_used=k,
-        tolerance=tol,
-        converged=converged,
-        l2_gap=gap,
-        sample_times=times,
-        states=states[0, -(n_keep + 1) :],
-        final_ensemble=states[:, -1].copy(),
-        gap_history=history,
     )
 
 
@@ -178,7 +154,7 @@ def initial_value_independence(
     dt = scheme.dt
     start = -k * tau
     n_steps = round(-start / dt)
-    incs = _ensemble_noise(seed, dt, (start, 0.0), problem.noise_dim, 1)
+    incs = ensemble_increments(seed, range(1), (start, 0.0), problem.noise_dim, dt)
     times, states, _ = simulate_ensemble(
         problem, scheme, start, n_steps, xis, incs, record=True
     )
@@ -232,19 +208,17 @@ def periodicity_check_shifted(
     start = -k * tau
     if a < start or b > 0.0 + 1e-12:
         raise ValueError(f"window {window} must lie in [{start}, 0]")
+    shift_cells = _steps_per_period(tau, dt)
     n_steps = round((b - start) / dt)
-    # base noise must extend one period left of the start for the shifted run
-    base_window = (start - tau, b)
-    inc_base = _ensemble_noise(seed, dt, (start, b), problem.noise_dim, 1)
-    inc_shift = np.empty_like(inc_base)
-    g = generate_uniform(seed, 0, dt, base_window, problem.noise_dim)
-    inc_shift[0] = shift_view(g, -tau).step_increments(start, n_steps, dt)
+    # one grid, extended one period left of the start for the shifted run
+    g = generate_uniform(seed, 0, dt, (start - tau, b), problem.noise_dim)
+    inc_base = g.step_increments(start, n_steps, dt)[None]
+    inc_shift = shift_view(g, -tau).step_increments(start, n_steps, dt)[None]
     x0 = xi[None, :]
     times, p1, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, inc_base)
     _, p2, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, inc_shift)
 
     sel = (times >= a - 1e-12) & (times <= b + 1e-12)
-    shift_cells = round(tau / dt)
     idx = np.nonzero(sel)[0]
     idx = idx[idx - shift_cells >= 0]
     t_sel = times[idx]
@@ -281,10 +255,11 @@ def periodicity_check_pullback(
     tau = problem.period
     dt = scheme.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    shift_cells = _steps_per_period(tau, dt)
     n_total = round(horizon / dt)
     if abs(n_total * dt - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError("horizon must be grid-aligned")
-    if round(horizon / tau) * tau != horizon and abs(horizon % tau) > 1e-9:
+    if n_total % shift_cells:
         raise ValueError("horizon must be a multiple of the period")
     times = dt * np.arange(n_total + 1)
     if n_total == 0:
@@ -307,7 +282,6 @@ def periodicity_check_pullback(
             problem, scheme, 0.0, j, x0[None, :], incs, record=False
         )
         curve[j] = final[0]
-    shift_cells = round(tau / dt)
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
     dev_times = times[: n_total + 1 - shift_cells]
     after = dev_times >= tau - 1e-12

@@ -189,7 +189,7 @@ def test_7_property_suites(tmp_path):
                 g, lvl + 1, 2 * i + 1
             )
             t_ok = t_ok and np.array_equal(full, halves)
-    # (d) worker count does not change any output byte
+    # (d) --jobs does not change any output byte
     args = ["simulate", "--set", "k=3", "--set", "dt=0.1"]
     a, b = tmp_path / "j1", tmp_path / "j8"
     j_ok = (

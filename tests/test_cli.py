@@ -37,6 +37,23 @@ class TestConfig:
         rc = main(["simulate", "--out", str(tmp_path), "--set", "oops"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("simulate", ["--set", "ensembel=5"]),  # mistyped key
+            ("converge", ["--set", "dt=0.1"]),  # a key converge does not read
+            ("simulate", ["--set", "model.bogus=1"]),  # unknown model parameter
+            # Newton cannot reach 1e-14 in one iteration
+            ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
+        ],
+        ids=["mistyped-key", "converge-dt", "model-param", "newton-failure"],
+    )
+    def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
+        rc = main([command, "--out", str(tmp_path), *bad])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_flag_overrides_config(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("model=additive_sine\nk=1\nseed=7\n")
@@ -130,6 +147,15 @@ class TestConverge:
         assert rows[0] == ["level", "dt", "rms_error", "stderr"]
         assert len(rows) == 1 + 3 + 2  # header, three levels, slope + intercept
         assert rows[-2][0] == "slope"
+
+
+    def test_jobs_byte_identical(self, tmp_path):
+        args = ["converge", "--set", "model=additive_sine", "--set", "levels=4,5,6",
+                "--set", "reference_level=8", "--set", "ensemble=30"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
+        assert main(args + ["--out", str(b), "--jobs", "3"]) == 0
+        assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
 
 
 class TestContraction:

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,11 +7,8 @@ from rpsde.integrator import (
     NewtonError,
     ThetaScheme,
     exact_linear_step,
-    implicit_step,
     simulate_ensemble,
-    simulate_path,
     step,
-    write_path_csv,
 )
 from rpsde.models import SdeProblem, build_additive_model, build_cubic_model, build_linear_model
 from rpsde.noise import generate, generate_uniform
@@ -50,37 +46,40 @@ class TestThetaScheme:
 
 
 class TestImplicitStep:
+    # with dw = 0 and theta = 1, step solves the implicit stage
+    # y + theta*dt*(A y - f(t, y)) = x_j from the guess x_j
+
     def test_linear_scalar(self):
         # theta=1, dt=0.5, A=1, f=0, rhs=1 -> y = 1/(1+0.5) = 2/3
         prob = build_linear_model(1.0, 0.0)
         sch = ThetaScheme(theta=1.0, dt=0.5)
-        y = implicit_step(prob, sch, 0.5, np.array([1.0]), np.array([1.0]))
+        y = step(prob, sch, 0.0, np.array([1.0]), np.zeros(1))
         assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_cubic_root(self):
         # y + 0.1 y^3 = 1.1 has root y = 1; linear part negligible
         prob = cubic_like_problem(1e-9)
         sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-12)
-        y = implicit_step(prob, sch, 0.0, np.array([1.1]), np.array([1.1]))
+        y = step(prob, sch, 0.0, np.array([1.1]), np.zeros(1))
         assert y[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_fixed_point(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
-        y = implicit_step(prob, sch, 0.0, np.zeros(1), np.zeros(1))
+        y = step(prob, sch, 0.0, np.zeros(1), np.zeros(1))
         assert y[0] == 0.0
 
     def test_nonfinite_rhs_rejected(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(NewtonError):
-            implicit_step(prob, sch, 0.0, np.array([np.nan]), np.zeros(1))
+            step(prob, sch, 0.0, np.array([np.nan]), np.zeros(1))
 
     def test_nonconvergence_error_carries_residual(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-14, newton_max_iter=1)
         with pytest.raises(NewtonError) as exc:
-            implicit_step(prob, sch, 0.0, np.array([5.0]), np.array([50.0]))
+            step(prob, sch, 0.0, np.array([5.0]), np.zeros(1))
         assert exc.value.residual is not None
 
 
@@ -142,10 +141,12 @@ class TestSimulatePath:
     def test_empty_iteration(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
-        grid = generate_uniform(0, 0, 0.1, (-2.0, 0.0), 1)
-        ps = simulate_path(prob, sch, 0, 0.0, np.array([0.6]), grid)
-        assert ps.times.tolist() == [0.0]
-        assert ps.states[0, 0] == 0.6
+        times, states, iters = simulate_ensemble(
+            prob, sch, 0.0, 0, np.array([[0.6]]), np.zeros((1, 0, 1))
+        )
+        assert times.tolist() == [0.0]
+        assert states.shape == (1, 1, 1) and states[0, 0, 0] == 0.6
+        assert iters.size == 0
 
     def test_linear_oracle_recursion(self):
         lam, sigma = 2.0, 0.3
@@ -162,39 +163,26 @@ class TestSimulatePath:
             x = exact_linear_step(lam, sigma, sch, x, incs[j, 0])
         assert states[0, -1, 0] == pytest.approx(x, abs=1e-12)
 
-    def test_initial_value_collapse(self):
-        # pull-back runs from +-0.6 coincide for t >= -8 (shared noise)
-        prob = build_cubic_model(**BENCH)
-        sch = ThetaScheme(theta=1.0, dt=0.1)
-        grid = generate_uniform(21, 0, 0.1, (-10.0, 0.0), 1)
-        a = simulate_path(prob, sch, 5, 0.0, np.array([0.6]), grid)
-        b = simulate_path(prob, sch, 5, 0.0, np.array([-0.6]), grid)
-        keep = a.times >= -8.0 - 1e-12
-        assert np.abs(a.states[keep] - b.states[keep]).max() <= 1e-3
-
     def test_deterministic_replay(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
         grid = generate_uniform(4, 2, 0.1, (-4.0, 0.0), 1)
-        a = simulate_path(prob, sch, 2, 0.0, np.array([0.6]), grid)
-        b = simulate_path(prob, sch, 2, 0.0, np.array([0.6]), grid)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.newton_stats, b.newton_stats)
-
-    def test_misaligned_inputs(self):
-        prob = build_cubic_model(**BENCH)
-        sch = ThetaScheme(theta=1.0, dt=0.3)  # period 2 not a multiple of 0.3
-        grid = generate_uniform(0, 0, 0.3, (-2.1, 0.0), 1)
-        with pytest.raises(ValueError):
-            simulate_path(prob, sch, 1, 0.0, np.array([0.6]), grid)
+        incs = grid.step_increments(-4.0, 40, 0.1)
+        x0 = np.array([[0.6]])
+        _, a, a_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[None])
+        _, b, b_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[None])
+        assert np.array_equal(a, b)
+        assert np.array_equal(a_iters, b_iters)
 
     def test_newton_iteration_budget(self):
         # residual tolerance 1e-5; median iteration count <= 5 at dt = 0.1
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         grid = generate_uniform(12, 0, 0.1, (-10.0, 0.0), 1)
-        ps = simulate_path(prob, sch, 5, 0.0, np.array([0.6]), grid)
-        assert np.median(ps.newton_stats) <= 5
+        incs = grid.step_increments(-10.0, 100, 0.1)
+        x0 = np.array([[0.6]])
+        _, _, iters = simulate_ensemble(prob, sch, -10.0, 100, x0, incs[None])
+        assert np.median(iters) <= 5
 
 
 class TestEnsembleConsistency:
@@ -215,16 +203,3 @@ class TestEnsembleConsistency:
                 prob, sch, -2.0, n, x0[p : p + 1], incs[p : p + 1], record=True
             )
             assert np.array_equal(batched[p], single[0])
-
-
-class TestCsvExport:
-    def test_columns(self):
-        prob = build_linear_model(1.0, 0.1)
-        sch = ThetaScheme(theta=1.0, dt=0.25)
-        grid = generate_uniform(0, 0, 0.25, (-1.0, 0.0), 1)
-        ps = simulate_path(prob, sch, 1, 0.0, np.array([1.0]), grid)
-        buf = io.StringIO()
-        write_path_csv(ps, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,x_1,newton_iters"
-        assert len(lines) == 1 + len(ps.times)

@@ -78,12 +78,16 @@ class TestCatalog:
         for name in ("cubic_multiplicative", "additive_sine", "linear_ou"):
             entry = catalog_entry(name)
             assert entry.name == name
-        assert catalog_entry("linear_ou").has_exact_step
-        assert not catalog_entry("cubic_multiplicative").has_exact_step
 
     def test_unknown_name(self):
         with pytest.raises(ParameterError):
             catalog_entry("heat_equation")
+
+    def test_unknown_parameter_names_accepted_ones(self):
+        with pytest.raises(ParameterError, match="bogus.*accepted: lam, sigma"):
+            catalog_entry("linear_ou", bogus=1.0)
+        with pytest.raises(ParameterError, match="accepted: none"):
+            catalog_entry("additive_sine", lam=1.0)
 
 
 class TestProblemInvariants:

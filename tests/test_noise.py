@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from rpsde.noise import (
     WindowError,
     coarse_increment,
-    dump_path,
+    ensemble_increments,
     generate,
     generate_uniform,
-    load_path,
     shift_view,
 )
 
@@ -165,19 +164,23 @@ class TestValidation:
             generate(0, 0, 4, (1.0, 1.0), 1)
 
 
-class TestDump:
-    def test_roundtrip(self, tmp_path):
-        g = generate(42, 7, 6, (-1.0, 0.5), 2)
-        f = tmp_path / "path.bin"
-        dump_path(g, f)
-        loaded = load_path(f)
-        assert loaded.seed == 42 and loaded.path_index == 7
-        assert loaded.fine_level == 6
-        assert loaded.t_min == -1.0 and loaded.t_max == 0.5
-        assert np.array_equal(loaded.increments, g.increments)
+class TestEnsembleIncrements:
+    def test_uniform_rows_are_per_path_streams(self):
+        incs = ensemble_increments(5, range(4), (-1.0, 0.5), 2, 0.25)
+        assert incs.shape == (4, 6, 2)
+        for p in range(4):
+            grid = generate_uniform(5, p, 0.25, (-1.0, 0.5), 2)
+            assert np.array_equal(incs[p], grid.step_increments(-1.0, 6, 0.25))
 
-    def test_bad_magic(self, tmp_path):
-        f = tmp_path / "junk.bin"
-        f.write_bytes(b"not a dump")
-        with pytest.raises(ValueError):
-            load_path(f)
+    def test_dyadic_rows_are_per_path_streams(self):
+        # level-6 cells summed to steps of 2^-4
+        incs = ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-4, fine_level=6)
+        assert incs.shape == (3, 16, 1)
+        for p in range(3):
+            grid = generate(5, p, 6, (0.0, 1.0), 1)
+            assert np.array_equal(incs[p], grid.step_increments(0.0, 16, 2.0**-4))
+
+    def test_chunk_invariance(self):
+        whole = ensemble_increments(9, range(0, 5), (-2.0, 0.0), 1, 0.1)
+        chunk = ensemble_increments(9, range(2, 5), (-2.0, 0.0), 1, 0.1)
+        assert np.array_equal(chunk, whole[2:5])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ class TestPullbackConverge:
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         res = pullback_converge(prob, sch, 0.0, [0.6], 1e-3, 10, 100, seed=4)
-        assert res.converged
         assert res.k_used <= 5
         assert res.l2_gap <= 1e-3
         assert res.final_ensemble.shape == (100, 1)
@@ -50,7 +50,6 @@ class TestPullbackConverge:
         prob = build_linear_model(1.0, 0.1)
         sch = ThetaScheme(theta=1.0, dt=0.25)
         res = pullback_converge(prob, sch, 0.0, [1.0], float("inf"), 5, 4, seed=0)
-        assert res.converged
         assert res.k_used == 1
 
     def test_k_max_exceeded(self):
@@ -149,6 +148,25 @@ class TestPeriodicityPullback:
         devs = np.linalg.norm(rep.reference[n:] - rep.reference[:-n], axis=-1)
         expected = (1.0 - rho**n) * rho ** np.arange(devs.size)
         assert devs == pytest.approx(expected, rel=1e-10)
+
+    def test_period_of_whole_steps_accepted(self):
+        # three periods of 0.1 at dt 0.01; a float `horizon % period` test
+        # rejects this horizon
+        prob = replace(build_linear_model(2.0, 0.0), period=0.1)
+        sch = ThetaScheme(theta=1.0, dt=0.01)
+        rep = periodicity_check_pullback(prob, sch, [1.0], 0.3, seed=0)
+        assert rep.reference.shape == (31, 1)
+        # zero noise: curve(t) = rho^{t/dt}; the deviation after one period
+        # peaks at t = tau
+        rho = contraction_factor(1.0, 2.0, 0.01)
+        assert rep.sup_gap == pytest.approx(rho**10 * (1.0 - rho**10), rel=1e-10)
+
+    def test_period_not_multiple_of_dt_rejected(self):
+        # a period of 2.5 steps would be compared against a 2-step shift
+        prob = replace(build_linear_model(1.0, 0.1), period=0.25)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="multiple of the stepsize"):
+            periodicity_check_pullback(prob, sch, [0.6], 0.5, seed=0)
 
     def test_zero_horizon_degenerate(self):
         prob = build_linear_model(1.0, 0.1)
