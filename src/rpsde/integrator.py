@@ -67,6 +67,19 @@ def _reduce_time(t: float, period: float) -> float:
     return r
 
 
+def _linear_part(a, y):
+    """y @ a.T with the products summed in column order.
+
+    BLAS matmul rounds differently with the batch size once d > 1, which
+    would make a path's result depend on its batch; for d = 1 this is the
+    same single product.
+    """
+    out = y[..., :1] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out = out + y[..., j : j + 1] * a[:, j]
+    return out
+
+
 def _newton_solve(problem, scheme, t_next, rhs, guess):
     """Batched damped Newton for y + theta*dt*(A y - f(t_next, y)) = rhs.
 
@@ -80,7 +93,7 @@ def _newton_solve(problem, scheme, t_next, rhs, guess):
     eye = np.eye(d)
 
     def residual(y, r):
-        return y + theta_dt * (y @ a.T - problem.drift(tf, y)) - r
+        return y + theta_dt * (_linear_part(a, y) - problem.drift(tf, y)) - r
 
     y = np.array(guess, dtype=float)
     f_val = residual(y, rhs)
@@ -98,7 +111,8 @@ def _newton_solve(problem, scheme, t_next, rhs, guess):
         if d == 1:
             dy = -f_val[active] / jac[..., 0]
         else:
-            dy = np.linalg.solve(jac, -f_val[active])
+            # numpy >= 2 reads a 2-d right-hand side as a stack of matrices
+            dy = np.linalg.solve(jac, -f_val[active][..., None])[..., 0]
         # damped update: halve the step for paths not reducing the residual
         alpha = np.ones(ya.shape[0])
         base_nrm = nrm[active]
@@ -133,8 +147,8 @@ def _newton_solve(problem, scheme, t_next, rhs, guess):
 def _assemble_rhs(problem, scheme, t_j, x, dw):
     """Explicit part of the step: x + (1-theta)*dt*(-A x + f) + g dW, batched."""
     t = _reduce_time(t_j, problem.period)
-    a = problem.linear_matrix
-    expl = x + (1.0 - scheme.theta) * scheme.dt * (problem.drift(t, x) - x @ a.T)
+    linear = _linear_part(problem.linear_matrix, x)
+    expl = x + (1.0 - scheme.theta) * scheme.dt * (problem.drift(t, x) - linear)
     gx = problem.diffusion(t, x)
     return expl + np.einsum("...ij,...j->...i", gx, dw)
 

@@ -48,6 +48,14 @@ def _steps_per_period(tau: float, dt: float) -> int:
     return steps
 
 
+def _grid_steps(t: float, dt: float, name: str) -> int:
+    """The whole number of steps of dt in t; `name` must lie on the grid."""
+    steps = round(t / dt)
+    if abs(steps * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"{name} must be grid-aligned")
+    return steps
+
+
 @dataclass
 class PullbackResult:
     k_used: int
@@ -82,9 +90,7 @@ def pullback_converge(
     dt = scheme.dt
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     steps_per_tau = _steps_per_period(tau, dt)
-    n_eval = round(t_eval / dt)
-    if abs(n_eval * dt - t_eval) > 1e-9 * max(1.0, abs(t_eval)):
-        raise ValueError("t_eval must be grid-aligned")
+    n_eval = _grid_steps(t_eval, dt, "t_eval")
 
     prev = None
     gap_history = []
@@ -198,37 +204,46 @@ def periodicity_check_shifted(
 
     P2 runs from -k*tau under the noise shifted by -tau and is sampled on the
     window; P1 runs under the base noise and is sampled one period earlier.
-    The supremum of |P2(t) - P1(t - tau)| over the window (after the burn-in)
-    is a pull-back gap and contracts geometrically.
+    Both run as one batch of two paths. The supremum of |P2(t) - P1(t - tau)|
+    over the window (after the burn-in) is a pull-back gap and contracts
+    geometrically.
     """
     tau = problem.period
     dt = scheme.dt
     a, b = window
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     start = -k * tau
-    if a < start or b > 0.0 + 1e-12:
-        raise ValueError(f"window {window} must lie in [{start}, 0]")
     shift_cells = _steps_per_period(tau, dt)
-    n_steps = round((b - start) / dt)
+    # window ends as step indices counted from the start
+    i_a = _grid_steps(a - start, dt, f"window {window}")
+    n_steps = _grid_steps(b - start, dt, f"window {window}")
+    if i_a < 0 or n_steps > k * shift_cells:
+        raise ValueError(f"window {window} must lie in [{start}, 0]")
+    if i_a > n_steps or n_steps < shift_cells:
+        raise ValueError(
+            f"window {window} must satisfy a <= b and end at least one period "
+            f"after -k*tau = {start}"
+        )
     # one grid, extended one period left of the start for the shifted run
     g = generate_uniform(seed, 0, dt, (start - tau, b), problem.noise_dim)
-    inc_base = g.step_increments(start, n_steps, dt)[None]
-    inc_shift = shift_view(g, -tau).step_increments(start, n_steps, dt)[None]
-    x0 = xi[None, :]
-    times, p1, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, inc_base)
-    _, p2, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, inc_shift)
+    incs = np.stack(
+        [
+            g.step_increments(start, n_steps, dt),
+            shift_view(g, -tau).step_increments(start, n_steps, dt),
+        ]
+    )
+    x0 = np.broadcast_to(xi, (2, xi.size))
+    times, (p1, p2), _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs)
 
-    sel = (times >= a - 1e-12) & (times <= b + 1e-12)
-    idx = np.nonzero(sel)[0]
-    idx = idx[idx - shift_cells >= 0]
-    t_sel = times[idx]
-    burn = t_sel >= start + BURN_IN_PERIODS * tau - 1e-12
-    p2_vals = p2[0, idx]
-    p1_vals = p1[0, idx - shift_cells]
+    # samples with a partner one period earlier
+    idx = np.arange(max(i_a, shift_cells), n_steps + 1)
+    p2_vals = p2[idx]
+    p1_vals = p1[idx - shift_cells]
     gaps = np.linalg.norm(p2_vals - p1_vals, axis=-1)
-    sup = float(gaps[burn].max()) if burn.any() else float(gaps.max())
+    settled = gaps[max(0, BURN_IN_PERIODS * shift_cells - idx[0]) :]
+    sup = float((settled if settled.size else gaps).max())
     return PeriodicityReport(
-        times=t_sel,
+        times=times[idx],
         reference=p1_vals,
         shifted=p2_vals,
         sup_gap=sup,
@@ -247,18 +262,24 @@ def periodicity_check_pullback(
 ) -> PeriodicityReport:
     """Sample the pull-back curve t -> X(t, noise shifted by -t) on [0, horizon].
 
-    For each grid time t the scheme runs from 0 to t under noise shifted by
-    -t; the resulting curve is pathwise periodic with period tau up to a
-    geometrically decaying transient. Reports the curve and its discrete
-    period deviation max_t |curve(t+tau) - curve(t)| after one period.
+    Curve point j (t = j*dt) is the scheme run for j steps from x0 at time 0
+    under the noise shifted by -t, which reads the base cells of (-t, 0).
+    Step i of every point runs at time i*dt, so all n = horizon/dt points
+    advance in lockstep: one sweep of n steps at batch n, where row j-1
+    reads its j cells and then zeros (its later steps only decay), and point
+    j is row j-1 after step j. The recorded states are n x (n+1) x d doubles.
+
+    The curve is pathwise periodic with period tau up to a geometrically
+    decaying transient. Reports the curve and its discrete period deviation
+    max_t |curve(t+tau) - curve(t)| after one period.
     """
     tau = problem.period
     dt = scheme.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     shift_cells = _steps_per_period(tau, dt)
-    n_total = round(horizon / dt)
-    if abs(n_total * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be grid-aligned")
+    if horizon < 0.0:
+        raise ValueError("horizon must be >= 0")
+    n_total = _grid_steps(horizon, dt, "horizon")
     if n_total % shift_cells:
         raise ValueError("horizon must be a multiple of the period")
     times = dt * np.arange(n_total + 1)
@@ -272,20 +293,24 @@ def periodicity_check_pullback(
             passed=True,
             degenerate=True,
         )
-    grid = generate_uniform(seed, 0, dt, (-horizon, horizon), problem.noise_dim)
-    curve = np.empty((n_total + 1, problem.state_dim))
-    curve[0] = x0
-    for j in range(1, n_total + 1):
-        t = j * dt
-        incs = shift_view(grid, -t).step_increments(0.0, j, dt)[None, :, :]
-        _, final, _ = simulate_ensemble(
-            problem, scheme, 0.0, j, x0[None, :], incs, record=False
-        )
-        curve[j] = final[0]
+    base = ensemble_increments(seed, range(1), (-horizon, 0.0), problem.noise_dim, dt)[0]
+    padded = np.concatenate([base, np.zeros_like(base)])
+    # window s is padded[s : s + n_total]; row j-1 takes window n_total - j
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n_total, axis=0)
+    incs = windows.swapaxes(1, 2)[n_total - 1 :: -1]
+    _, states, _ = simulate_ensemble(
+        problem,
+        scheme,
+        0.0,
+        n_total,
+        np.broadcast_to(x0, (n_total, x0.size)),
+        incs,
+    )
+    rows = np.arange(n_total)
+    curve = np.concatenate([x0[None, :], states[rows, rows + 1]])
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
-    dev_times = times[: n_total + 1 - shift_cells]
-    after = dev_times >= tau - 1e-12
-    sup = float(dev[after].max()) if after.any() else float(dev.max())
+    after = dev[shift_cells:]
+    sup = float((after if after.size else dev).max())
     return PeriodicityReport(
         times=times,
         reference=curve,

@@ -45,8 +45,13 @@ class TestConfig:
             ("simulate", ["--set", "model.bogus=1"]),  # unknown model parameter
             # Newton cannot reach 1e-14 in one iteration
             ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
+            # the cubic model has period 2: -10,-9 ends within the first period
+            ("periodicity", ["--set", "k=5", "--set", "window=-10,-9"]),
+            ("periodicity", ["--set", "window=-2,-4"]),
+            ("periodicity", ["--set", "horizon=-2"]),
         ],
-        ids=["mistyped-key", "converge-dt", "model-param", "newton-failure"],
+        ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
+             "window-first-period", "window-reversed", "negative-horizon"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])

@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rpsde.integrator import ThetaScheme
-from rpsde.models import build_cubic_model, build_linear_model
+from rpsde.integrator import ThetaScheme, simulate_ensemble
+from rpsde.models import SdeProblem, build_cubic_model, build_linear_model
+from rpsde.noise import generate_uniform, shift_view
 from rpsde.periodic import (
     PullbackError,
     initial_value_independence,
@@ -20,6 +21,57 @@ BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
 def contraction_factor(theta, lam, dt):
     """Per-step decay of the deterministic theta recursion for dX = -lam X dt."""
     return (1.0 - (1.0 - theta) * lam * dt) / (1.0 + theta * lam * dt)
+
+
+def coupled_problem():
+    """Two states driven by two noises, coupled through drift and diffusion."""
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    lam = float(np.linalg.eigvalsh(a).min())
+
+    def drift(t, x):
+        r2 = np.sum(x * x, axis=-1, keepdims=True)
+        return -(1.0 + math.sin(4.0 * math.pi * t)) * r2 * x
+
+    def drift_jacobian(t, x):
+        r2 = np.sum(x * x, axis=-1)[..., None, None]
+        outer = x[..., :, None] * x[..., None, :]
+        return -(1.0 + math.sin(4.0 * math.pi * t)) * (r2 * np.eye(2) + 2.0 * outer)
+
+    def diffusion(t, x):
+        g = np.empty(x.shape + (2,))
+        g[..., 0, 0] = 0.5 + 0.2 * x[..., 1]
+        g[..., 0, 1] = 0.1
+        g[..., 1, 0] = -0.1 * x[..., 0]
+        g[..., 1, 1] = 0.3 * (1.0 + math.cos(4.0 * math.pi * t))
+        return g
+
+    return SdeProblem(
+        state_dim=2,
+        noise_dim=2,
+        linear_matrix=a,
+        lambda_min=lam,
+        drift=drift,
+        drift_jacobian=drift_jacobian,
+        diffusion=diffusion,
+        period=0.5,
+        one_sided_lipschitz=lam / 2,
+        moment_exponent=21.0,
+        growth_exponent=3.0,
+    )
+
+
+def pullback_curve_by_definition(problem, scheme, x0, horizon, seed):
+    """Curve point j on its own: j steps from x0 at time 0 under the noise shifted by -j*dt."""
+    dt = scheme.dt
+    n = round(horizon / dt)
+    grid = generate_uniform(seed, 0, dt, (-horizon, horizon), problem.noise_dim)
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    curve = [x0[0]]
+    for j in range(1, n + 1):
+        incs = shift_view(grid, -j * dt).step_increments(0.0, j, dt)[None]
+        _, final, _ = simulate_ensemble(problem, scheme, 0.0, j, x0, incs, record=False)
+        curve.append(final[0])
+    return np.array(curve)
 
 
 class TestPullbackConverge:
@@ -128,6 +180,22 @@ class TestPeriodicityShifted:
         bound = rho**j_min
         assert 0.0 < rep.sup_gap <= bound * (1.0 + 1e-10)
 
+    @pytest.mark.parametrize(
+        "window, match",
+        [
+            ((-10.0, -9.0), "a <= b and end at least one period"),  # shorter than tau
+            ((-2.0, -4.0), "a <= b and end at least one period"),  # reversed
+            ((-3.95, 0.0), "grid-aligned"),
+            ((-12.0, 0.0), "must lie in"),
+        ],
+        ids=["within-first-period", "reversed", "misaligned", "before-start"],
+    )
+    def test_bad_window_rejected(self, window, match):
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with pytest.raises(ValueError, match=match):
+            periodicity_check_shifted(prob, sch, k=5, xi=[0.6], window=window, seed=3)
+
 
 class TestPeriodicityPullback:
     def test_cubic_benchmark_setup(self):
@@ -174,3 +242,37 @@ class TestPeriodicityPullback:
         rep = periodicity_check_pullback(prob, sch, [0.5], 0.0, seed=0)
         assert rep.degenerate
         assert rep.sup_gap == 0.0
+
+    def test_negative_horizon_rejected(self):
+        prob = build_linear_model(1.0, 0.1)
+        sch = ThetaScheme(theta=1.0, dt=0.25)
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            periodicity_check_pullback(prob, sch, [0.5], -2.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "problem, dt, x0, horizon",
+        [
+            (build_cubic_model(**BENCH), 0.1, [-0.2], 4.0),
+            (coupled_problem(), 0.05, [0.4, -0.3], 1.0),
+        ],
+        ids=["cubic", "two-dim"],
+    )
+    def test_sweep_equals_definition(self, problem, dt, x0, horizon):
+        sch = ThetaScheme(theta=0.75, dt=dt)
+        rep = periodicity_check_pullback(problem, sch, x0, horizon, seed=5)
+        expected = pullback_curve_by_definition(problem, sch, x0, horizon, seed=5)
+        assert rep.reference.shape == expected.shape
+        assert np.array_equal(rep.reference, expected)
+
+    def test_one_sweep_of_n_steps(self, monkeypatch):
+        calls = []
+
+        def counting(problem, scheme, t_start, n_steps, x0, increments, record=True):
+            calls.append(n_steps)
+            return simulate_ensemble(problem, scheme, t_start, n_steps, x0, increments, record)
+
+        monkeypatch.setattr("rpsde.periodic.simulate_ensemble", counting)
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        periodicity_check_pullback(prob, sch, [-0.2], 4.0, seed=3)
+        assert calls == [40]
