@@ -32,14 +32,13 @@ from .models import (
     check_dissipativity,
 )
 from .noise import (
-    ShiftedView,
     WienerGrid,
     WindowError,
     coarse_increment,
     ensemble_increments,
     generate,
     generate_uniform,
-    shift_view,
+    grid_steps,
 )
 from .periodic import (
     initial_value_independence,

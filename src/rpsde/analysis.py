@@ -16,7 +16,7 @@ import numpy as np
 
 from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
-from .noise import ensemble_increments
+from .noise import ensemble_increments, grid_steps
 
 __all__ = [
     "ContractionConstants",
@@ -118,17 +118,19 @@ def ms_error(
     solve aborts the experiment; paths are never dropped.
     """
     levels = sorted(levels)
-    if reference_level < max(levels):
+    if not levels:
+        raise ValueError("levels must name at least one level")
+    if reference_level < levels[-1]:
         raise ValueError("reference_level must be at least the finest coarse level")
-    coarse_dt = 2.0 ** -min(levels)
-    for name, t in (("t_start", t_start), ("t_end", t_end)):
-        if abs(round(t / coarse_dt) * coarse_dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"{name} must be aligned to the coarsest stepsize")
-    if t_start >= t_end:
+    if ensemble < 1:
+        raise ValueError("ensemble must be >= 1")
+    coarse_dt = 2.0 ** -levels[0]
+    n_coarse = grid_steps(t_end, coarse_dt, "t_end")
+    n_coarse -= grid_steps(t_start, coarse_dt, "t_start")
+    if n_coarse <= 0:
         raise ValueError("t_start must precede t_end")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     all_levels = list(levels) + [reference_level]
-    span = t_end - t_start
     m = problem.noise_dim
     sq_all = {lvl: [] for lvl in levels}
     # paths run in `jobs` sequential chunks, which bounds the fine-increment
@@ -139,10 +141,10 @@ def ms_error(
             seed, range(p_lo, p_hi), (t_start, t_end), m,
             2.0**-reference_level, fine_level=reference_level,
         )
-        x0 = np.broadcast_to(xi, (n_paths, problem.state_dim))
+        x0 = np.broadcast_to(xi, (n_paths, xi.size))
         finals = {}
         for lvl in all_levels:
-            n_steps = round(span * 2.0**lvl)
+            n_steps = n_coarse << (lvl - levels[0])
             q = 2 ** (reference_level - lvl)
             incs = fine.reshape(n_paths, n_steps, q, m).sum(axis=2)
             scheme = ThetaScheme(theta=theta, dt=2.0**-lvl, newton_tol=newton_tol)
@@ -211,23 +213,20 @@ def moment_monitor(
     """
     if ensemble < 2:
         raise ValueError("ensemble must be >= 2")
-    tau = problem.period
-    dt = scheme.dt
-    start = -k * tau
-    n_steps = round(-start / dt)
+    start = -k * problem.period
+    steps_per_tau = grid_steps(problem.period, scheme.dt, "period")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     incs = ensemble_increments(
-        seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
+        seed, range(ensemble), (start, 0.0), problem.noise_dim, scheme.dt
     )
-    x0 = np.broadcast_to(xi, (ensemble, problem.state_dim))
+    x0 = np.broadcast_to(xi, (ensemble, xi.size))
     times, states, _ = simulate_ensemble(
-        problem, scheme, start, n_steps, x0, incs, record=True
+        problem, scheme, start, k * steps_per_tau, x0, incs, record=True
     )
     sq = np.sum(states**2, axis=-1)  # (ensemble, n_times)
     mom = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
-    post = times >= start + tau - 1e-12
-    vals = mom[post]
+    vals = mom[steps_per_tau:]
     quarter = max(1, vals.size // 4)
     flag = bool(vals[-quarter:].mean() > 4.0 * vals[:quarter].mean())
     return MomentSeries(times=times, second_moment=mom, stderr=se, growth_flag=flag)
@@ -264,15 +263,16 @@ def numerical_contraction_test(
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.array_equal(xi, eta):
         raise ValueError("initial values must differ")
-    tau = problem.period
+    if k < 1 or ensemble < 1:
+        raise ValueError("k and ensemble must be >= 1")
     dt = scheme.dt
-    start = -k * tau
-    n_steps = round(-start / dt)
+    start = -k * problem.period
+    n_steps = grid_steps(-start, dt, "k*period")
     incs = ensemble_increments(
         seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
     )
-    x0 = np.broadcast_to(xi, (ensemble, problem.state_dim))
-    y0 = np.broadcast_to(eta, (ensemble, problem.state_dim))
+    x0 = np.broadcast_to(xi, (ensemble, xi.size))
+    y0 = np.broadcast_to(eta, (ensemble, eta.size))
     _, xs, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
     _, ys, _ = simulate_ensemble(problem, scheme, start, n_steps, y0, incs, record=True)
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j

@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .integrator import NewtonError, ThetaScheme, simulate_ensemble
 from .models import ModelCatalogEntry, catalog_entry
-from .noise import ensemble_increments
+from .noise import ensemble_increments, grid_steps
 from .periodic import (
     PullbackError,
     initial_value_independence,
@@ -118,7 +118,9 @@ def run_simulate(cfg: dict, out: Path, jobs: int) -> bool:
     horizon = float(cfg.get("horizon", 0.0))
     xis = _floats(cfg.get("initial_values", "0.6,0,-0.6"))
     start = -k * problem.period
-    n_steps = round((horizon - start) / scheme.dt)
+    n_steps = grid_steps(horizon - start, scheme.dt, "horizon + k*period")
+    if n_steps < 0:
+        raise ConfigError(f"horizon {horizon} precedes the start -k*period = {start}")
     x0s = np.array(xis, dtype=float)[:, None]
     times = start + scheme.dt * np.arange(n_steps + 1)
     if n_steps == 0:

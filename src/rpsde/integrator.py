@@ -171,6 +171,9 @@ def simulate_ensemble(
     newton_iters is the per-step maximum iteration count.
     """
     x = np.array(x0, dtype=float)
+    if x.ndim != 2 or x.shape[1] != problem.state_dim:
+        d = problem.state_dim
+        raise ValueError(f"initial state has shape {x.shape}; the model's state_dim is {d}")
     batch = x.shape[0]
     if increments.shape[1] != n_steps:
         raise ValueError("increments do not cover the requested number of steps")

@@ -13,6 +13,8 @@ Two grid modes:
   * uniform: arbitrary cell width dt (e.g. 0.1); no refinement, used for the
     qualitative fixed-stepsize experiments.
 
+`grid_steps` is the one place where a time becomes a whole number of cells;
+a grid keeps its first absolute cell, so a Wiener shift is an index offset.
 `ensemble_increments` turns a seed and a range of path indices into the
 (paths, steps, m) increment array that every batched estimator consumes.
 """
@@ -27,12 +29,11 @@ from scipy.special import ndtri
 
 __all__ = [
     "WienerGrid",
-    "ShiftedView",
     "WindowError",
+    "grid_steps",
     "generate",
     "generate_uniform",
     "coarse_increment",
-    "shift_view",
     "ensemble_increments",
 ]
 
@@ -43,6 +44,19 @@ _POSITION_OFFSET = 1 << 62
 
 class WindowError(ValueError):
     """Requested cells are misaligned or fall outside the generated window."""
+
+
+def grid_steps(t: float, h: float, name: str) -> int:
+    """The whole number of cells of width h in t; `name` says what t is.
+
+    t must lie on the grid to within 1e-9 * max(1, |t|).
+    """
+    n = round(t / h)
+    if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
+        raise WindowError(
+            f"{name} must be grid-aligned: {t} is not a multiple of the stepsize {h}"
+        )
+    return n
 
 
 def _mix64(z: int) -> int:
@@ -87,16 +101,15 @@ def _cell_salt(fine_level, cell_width):
 class WienerGrid:
     """Seeded two-sided Brownian increments over one window.
 
-    Immutable; `increments` has shape (n_cells, noise_dim), cell j covering
-    [t_min + j*h, t_min + (j+1)*h] with h = cell_width.
+    Immutable; `increments` has shape (n_cells, noise_dim), row j holding
+    absolute cell i = first_cell + j, which covers [i*h, (i+1)*h], h = cell_width.
     """
 
     seed: int
     path_index: int
     noise_dim: int
     cell_width: float
-    t_min: float
-    t_max: float
+    first_cell: int
     increments: np.ndarray
     fine_level: int | None = None
 
@@ -104,30 +117,22 @@ class WienerGrid:
     def n_cells(self) -> int:
         return self.increments.shape[0]
 
-    def cell_index(self, t: float) -> int:
-        """Absolute (window-independent) index of the cell starting at t."""
-        i = round(t / self.cell_width)
-        if abs(i * self.cell_width - t) > 1e-9 * max(1.0, abs(t)):
-            raise WindowError(f"time {t} is not aligned to cell width {self.cell_width}")
-        return i
-
     def step_increments(self, t_start: float, n_steps: int, dt: float) -> np.ndarray:
         """Brownian increments over n_steps consecutive cells of width dt.
 
         dt must be an integer multiple of the fine cell width; each coarse
         increment is the exact sum of the fine increments it spans.
         """
-        q = round(dt / self.cell_width)
-        if q < 1 or abs(q * self.cell_width - dt) > 1e-9 * dt:
-            raise WindowError(f"dt {dt} is not a multiple of cell width {self.cell_width}")
-        i0 = self.cell_index(t_start)
-        base = self.cell_index(self.t_min)
-        j0 = i0 - base
+        h = self.cell_width
+        q = grid_steps(dt, h, "dt")
+        if q < 1:
+            raise WindowError(f"dt {dt} is below the cell width {h}")
+        j0 = grid_steps(t_start, h, "t_start") - self.first_cell
         j1 = j0 + n_steps * q
         if j0 < 0 or j1 > self.n_cells:
             raise WindowError(
                 f"cells [{t_start}, {t_start + n_steps * dt}] outside window "
-                f"[{self.t_min}, {self.t_max}]"
+                f"[{self.first_cell * h}, {(self.first_cell + self.n_cells) * h}]"
             )
         fine = self.increments[j0:j1]
         if q == 1:
@@ -141,22 +146,6 @@ class WienerGrid:
                 out = out.reshape(-1, 2, self.noise_dim).sum(axis=1)
             return out
         return fine.reshape(n_steps, q, self.noise_dim).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class ShiftedView:
-    """Wiener shift: sampling at [a, b] reads the base increments at [a+shift, b+shift]."""
-
-    base: WienerGrid
-    shift: float
-
-    def __post_init__(self):
-        h = self.base.cell_width
-        if abs(round(self.shift / h) * h - self.shift) > 1e-9 * max(1.0, abs(self.shift)):
-            raise WindowError(f"shift {self.shift} is not a multiple of cell width {h}")
-
-    def step_increments(self, t_start: float, n_steps: int, dt: float) -> np.ndarray:
-        return self.base.step_increments(t_start + self.shift, n_steps, dt)
 
 
 def generate(
@@ -201,26 +190,20 @@ def ensemble_increments(
     summed to width dt; each row depends only on its own path index, so
     any split of the paths into chunks gives the same rows.
     """
-    t_min, t_max = window
-    n = round((t_max - t_min) / dt)
+    n = grid_steps(window[1] - window[0], dt, f"window {window} length")
     out = np.empty((len(paths), n, noise_dim))
     for row, p in enumerate(paths):
         if fine_level is None:
             grid = generate_uniform(seed, p, dt, window, noise_dim)
         else:
             grid = generate(seed, p, fine_level, window, noise_dim)
-        out[row] = grid.step_increments(t_min, n, dt)
+        out[row] = grid.step_increments(window[0], n, dt)
     return out
 
 
 def _generate(seed, path_index, h, window, noise_dim, fine_level):
-    t_min, t_max = window
-    i0 = round(t_min / h)
-    i1 = round(t_max / h)
-    if abs(i0 * h - t_min) > 1e-9 * max(1.0, abs(t_min)) or abs(
-        i1 * h - t_max
-    ) > 1e-9 * max(1.0, abs(t_max)):
-        raise WindowError(f"window {window} endpoints must be multiples of {h}")
+    i0 = grid_steps(window[0], h, "window start")
+    i1 = grid_steps(window[1], h, "window end")
     if i1 <= i0:
         raise WindowError(f"window {window} must have positive length")
     if noise_dim < 1:
@@ -237,8 +220,7 @@ def _generate(seed, path_index, h, window, noise_dim, fine_level):
         path_index=path_index,
         noise_dim=noise_dim,
         cell_width=h,
-        t_min=i0 * h,
-        t_max=i1 * h,
+        first_cell=i0,
         increments=incs,
         fine_level=fine_level,
     )
@@ -255,9 +237,3 @@ def coarse_increment(grid: WienerGrid, coarse_level: int, cell_index: int) -> np
     dt = 2.0**-coarse_level
     return grid.step_increments(cell_index * dt, 1, dt)[0]
 
-
-def shift_view(grid: WienerGrid | ShiftedView, shift: float) -> ShiftedView:
-    """View of the noise under the Wiener shift by `shift` (a grid multiple)."""
-    if isinstance(grid, ShiftedView):
-        return ShiftedView(grid.base, grid.shift + shift)
-    return ShiftedView(grid, shift)

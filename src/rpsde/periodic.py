@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import ThetaScheme, simulate_ensemble
+from .integrator import ThetaScheme, simulate_ensemble, step
 from .models import SdeProblem
-from .noise import ensemble_increments, generate_uniform, shift_view
+from .noise import ensemble_increments, grid_steps
 
 __all__ = [
     "PullbackResult",
@@ -39,21 +39,6 @@ class PullbackError(RuntimeError):
     def __init__(self, message, last_gap):
         super().__init__(message)
         self.last_gap = last_gap
-
-
-def _steps_per_period(tau: float, dt: float) -> int:
-    steps = round(tau / dt)
-    if abs(steps * dt - tau) > 1e-9:
-        raise ValueError("period must be a multiple of the stepsize")
-    return steps
-
-
-def _grid_steps(t: float, dt: float, name: str) -> int:
-    """The whole number of steps of dt in t; `name` must lie on the grid."""
-    steps = round(t / dt)
-    if abs(steps * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"{name} must be grid-aligned")
-    return steps
 
 
 @dataclass
@@ -86,11 +71,13 @@ def pullback_converge(
         raise ValueError("tolerance must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if ensemble < 1:
+        raise ValueError("ensemble must be >= 1")
     tau = problem.period
     dt = scheme.dt
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    steps_per_tau = _steps_per_period(tau, dt)
-    n_eval = _grid_steps(t_eval, dt, "t_eval")
+    steps_per_tau = grid_steps(tau, dt, "period")
+    n_eval = grid_steps(t_eval, dt, "t_eval")
 
     prev = None
     gap_history = []
@@ -100,7 +87,7 @@ def pullback_converge(
         incs = ensemble_increments(
             seed, range(ensemble), (start, t_eval), problem.noise_dim, dt
         )
-        x0 = np.broadcast_to(xi, (ensemble, problem.state_dim))
+        x0 = np.broadcast_to(xi, (ensemble, xi.size))
         _, states, _ = simulate_ensemble(
             problem, scheme, start, n_steps, x0, incs, record=True
         )
@@ -156,19 +143,20 @@ def initial_value_independence(
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if xis.shape[0] < 2:
         raise ValueError("need at least two initial values")
-    tau = problem.period
+    if k < BURN_IN_PERIODS:
+        raise ValueError(f"k must be >= {BURN_IN_PERIODS}, the burn-in periods")
     dt = scheme.dt
-    start = -k * tau
-    n_steps = round(-start / dt)
+    start = -k * problem.period
+    steps_per_tau = grid_steps(problem.period, dt, "period")
     incs = ensemble_increments(seed, range(1), (start, 0.0), problem.noise_dim, dt)
     times, states, _ = simulate_ensemble(
-        problem, scheme, start, n_steps, xis, incs, record=True
+        problem, scheme, start, k * steps_per_tau, xis, incs, record=True
     )
-    keep = times >= start + BURN_IN_PERIODS * tau - 1e-12
+    settled = states[:, BURN_IN_PERIODS * steps_per_tau :]
     sup = 0.0
     for i in range(xis.shape[0]):
         for j in range(i + 1, xis.shape[0]):
-            dist = np.linalg.norm(states[i, keep] - states[j, keep], axis=-1)
+            dist = np.linalg.norm(settled[i] - settled[j], axis=-1)
             sup = max(sup, float(dist.max()))
     return IndependenceReport(
         initial_values=xis,
@@ -213,10 +201,10 @@ def periodicity_check_shifted(
     a, b = window
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     start = -k * tau
-    shift_cells = _steps_per_period(tau, dt)
+    shift_cells = grid_steps(tau, dt, "period")
     # window ends as step indices counted from the start
-    i_a = _grid_steps(a - start, dt, f"window {window}")
-    n_steps = _grid_steps(b - start, dt, f"window {window}")
+    i_a = grid_steps(a - start, dt, f"window {window}")
+    n_steps = grid_steps(b - start, dt, f"window {window}")
     if i_a < 0 or n_steps > k * shift_cells:
         raise ValueError(f"window {window} must lie in [{start}, 0]")
     if i_a > n_steps or n_steps < shift_cells:
@@ -224,14 +212,9 @@ def periodicity_check_shifted(
             f"window {window} must satisfy a <= b and end at least one period "
             f"after -k*tau = {start}"
         )
-    # one grid, extended one period left of the start for the shifted run
-    g = generate_uniform(seed, 0, dt, (start - tau, b), problem.noise_dim)
-    incs = np.stack(
-        [
-            g.step_increments(start, n_steps, dt),
-            shift_view(g, -tau).step_increments(start, n_steps, dt),
-        ]
-    )
+    # P1 reads the cells of (start - tau, b) from start, P2 one period earlier
+    cells = ensemble_increments(seed, range(1), (start - tau, b), problem.noise_dim, dt)[0]
+    incs = np.stack([cells[shift_cells:], cells[:n_steps]])
     x0 = np.broadcast_to(xi, (2, xi.size))
     times, (p1, p2), _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs)
 
@@ -265,9 +248,9 @@ def periodicity_check_pullback(
     Curve point j (t = j*dt) is the scheme run for j steps from x0 at time 0
     under the noise shifted by -t, which reads the base cells of (-t, 0).
     Step i of every point runs at time i*dt, so all n = horizon/dt points
-    advance in lockstep: one sweep of n steps at batch n, where row j-1
-    reads its j cells and then zeros (its later steps only decay), and point
-    j is row j-1 after step j. The recorded states are n x (n+1) x d doubles.
+    advance in lockstep: step i moves the points j > i as one batch, point
+    j = i + 1 + r reading base cell n - 1 - r, and point i + 1 then leaves
+    the batch. That is n steps and n(n+1)/2 path-steps; only the curve is kept.
 
     The curve is pathwise periodic with period tau up to a geometrically
     decaying transient. Reports the curve and its discrete period deviation
@@ -276,10 +259,10 @@ def periodicity_check_pullback(
     tau = problem.period
     dt = scheme.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    shift_cells = _steps_per_period(tau, dt)
+    shift_cells = grid_steps(tau, dt, "period")
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
-    n_total = _grid_steps(horizon, dt, "horizon")
+    n_total = grid_steps(horizon, dt, "horizon")
     if n_total % shift_cells:
         raise ValueError("horizon must be a multiple of the period")
     times = dt * np.arange(n_total + 1)
@@ -293,21 +276,12 @@ def periodicity_check_pullback(
             passed=True,
             degenerate=True,
         )
-    base = ensemble_increments(seed, range(1), (-horizon, 0.0), problem.noise_dim, dt)[0]
-    padded = np.concatenate([base, np.zeros_like(base)])
-    # window s is padded[s : s + n_total]; row j-1 takes window n_total - j
-    windows = np.lib.stride_tricks.sliding_window_view(padded, n_total, axis=0)
-    incs = windows.swapaxes(1, 2)[n_total - 1 :: -1]
-    _, states, _ = simulate_ensemble(
-        problem,
-        scheme,
-        0.0,
-        n_total,
-        np.broadcast_to(x0, (n_total, x0.size)),
-        incs,
-    )
-    rows = np.arange(n_total)
-    curve = np.concatenate([x0[None, :], states[rows, rows + 1]])
+    cells = ensemble_increments(seed, range(1), (-horizon, 0.0), problem.noise_dim, dt)[0]
+    curve = np.repeat(x0[None, :], n_total + 1, axis=0)
+    x = np.broadcast_to(x0, (n_total, x0.size))
+    for i in range(n_total):
+        x = step(problem, scheme, i * dt, x, cells[i:][::-1])
+        curve[i + 1], x = x[0], x[1:]
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
     after = dev[shift_cells:]
     sup = float((after if after.size else dev).max())

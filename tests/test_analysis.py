@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,6 +175,13 @@ class TestMomentMonitor:
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError):
             moment_monitor(prob, sch, k=1, ensemble=1, seed=0)
+
+    def test_period_not_multiple_of_dt_rejected(self):
+        # two periods of 0.25 are 5 steps of 0.1, but one period is 2.5 steps
+        prob = replace(build_linear_model(1.0, 0.1), period=0.25)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="multiple of the stepsize"):
+            moment_monitor(prob, sch, k=2, ensemble=4, seed=0)
 
 
 class TestNumericalContraction:

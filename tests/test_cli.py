@@ -49,15 +49,46 @@ class TestConfig:
             ("periodicity", ["--set", "k=5", "--set", "window=-10,-9"]),
             ("periodicity", ["--set", "window=-2,-4"]),
             ("periodicity", ["--set", "horizon=-2"]),
+            ("simulate", ["--set", "k=-1"]),
+            ("contraction", ["--set", "k=0"]),
+            ("pullback", ["--set", "ensemble=0"]),
+            ("converge", ["--set", "ensemble=0"]),
+            ("converge", ["--set", "levels="]),
+            ("periodicity", ["--set", "x0=0.1,0.2"]),
+            ("pullback", ["--set", "xi=0.1,0.2"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
-             "window-first-period", "window-reversed", "negative-horizon"],
+             "window-first-period", "window-reversed", "negative-horizon",
+             "simulate-negative-k", "contraction-zero-k", "pullback-zero-ensemble",
+             "converge-zero-ensemble", "converge-no-levels", "periodicity-x0-dim",
+             "pullback-xi-dim"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, bad, names",
+        [
+            ("simulate", ["--set", "k=-1"], "-k*period"),
+            ("contraction", ["--set", "k=0"], "k and ensemble must be"),
+            ("contraction", ["--set", "ensemble=0"], "k and ensemble must be"),
+            ("pullback", ["--set", "ensemble=0"], "ensemble must be"),
+            ("converge", ["--set", "ensemble=0"], "ensemble must be"),
+            ("converge", ["--set", "levels="], "levels must"),
+            ("periodicity", ["--set", "x0=0.1,0.2"], "state_dim is 1"),
+            ("pullback", ["--set", "xi=0.1,0.2"], "state_dim is 1"),
+        ],
+        ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
+             "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
+             "periodicity-x0-dim", "pullback-xi-dim"],
+    )
+    def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
+        # these used to reach numpy and fail with its message
+        assert main([command, "--out", str(tmp_path), *bad]) == 2
+        assert names in capsys.readouterr().err
 
     def test_flag_overrides_config(self, tmp_path):
         f = tmp_path / "run.cfg"

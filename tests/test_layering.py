@@ -1,8 +1,11 @@
-"""Import discipline inside the rpsde package, checked on the source with ast.
+"""Import discipline and grid time inside the rpsde package, checked on the
+source with ast.
 
 A module may import only public names from another rpsde module, and only at
 module level: a private name shared across modules belongs in the module
 that owns it, made public, and a function-level import hides a dependency.
+A time becomes a whole number of cells only in `noise.grid_steps`, so the
+builtin `round` is called nowhere else.
 """
 
 import ast
@@ -54,3 +57,22 @@ def test_no_private_or_function_level_rpsde_imports(path):
         if id(node) in inner:
             problems.append(f"line {node.lineno}: {module} imported inside a function")
     assert not problems, f"{path.name}: " + "; ".join(problems)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_round_only_in_grid_steps(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "noise.py":
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "grid_steps":
+                allowed.update(id(n) for n in ast.walk(fn))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "round"
+        and id(node) not in allowed
+    ]
+    assert not calls, f"{path.name}: round() at lines {calls}; use noise.grid_steps"

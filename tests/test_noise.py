@@ -11,7 +11,7 @@ from rpsde.noise import (
     ensemble_increments,
     generate,
     generate_uniform,
-    shift_view,
+    grid_steps,
 )
 
 
@@ -105,49 +105,26 @@ class TestCoarsening:
             coarse_increment(g, 4, -1)
 
 
-class TestShift:
-    def test_zero_shift_identity(self):
-        g = generate(5, 0, 5, (-1.0, 1.0), 1)
-        v = shift_view(g, 0.0)
-        assert np.array_equal(
-            v.step_increments(-1.0, g.n_cells, g.cell_width), g.increments
-        )
-
-    def test_shift_by_period(self):
-        g = generate(5, 0, 5, (-2.0, 2.0), 1)
-        tau = 1.0
-        dt = 2.0**-5
-        v = shift_view(g, tau)
-        assert np.array_equal(
-            v.step_increments(0.0, 1, dt), g.step_increments(tau, 1, dt)
-        )
-
-    def test_composition(self):
-        g = generate(5, 0, 5, (-4.0, 4.0), 1)
-        v = shift_view(shift_view(g, 1.0), 1.0)
-        w = shift_view(g, 2.0)
-        assert v.shift == w.shift
-        assert np.array_equal(
-            v.step_increments(0.0, 32, 2.0**-5), w.step_increments(0.0, 32, 2.0**-5)
-        )
-
-    @given(
-        s1=st.integers(min_value=-8, max_value=8),
-        s2=st.integers(min_value=-8, max_value=8),
+class TestGridSteps:
+    @pytest.mark.parametrize(
+        "t, h, n",
+        [
+            (-80.0, 0.01, -8000),
+            (0.3, 0.1, 3),
+            (10.0, 0.1, 100),
+            (0.0, 0.25, 0),
+            (-4.0, 2.0**-12, -16384),
+            (0.75, 2.0**-6, 48),
+            (2.0**-6, 2.0**-8, 4),
+        ],
     )
-    @settings(max_examples=30, deadline=None)
-    def test_composition_property(self, s1, s2):
-        g = generate(5, 0, 3, (-4.0, 4.0), 1)
-        h = 2.0**-3
-        a, b = s1 * h, s2 * h
-        v = shift_view(shift_view(g, a), b)
-        w = shift_view(g, a + b)
-        assert np.array_equal(v.step_increments(0.0, 2, h), w.step_increments(0.0, 2, h))
+    def test_on_grid(self, t, h, n):
+        assert grid_steps(t, h, "t") == n
 
-    def test_misaligned_shift(self):
-        g = generate(5, 0, 4, (0.0, 1.0), 1)
-        with pytest.raises(WindowError):
-            shift_view(g, 0.1)
+    @pytest.mark.parametrize("t, h", [(0.1, 2.0**-4), (-3.95, 0.1), (0.25, 0.1), (1e-3, 2.0**-5)])
+    def test_off_grid_rejected(self, t, h):
+        with pytest.raises(WindowError, match="t must be grid-aligned.*multiple of the stepsize"):
+            grid_steps(t, h, "t")
 
 
 class TestValidation:

@@ -6,7 +6,7 @@ import pytest
 
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import SdeProblem, build_cubic_model, build_linear_model
-from rpsde.noise import generate_uniform, shift_view
+from rpsde.noise import generate_uniform
 from rpsde.periodic import (
     PullbackError,
     initial_value_independence,
@@ -68,7 +68,7 @@ def pullback_curve_by_definition(problem, scheme, x0, horizon, seed):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     curve = [x0[0]]
     for j in range(1, n + 1):
-        incs = shift_view(grid, -j * dt).step_increments(0.0, j, dt)[None]
+        incs = grid.step_increments(-j * dt, j, dt)[None]
         _, final, _ = simulate_ensemble(problem, scheme, 0.0, j, x0, incs, record=False)
         curve.append(final[0])
     return np.array(curve)
@@ -150,6 +150,19 @@ class TestInitialValueIndependence:
             j = round((t + k * prob.period) / dt)
             assert abs(a[0] - b[0]) == pytest.approx(2.0 * rho**j, rel=1e-12, abs=1e-300)
 
+    def test_period_not_multiple_of_dt_rejected(self):
+        # five periods of 0.3 are 6 steps of 0.25, but one period is 1.2 steps
+        prob = replace(build_linear_model(1.0, 0.1), period=0.3)
+        sch = ThetaScheme(theta=1.0, dt=0.25)
+        with pytest.raises(ValueError, match="multiple of the stepsize"):
+            initial_value_independence(prob, sch, [[1.0], [-1.0]], k=5, seed=0)
+
+    def test_shorter_than_burn_in_rejected(self):
+        prob = build_linear_model(1.0, 0.1)
+        sch = ThetaScheme(theta=1.0, dt=0.25)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            initial_value_independence(prob, sch, [[1.0], [-1.0]], k=1, seed=0)
+
     def test_needs_two_values(self):
         prob = build_linear_model(1.0, 0.0)
         sch = ThetaScheme(theta=1.0, dt=0.25)
@@ -179,6 +192,30 @@ class TestPeriodicityShifted:
         j_min = round((-2.0 - prob.period + k * prob.period) / dt)
         bound = rho**j_min
         assert 0.0 < rep.sup_gap <= bound * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    def test_equals_definition(self, theta):
+        # P1 from -k*tau under the base noise, read at start; P2 under the
+        # noise shifted by -tau, i.e. the base cells one period earlier, read
+        # at start - tau
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=theta, dt=0.1)
+        k, window, tau, dt = 5, (-6.0, -1.0), prob.period, 0.1
+        start = -k * tau
+        n = round((window[1] - start) / dt)
+        grid = generate_uniform(3, 0, dt, (start - tau, window[1]), prob.noise_dim)
+        x0 = np.array([[0.6]])
+        _, p1, _ = simulate_ensemble(
+            prob, sch, start, n, x0, grid.step_increments(start, n, dt)[None]
+        )
+        _, p2, _ = simulate_ensemble(
+            prob, sch, start, n, x0, grid.step_increments(start - tau, n, dt)[None]
+        )
+        rep = periodicity_check_shifted(prob, sch, k=k, xi=[0.6], window=window, seed=3)
+        idx = np.arange(round((window[0] - start) / dt), n + 1)
+        shift = round(tau / dt)
+        assert np.array_equal(rep.reference, p1[0, idx - shift])
+        assert np.array_equal(rep.shifted, p2[0, idx])
 
     @pytest.mark.parametrize(
         "window, match",
@@ -268,11 +305,12 @@ class TestPeriodicityPullback:
         calls = []
 
         def counting(problem, scheme, t_start, n_steps, x0, increments, record=True):
-            calls.append(n_steps)
+            calls.append((t_start, n_steps))
             return simulate_ensemble(problem, scheme, t_start, n_steps, x0, increments, record)
 
-        monkeypatch.setattr("rpsde.periodic.simulate_ensemble", counting)
+        monkeypatch.setattr("rpsde.integrator.simulate_ensemble", counting)
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         periodicity_check_pullback(prob, sch, [-0.2], 4.0, seed=3)
-        assert calls == [40]
+        # one step per grid index, at the same time floats as a 40-step run
+        assert calls == [(i * 0.1, 1) for i in range(40)]
