@@ -117,6 +117,8 @@ def run_simulate(cfg: dict, out: Path, jobs: int) -> bool:
     k = int(cfg.get("k", 5))
     horizon = float(cfg.get("horizon", 0.0))
     xis = _floats(cfg.get("initial_values", "0.6,0,-0.6"))
+    if not xis:
+        raise ConfigError("initial_values must name at least one value")
     start = -k * problem.period
     n_steps = grid_steps(horizon - start, scheme.dt, "horizon + k*period")
     if n_steps < 0:

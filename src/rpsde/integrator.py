@@ -11,8 +11,16 @@ The implicit stage is solved by damped Newton iteration; dissipativity
 
 simulate_ensemble is the one stepping loop (`step` is a single step of it).
 It is batched: states have shape (batch, d) and every path in the batch
-evolves independently (elementwise masking in the Newton loop), so results
-per path do not depend on how paths are grouped into batches.
+evolves independently, so results per path do not depend on how paths are
+grouped into batches. Every operation on the state acts on each row alone:
+the models' callables are elementwise in the path, the linear part sums its
+products in column order instead of calling BLAS, and for d > 1 each path's
+Newton matrix is solved on its own. A path's bits therefore depend only on
+its own row and on the Newton iterations it takes. The Newton loop works on
+the whole arrays while no path has converged and, after that, on the rows
+not yet converged; either way a path stops exactly when its own residual
+norm reaches the tolerance, so the all-active and the masked phase give the
+same bits per path.
 """
 
 from __future__ import annotations
@@ -71,8 +79,7 @@ def _linear_part(a, y):
     """y @ a.T with the products summed in column order.
 
     BLAS matmul rounds differently with the batch size once d > 1, which
-    would make a path's result depend on its batch; for d = 1 this is the
-    same single product.
+    would make a path's result depend on its batch.
     """
     out = y[..., :1] * a[:, 0]
     for j in range(1, a.shape[1]):
@@ -80,77 +87,125 @@ def _linear_part(a, y):
     return out
 
 
-def _newton_solve(problem, scheme, t_next, rhs, guess):
-    """Batched damped Newton for y + theta*dt*(A y - f(t_next, y)) = rhs.
+class _Kernel:
+    """The theta step of one problem and scheme, with its constants hoisted.
 
-    rhs/guess shape (batch, d). Returns (y, iteration counts). Paths are
-    frozen individually the moment their residual norm drops below tol.
+    For state dimension 1 the linear part is y*a00, the norm is |v| (sqrt(v*v)
+    is |v| whenever v*v neither overflows nor underflows) and the Newton
+    matrix is the scalar 1 + theta*dt*(a00 - J); with one noise the noise
+    term is g[..., 0]*dW. Each gives the bits of the general form. At
+    theta = 1 the explicit drift and linear part carry the weight
+    (1-theta)*dt = 0 and are skipped.
     """
-    theta_dt = scheme.theta * scheme.dt
-    a = problem.linear_matrix
-    d = problem.state_dim
-    tf = _reduce_time(t_next, problem.period)
-    eye = np.eye(d)
 
-    def residual(y, r):
-        return y + theta_dt * (_linear_part(a, y) - problem.drift(tf, y)) - r
+    def __init__(self, problem: SdeProblem, scheme: ThetaScheme):
+        self.drift = problem.drift
+        self.jacobian = problem.drift_jacobian
+        self.diffusion = problem.diffusion
+        self.period = problem.period
+        self.a = problem.linear_matrix
+        self.scalar = problem.state_dim == 1
+        self.a00 = float(self.a[0, 0])
+        self.eye = np.eye(problem.state_dim)
+        self.one_noise = problem.noise_dim == 1
+        self.theta_dt = scheme.theta * scheme.dt
+        self.explicit_dt = (1.0 - scheme.theta) * scheme.dt
+        self.tol = scheme.newton_tol
+        self.max_iter = scheme.newton_max_iter
 
-    y = np.array(guess, dtype=float)
-    f_val = residual(y, rhs)
-    nrm = np.linalg.norm(f_val, axis=-1)
-    iters = np.zeros(y.shape[0], dtype=np.int64)
-    tol = scheme.newton_tol
-
-    for _ in range(scheme.newton_max_iter):
-        active = nrm > tol
-        if not active.any():
-            break
-        ya = y[active]
-        ra = rhs[active]
-        jac = eye + theta_dt * (a - problem.drift_jacobian(tf, ya))
-        if d == 1:
-            dy = -f_val[active] / jac[..., 0]
+    def rhs(self, t_j, x, dw):
+        """Explicit part of the step: x + (1-theta)*dt*(-A x + f) + g dW, batched."""
+        t = _reduce_time(t_j, self.period)
+        g = self.diffusion(t, x)
+        if self.one_noise:
+            noise = g[..., 0] * dw
         else:
-            # numpy >= 2 reads a 2-d right-hand side as a stack of matrices
-            dy = np.linalg.solve(jac, -f_val[active][..., None])[..., 0]
-        # damped update: halve the step for paths not reducing the residual
-        alpha = np.ones(ya.shape[0])
-        base_nrm = nrm[active]
-        trial = ya + dy
-        ft = residual(trial, ra)
-        nt = np.linalg.norm(ft, axis=-1)
-        for _ in range(30):
-            worse = nt >= base_nrm
-            if not worse.any():
-                break
-            alpha[worse] *= 0.5
-            trial[worse] = ya[worse] + alpha[worse, None] * dy[worse]
-            ft[worse] = residual(trial[worse], ra[worse])
-            nt[worse] = np.linalg.norm(ft[worse], axis=-1)
-        y[active] = trial
-        f_val[active] = ft
-        nrm[active] = nt
-        iters[active] += 1
-        if not np.isfinite(nrm[active]).all():
-            raise NewtonError("non-finite state in Newton iteration", float(np.nanmax(nrm)))
+            dw = np.broadcast_to(dw, (x.shape[0], dw.shape[-1]))
+            noise = np.einsum("...ij,...j->...i", g, dw)
+        if self.explicit_dt == 0.0:
+            return x + noise
+        return x + self.explicit_dt * (self.drift(t, x) - self.linear(x)) + noise
 
-    if (nrm > tol).any():
+    def linear(self, y):
+        return y * self.a00 if self.scalar else _linear_part(self.a, y)
+
+    def norm(self, v):
+        return np.abs(v[:, 0]) if self.scalar else np.linalg.norm(v, axis=-1)
+
+    def residual(self, tf, y, r):
+        return y + self.theta_dt * (self.linear(y) - self.drift(tf, y)) - r
+
+    def newton_step(self, tf, y, f):
+        """-J^{-1} f, with J = I + theta*dt*(A - Df(tf, y)) the stage's Jacobian."""
+        df = self.jacobian(tf, y)
+        if self.scalar:
+            return -f / (1.0 + self.theta_dt * (self.a00 - df[..., 0]))
+        # numpy >= 2 reads a 2-d right-hand side as a stack of matrices
+        jac = self.eye + self.theta_dt * (self.a - df)
+        return np.linalg.solve(jac, -f[..., None])[..., 0]
+
+    def solve(self, t_next, rhs, guess):
+        """Batched damped Newton for y + theta*dt*(A y - f(t_next, y)) = rhs.
+
+        Returns (y, iterations), where iterations is the most any path took.
+        The working arrays hold the whole batch while no path has converged;
+        a path leaves them, with its value written to y, the moment its
+        residual norm is at most tol. A non-finite residual never counts as
+        converged, so it ends in NewtonError.
+        """
+        tf = _reduce_time(t_next, self.period)
+        tol = self.tol
+        y, r = guess, rhs
+        f = self.residual(tf, y, r)
+        nrm = self.norm(f)
+        out = rows = None  # the result and the rows still iterating, once some path converged
+        for it in range(self.max_iter + 1):
+            done = nrm <= tol
+            if done.all():
+                if out is None:
+                    return y, it
+                out[rows] = y
+                return out, it
+            if done.any():
+                if out is None:
+                    out, rows = y, np.arange(y.shape[0])
+                else:
+                    out[rows[done]] = y[done]
+                left = ~done
+                rows, y, r, f, nrm = rows[left], y[left], r[left], f[left], nrm[left]
+            if it == self.max_iter:
+                break
+            y, f, nrm = self._damped_update(tf, y, r, f, nrm)
+            if not np.isfinite(nrm).all():
+                raise NewtonError(
+                    "non-finite state in Newton iteration", float(np.fmax.reduce(nrm))
+                )
         worst = float(nrm.max())
         raise NewtonError(
-            f"Newton failed to reach tolerance {tol} in {scheme.newton_max_iter} "
+            f"Newton failed to reach tolerance {tol} in {self.max_iter} "
             f"iterations (worst residual {worst:g})",
             worst,
         )
-    return y, iters
 
-
-def _assemble_rhs(problem, scheme, t_j, x, dw):
-    """Explicit part of the step: x + (1-theta)*dt*(-A x + f) + g dW, batched."""
-    t = _reduce_time(t_j, problem.period)
-    linear = _linear_part(problem.linear_matrix, x)
-    expl = x + (1.0 - scheme.theta) * scheme.dt * (problem.drift(t, x) - linear)
-    gx = problem.diffusion(t, x)
-    return expl + np.einsum("...ij,...j->...i", gx, dw)
+    def _damped_update(self, tf, y, r, f, nrm):
+        """One Newton iteration; the step is halved, up to 30 times, for each
+        path whose residual norm did not decrease."""
+        dy = self.newton_step(tf, y, f)
+        trial = y + dy
+        ft = self.residual(tf, trial, r)
+        nt = self.norm(ft)
+        worse = nt >= nrm
+        if worse.any():
+            alpha = np.ones(y.shape[0])
+            for _ in range(30):
+                alpha[worse] *= 0.5
+                trial[worse] = y[worse] + alpha[worse, None] * dy[worse]
+                ft[worse] = self.residual(tf, trial[worse], r[worse])
+                nt[worse] = self.norm(ft[worse])
+                worse = nt >= nrm
+                if not worse.any():
+                    break
+        return trial, ft, nt
 
 
 def simulate_ensemble(
@@ -177,19 +232,24 @@ def simulate_ensemble(
     batch = x.shape[0]
     if increments.shape[1] != n_steps:
         raise ValueError("increments do not cover the requested number of steps")
-    times = t_start + scheme.dt * np.arange(n_steps + 1)
+    if increments.shape[0] not in (1, batch) or increments.shape[2] != problem.noise_dim:
+        raise ValueError(
+            f"increments have shape {increments.shape}; need (1 or {batch}, "
+            f"{n_steps}, {problem.noise_dim})"
+        )
+    kernel = _Kernel(problem, scheme)
+    dt = scheme.dt
+    times = t_start + dt * np.arange(n_steps + 1)
     iters = np.zeros(n_steps, dtype=np.int64)
     if record:
         out = np.empty((batch, n_steps + 1, problem.state_dim))
         out[:, 0] = x
     for j in range(n_steps):
-        t_j = t_start + j * scheme.dt
-        dw = np.broadcast_to(increments[:, j], (batch, problem.noise_dim))
-        rhs = _assemble_rhs(problem, scheme, t_j, x, dw)
-        x, it = _newton_solve(problem, scheme, t_j + scheme.dt, rhs, x)
+        t_j = t_start + j * dt
+        rhs = kernel.rhs(t_j, x, increments[:, j])
+        x, iters[j] = kernel.solve(t_j + dt, rhs, x)
         if not np.isfinite(x).all():
             raise NewtonError(f"non-finite state after step at t={t_j}")
-        iters[j] = it.max()
         if record:
             out[:, j + 1] = x
     return times, (out if record else x), iters

@@ -80,10 +80,11 @@ class TestConfig:
             ("converge", ["--set", "levels="], "levels must"),
             ("periodicity", ["--set", "x0=0.1,0.2"], "state_dim is 1"),
             ("pullback", ["--set", "xi=0.1,0.2"], "state_dim is 1"),
+            ("simulate", ["--set", "initial_values="], "initial_values"),
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
-             "periodicity-x0-dim", "pullback-xi-dim"],
+             "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from rpsde.integrator import (
     step,
 )
 from rpsde.models import SdeProblem, build_additive_model, build_cubic_model, build_linear_model
-from rpsde.noise import generate, generate_uniform
+from rpsde.noise import ensemble_increments, generate, generate_uniform
+from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
 
@@ -31,6 +33,38 @@ def cubic_like_problem(lam):
         moment_exponent=21.0,
         growth_exponent=3.0,
     )
+
+
+def pow_cubic_problem():
+    """The catalog cubic model with its cube written x**3, as the golden bits were recorded."""
+    lam, a, b, c, dcoef = BENCH["lam"], BENCH["a"], BENCH["b"], BENCH["c"], BENCH["dcoef"]
+
+    def drift(t, x):
+        return -a * x**3 * (1.0 + math.sin(math.pi * t))
+
+    def drift_jacobian(t, x):
+        return (-3.0 * a * x**2 * (1.0 + math.sin(math.pi * t)))[..., None]
+
+    def diffusion(t, x):
+        return (b + c * x + dcoef * x**2 * (1.0 + math.sin(math.pi * t)))[..., None]
+
+    return SdeProblem(
+        state_dim=1,
+        noise_dim=1,
+        linear_matrix=np.array([[lam]]),
+        lambda_min=lam,
+        drift=drift,
+        drift_jacobian=drift_jacobian,
+        diffusion=diffusion,
+        period=2.0,
+        one_sided_lipschitz=3.0 * c**2 * (BENCH["pstar"] - 1.0),
+        moment_exponent=BENCH["pstar"],
+        growth_exponent=3.0,
+    )
+
+
+def nan_drift_problem():
+    return replace(build_linear_model(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
 
 
 class TestThetaScheme:
@@ -74,6 +108,13 @@ class TestImplicitStep:
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(NewtonError):
             step(prob, sch, 0.0, np.array([np.nan]), np.zeros(1))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.75])
+    def test_nan_residual_rejected(self, theta):
+        # a NaN residual used to compare as converged and return x unchanged
+        sch = ThetaScheme(theta=theta, dt=0.1)
+        with pytest.raises(NewtonError):
+            step(nan_drift_problem(), sch, 0.0, np.array([0.5]), np.zeros(1))
 
     def test_nonconvergence_error_carries_residual(self):
         prob = build_cubic_model(**BENCH)
@@ -186,20 +227,74 @@ class TestSimulatePath:
 
 
 class TestEnsembleConsistency:
-    def test_batched_equals_single(self):
-        prob = build_cubic_model(**BENCH)
-        sch = ThetaScheme(theta=0.75, dt=0.1)
+    @pytest.mark.parametrize(
+        "make, theta, dt, x0",
+        [
+            (lambda: build_cubic_model(**BENCH), 0.75, 0.1, [[0.6], [0.0], [-0.6], [0.3]]),
+            (lambda: build_cubic_model(**BENCH), 1.0, 0.25, [[5.0], [0.6], [-0.3], [-3.0]]),
+            (coupled_problem, 0.75, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2], [0.0, 0.0]]),
+        ],
+        ids=["cubic-theta0.75", "cubic-theta1", "two-dim-theta0.75"],
+    )
+    def test_batched_equals_single(self, make, theta, dt, x0):
+        prob = make()
+        sch = ThetaScheme(theta=theta, dt=dt)
         n = 20
         incs = np.stack(
             [
-                generate_uniform(3, p, 0.1, (-2.0, 0.0), 1).step_increments(-2.0, n, 0.1)
-                for p in range(4)
+                generate_uniform(3, p, dt, (-2.0, -2.0 + n * dt), prob.noise_dim)
+                .step_increments(-2.0, n, dt)
+                for p in range(len(x0))
             ]
         )
-        x0 = np.array([[0.6], [0.0], [-0.6], [0.3]])
-        _, batched, _ = simulate_ensemble(prob, sch, -2.0, n, x0, incs, record=True)
-        for p in range(4):
-            _, single, _ = simulate_ensemble(
+        x0 = np.array(x0)
+        _, batched, batched_iters = simulate_ensemble(prob, sch, -2.0, n, x0, incs, record=True)
+        single_iters = []
+        for p in range(len(x0)):
+            _, single, iters = simulate_ensemble(
                 prob, sch, -2.0, n, x0[p : p + 1], incs[p : p + 1], record=True
             )
             assert np.array_equal(batched[p], single[0])
+            single_iters.append(iters)
+        single_iters = np.array(single_iters)
+        # paths leave the Newton loop at different iterations, so both the
+        # all-active and the masked phase ran in the batch
+        assert (single_iters.min(axis=0) < single_iters.max(axis=0)).any()
+        assert np.array_equal(batched_iters, single_iters.max(axis=0))
+
+
+class TestGoldenBits:
+    """Final states pinned to the float.hex of the kernel before the lean rewrite.
+
+    Sixteen steps from t = -1.5 under ensemble_increments(seed 11). In
+    cubic-theta0.75 the paths from 5 and -3 halve a Newton step (three
+    halvings, counted in an instrumented copy of the earlier kernel), so the
+    damping branch runs inside a batch whose other paths have converged.
+    """
+
+    @pytest.mark.parametrize(
+        "make, theta, dt, x0, hexes, iter_sum",
+        [
+            (pow_cubic_problem, 1.0, 0.25, [[5.0], [0.6], [-0.3], [-3.0]],
+             ["0x1.435ccedcec120p-2", "-0x1.0ac71470220b9p-4", "-0x1.34dfd5cc0ae78p-4",
+              "0x1.a192f382ce03cp-9"], 41),
+            (pow_cubic_problem, 0.75, 0.25, [[5.0], [0.6], [-0.3], [-3.0]],
+             ["0x1.7e3b18efa2728p-2", "-0x1.2955320d2e1a5p-4", "-0x1.ef04d73f04cb6p-4",
+              "-0x1.13f1aa8ef55a3p-7"], 45),
+            (coupled_problem, 1.0, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2]],
+             ["0x1.7b1b98ef47259p-2", "-0x1.5d37d058cd484p-3", "0x1.55d417e0e3219p-3",
+              "0x1.b2f2943f62306p-5", "-0x1.e0c0af166edcfp-3", "0x1.09b450e513e43p-8"], 36),
+            (coupled_problem, 0.75, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2]],
+             ["0x1.8066b8edcc563p-2", "-0x1.5d33e5fb4dadap-3", "0x1.37aef557e60b9p-3",
+              "0x1.7aee3bb0eb233p-5", "-0x1.e5ce90eff35fap-3", "-0x1.e48784fb0f05cp-21"], 35),
+        ],
+        ids=["cubic-theta1", "cubic-theta0.75", "two-dim-theta1", "two-dim-theta0.75"],
+    )
+    def test_final_states(self, make, theta, dt, x0, hexes, iter_sum):
+        prob = make()
+        sch = ThetaScheme(theta=theta, dt=dt)
+        n = 16
+        incs = ensemble_increments(11, range(len(x0)), (-1.5, -1.5 + n * dt), prob.noise_dim, dt)
+        _, final, iters = simulate_ensemble(prob, sch, -1.5, n, np.array(x0), incs, record=False)
+        assert [float(v).hex() for v in final.ravel()] == hexes
+        assert iters.sum() == iter_sum
