@@ -137,7 +137,7 @@ def build_cubic_model(
         )
 
     def drift(t, x):
-        return -a * x**3 * (1.0 + math.sin(math.pi * t))
+        return -a * (x * x * x) * (1.0 + math.sin(math.pi * t))
 
     def drift_jacobian(t, x):
         return (-3.0 * a * x**2 * (1.0 + math.sin(math.pi * t)))[..., None]
