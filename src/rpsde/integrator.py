@@ -230,13 +230,13 @@ def simulate_ensemble(
         d = problem.state_dim
         raise ValueError(f"initial state has shape {x.shape}; the model's state_dim is {d}")
     batch = x.shape[0]
-    if increments.shape[1] != n_steps:
-        raise ValueError("increments do not cover the requested number of steps")
-    if increments.shape[0] not in (1, batch) or increments.shape[2] != problem.noise_dim:
+    shape = np.shape(increments)
+    if len(shape) != 3 or shape[0] not in (1, batch) or shape[2] != problem.noise_dim:
         raise ValueError(
-            f"increments have shape {increments.shape}; need (1 or {batch}, "
-            f"{n_steps}, {problem.noise_dim})"
+            f"increments have shape {shape}; need (1 or {batch}, {n_steps}, {problem.noise_dim})"
         )
+    if shape[1] != n_steps:
+        raise ValueError("increments do not cover the requested number of steps")
     kernel = _Kernel(problem, scheme)
     dt = scheme.dt
     times = t_start + dt * np.arange(n_steps + 1)

@@ -204,6 +204,13 @@ class TestSimulatePath:
             x = exact_linear_step(lam, sigma, sch, x, incs[j, 0])
         assert states[0, -1, 0] == pytest.approx(x, abs=1e-12)
 
+    @pytest.mark.parametrize("x_batch, inc_batch", [(1, 3), (2, 3)])
+    def test_increment_batch_mismatch_rejected(self, x_batch, inc_batch):
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="increments have shape"):
+            simulate_ensemble(prob, sch, 0.0, 2, np.zeros((x_batch, 1)), np.zeros((inc_batch, 2, 1)))
+
     def test_deterministic_replay(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
