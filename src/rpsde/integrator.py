@@ -151,7 +151,8 @@ class _Kernel:
         The working arrays hold the whole batch while no path has converged;
         a path leaves them, with its value written to y, the moment its
         residual norm is at most tol. A non-finite residual never counts as
-        converged, so it ends in NewtonError.
+        converged, so it ends in NewtonError. guess may be overwritten with
+        the result.
         """
         tf = _reduce_time(t_next, self.period)
         tol = self.tol
@@ -188,8 +189,11 @@ class _Kernel:
         )
 
     def _damped_update(self, tf, y, r, f, nrm):
-        """One Newton iteration; the step is halved, up to 30 times, for each
-        path whose residual norm did not decrease."""
+        """One Newton iteration on the working rows.
+
+        A path whose residual norm did not decrease has its step halved, up
+        to 30 times.
+        """
         dy = self.newton_step(tf, y, f)
         trial = y + dy
         ft = self.residual(tf, trial, r)

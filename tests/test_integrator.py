@@ -63,10 +63,6 @@ def pow_cubic_problem():
     )
 
 
-def nan_drift_problem():
-    return replace(build_linear_model(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
-
-
 class TestThetaScheme:
     @pytest.mark.parametrize("theta", [0.5, 0.4, 1.01, 0.0])
     def test_theta_range(self, theta):
@@ -112,9 +108,10 @@ class TestImplicitStep:
     @pytest.mark.parametrize("theta", [1.0, 0.75])
     def test_nan_residual_rejected(self, theta):
         # a NaN residual used to compare as converged and return x unchanged
+        prob = replace(build_linear_model(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
         sch = ThetaScheme(theta=theta, dt=0.1)
         with pytest.raises(NewtonError):
-            step(nan_drift_problem(), sch, 0.0, np.array([0.5]), np.zeros(1))
+            step(prob, sch, 0.0, np.array([0.5]), np.zeros(1))
 
     def test_nonconvergence_error_carries_residual(self):
         prob = build_cubic_model(**BENCH)
