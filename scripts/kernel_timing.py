@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Per-step cost of simulate_ensemble for every catalog model.
+"""Per-cell cost of ensemble_increments and per-step cost of simulate_ensemble.
 
-For each model, theta in {1, 0.75} and batch size 1, 200 and 10^4, times
-simulate_ensemble (record=False, dt 2^-7) over a fixed number of steps and
-prints the best of three runs as microseconds per step and nanoseconds per
-path-step, with the mean Newton iterations per step. Noise and initial states
+First, times noise.ensemble_increments (best of three) for two shapes: 10^4
+paths of 100 cells at uniform dt 0.01, the pull-back depth loop's per-period
+draw, and 200 paths of 32,768 cells on the dyadic level-12 grid, the
+convergence experiment's fine grid; it prints microseconds per (path,
+component) stream and nanoseconds per cell. Then, for each model, theta in
+{1, 0.75} and batch size 1, 200 and 10^4, times simulate_ensemble
+(record=False, dt 2^-7) over a fixed number of steps and prints the best of
+three runs as microseconds per step and nanoseconds per path-step, with the
+mean Newton iterations per step. Noise and initial states
 come from numpy's default_rng outside the timed region, so only the stepping
 kernel is measured.
 
@@ -20,11 +25,26 @@ import numpy as np
 
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import MODEL_NAMES, catalog_entry
+from rpsde.noise import ensemble_increments
 
 # (batch, steps): fewer steps at the wide batch keep each run near a second
 SIZES = ((1, 2048), (200, 1024), (10_000, 64))
 DT = 2.0**-7
 REPEAT = 3
+# (label, paths, window, dt, fine_level)
+NOISE_CASES = (
+    ("uniform dt 0.01", 10_000, (-1.0, 0.0), 0.01, None),
+    ("dyadic level 12", 200, (-4.0, 4.0), 2.0**-12, 12),
+)
+
+
+def time_noise(paths, window, dt, fine_level):
+    best = math.inf
+    for _ in range(REPEAT):
+        t0 = time.perf_counter()
+        incs = ensemble_increments(0, range(paths), window, 1, dt, fine_level)
+        best = min(best, time.perf_counter() - t0)
+    return best, incs.size
 
 
 def time_kernel(problem, scheme, batch, n_steps):
@@ -41,6 +61,12 @@ def time_kernel(problem, scheme, batch, n_steps):
 
 def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
+    print(f"{'ensemble_increments':<22}{'paths':>7}{'cells':>7}{'us/stream':>11}{'ns/cell':>9}")
+    for label, paths, window, dt, fine_level in NOISE_CASES:
+        best, cells = time_noise(paths, window, dt, fine_level)
+        print(f"{label:<22}{paths:>7}{cells // paths:>7}"
+              f"{1e6 * best / paths:>11.1f}{1e9 * best / cells:>9.1f}", flush=True)
+    print()
     print(f"{'model':<22}{'theta':>6}{'batch':>7}{'steps':>6}"
           f"{'us/step':>10}{'ns/path-step':>14}{'iters':>7}")
     for name in MODEL_NAMES:

@@ -271,10 +271,19 @@ def numerical_contraction_test(
     incs = ensemble_increments(
         seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
     )
-    x0 = np.broadcast_to(xi, (ensemble, xi.size))
-    y0 = np.broadcast_to(eta, (ensemble, eta.size))
-    _, xs, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
-    _, ys, _ = simulate_ensemble(problem, scheme, start, n_steps, y0, incs, record=True)
+    d = problem.state_dim
+    for v in (xi, eta):
+        if v.size != d:
+            raise ValueError(
+                f"initial state has shape {(ensemble, v.size)}; the model's state_dim is {d}"
+            )
+    # X and Y run as one batch of 2*ensemble over the same increments; a
+    # path's bits do not depend on its batch
+    x0 = np.repeat(np.stack([xi, eta]), ensemble, axis=0)
+    _, states, _ = simulate_ensemble(
+        problem, scheme, start, n_steps, x0, np.concatenate([incs, incs]), record=True
+    )
+    xs, ys = states[:ensemble], states[ensemble:]
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j
     consts = contraction_constant(
         problem.lambda_min,

@@ -183,6 +183,12 @@ def run_pullback(cfg: dict, out: Path, jobs: int) -> bool:
         w.writerow(["l2_gap", _FLOAT_FMT.format(result.l2_gap)])
         # failure raises PullbackError above, so a written result converged
         w.writerow(["converged", 1])
+    with open(out / "pullback_gaps.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "l2_gap"])
+        # gap_history[i] compares depth i + 2 with depth i + 1
+        for k, gap in enumerate(result.gap_history, start=2):
+            w.writerow([k, _FLOAT_FMT.format(gap)])
     _write_plot_script(out, "pullback.gp", ["plot 'pullback.csv' using 1:2 with lines"])
     print(f"pullback: converged k={result.k_used} gap={result.l2_gap:.3g}")
     return True

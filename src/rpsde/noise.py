@@ -40,6 +40,7 @@ __all__ = [
 # Cell positions are offset by 2^62 blocks-worth of draws so that negative
 # absolute indices (pull-back windows) map to valid Philox counters.
 _POSITION_OFFSET = 1 << 62
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class WindowError(ValueError):
@@ -61,40 +62,113 @@ def grid_steps(t: float, h: float, name: str) -> int:
 
 def _mix64(z: int) -> int:
     # splitmix64 finalizer
-    z = (z + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _stream_key(seed: int, path_index: int, component: int, mode_salt: int):
-    k0 = _mix64(seed & 0xFFFFFFFFFFFFFFFF)
+def _stream_key(seed: int, path_index: int, component: int, mode_salt: int) -> np.ndarray:
+    """The two Philox key words of one (seed, path, component, grid) stream.
+
+    The words are k0 = mix(seed) and k1 = mix(k0 ^ mix(path_index) ^
+    mix(component + 0x1000) ^ mix(mode_salt)), as Philox receives them: the
+    pair was always passed as the list `Philox(key=[k0, k1])`, which numpy
+    reads through `np.asarray`. When exactly one word is >= 2^63 that list
+    becomes float64, and both words lose their low 11 bits (about half the
+    streams). Every increment is defined by the words Philox received, so
+    `_philox_key` keeps the rounding by applying numpy's own conversion.
+    """
+    k0 = _mix64(seed & _MASK64)
     k1 = _mix64(k0 ^ _mix64(path_index) ^ _mix64(component + 0x1000) ^ _mix64(mode_salt))
-    return [k0, k1]
+    return _philox_key(k0, k1)
 
 
-def _raw_normals(seed, path_index, component, mode_salt, first_cell, n_cells):
-    """Standard normal draws for absolute cells [first_cell, first_cell + n_cells)."""
-    p0 = first_cell + _POSITION_OFFSET
-    if p0 < 0:
-        raise WindowError("cell index below supported range")
-    b0, lane0 = divmod(p0, 4)
-    n_blocks = (p0 + n_cells - b0 * 4 + 3) // 4
-    bg = np.random.Philox(
-        key=_stream_key(seed, path_index, component, mode_salt),
-        counter=[b0 & 0xFFFFFFFFFFFFFFFF, b0 >> 64, 0, 0],
+def _philox_key(k0: int, k1: int) -> np.ndarray:
+    return np.asarray([k0, k1]).astype(np.uint64)
+
+
+# raw Philox words turned into normals in one pass: a few hundred short
+# streams at once, or a single long one
+_CHUNK_WORDS = 1 << 16
+
+
+class _Streams:
+    """Scaled normals of cells [i0, i0 + n) from the streams of one seed and grid.
+
+    The per-call work (mixing the seed and the grid salt, the first Philox
+    block and lane) is done once. Each (path, component) stream then sets
+    the key of one reused Philox instead of constructing a generator, and
+    the words of a chunk of streams become normals in one pass.
+    """
+
+    def __init__(self, seed, mode_salt, h, i0, n):
+        p0 = i0 + _POSITION_OFFSET
+        if p0 < 0:
+            raise WindowError("cell index below supported range")
+        b0, self.lane0 = divmod(p0, 4)
+        self.n_raw = 4 * ((p0 + n - b0 * 4 + 3) // 4)
+        self.n = n
+        self.scale = np.sqrt(h)
+        self.k0 = _mix64(seed & _MASK64)
+        self.salted = self.k0 ^ _mix64(mode_salt)
+        self.bitgen = np.random.Philox(key=0)
+        self.state = self.bitgen.state
+        self.state["state"]["counter"] = [b0 & _MASK64, b0 >> 64, 0, 0]
+        self.state["buffer_pos"] = 4  # empty buffer, as in a new generator
+
+    def fill(self, paths, out):
+        """Write sqrt(h) * N(0, 1) per cell into out, (len(paths), n, m); row i is paths[i]."""
+        m = out.shape[2]
+        # k1 of _stream_key, with the seed, component and salt mixes hoisted
+        salted = [self.salted ^ _mix64(comp + 0x1000) for comp in range(m)]
+        rows = max(1, _CHUNK_WORDS // (m * self.n_raw))
+        raw = np.empty((min(rows, len(paths)), m, self.n_raw), dtype=np.uint64)
+        for r0 in range(0, len(paths), rows):
+            chunk = paths[r0 : r0 + rows]
+            for i, p in enumerate(chunk):
+                p_mix = _mix64(p)
+                for comp in range(m):
+                    self.state["state"]["key"] = _philox_key(self.k0, _mix64(salted[comp] ^ p_mix))
+                    self.bitgen.state = self.state
+                    raw[i, comp] = self.bitgen.random_raw(self.n_raw)
+            bits = raw[: len(chunk), :, self.lane0 : self.lane0 + self.n] >> np.uint64(11)
+            # strictly inside (0, 1) so ndtri stays finite
+            u = bits.astype(np.float64)
+            u += 0.5
+            u *= 2.0**-53
+            ndtri(u, out=u)
+            np.multiply(self.scale, u, out=out[r0 : r0 + len(chunk)].transpose(0, 2, 1))
+
+
+def _grid(fine_level, dt):
+    """Cell width and stream salt: the dyadic grid 2^-fine_level, else the uniform grid dt."""
+    if fine_level is None:
+        if dt <= 0.0:
+            raise WindowError("dt must be positive")
+        # distinct streams for distinct grid resolutions
+        return dt, 0x5A5A0000 ^ struct.unpack("<Q", struct.pack("<d", dt))[0] & 0xFFFFFFFF
+    if not (0 <= fine_level <= 30):
+        raise WindowError(f"fine_level must be in [0, 30], got {fine_level}")
+    return 2.0**-fine_level, fine_level
+
+
+def _window_cells(h, window, noise_dim):
+    """First absolute cell and cell count of the window on the grid of width h."""
+    i0 = grid_steps(window[0], h, "window start")
+    i1 = grid_steps(window[1], h, "window end")
+    if i1 <= i0:
+        raise WindowError(f"window {window} must have positive length")
+    if noise_dim < 1:
+        raise WindowError("noise_dim must be >= 1")
+    return i0, i1 - i0
+
+
+def _outside(t_start, n_steps, dt, first_cell, n_cells, h):
+    return WindowError(
+        f"cells [{t_start}, {t_start + n_steps * dt}] outside window "
+        f"[{first_cell * h}, {(first_cell + n_cells) * h}]"
     )
-    raw = bg.random_raw(n_blocks * 4)[lane0 : lane0 + n_cells]
-    # strictly inside (0, 1) so ndtri stays finite
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0**-53)
-    return ndtri(u)
-
-
-def _cell_salt(fine_level, cell_width):
-    # distinct streams for distinct grid resolutions
-    if fine_level is not None:
-        return fine_level
-    return 0x5A5A0000 ^ struct.unpack("<Q", struct.pack("<d", cell_width))[0] & 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -130,22 +204,23 @@ class WienerGrid:
         j0 = grid_steps(t_start, h, "t_start") - self.first_cell
         j1 = j0 + n_steps * q
         if j0 < 0 or j1 > self.n_cells:
-            raise WindowError(
-                f"cells [{t_start}, {t_start + n_steps * dt}] outside window "
-                f"[{self.first_cell * h}, {(self.first_cell + self.n_cells) * h}]"
-            )
-        fine = self.increments[j0:j1]
-        if q == 1:
-            return fine
-        if q & (q - 1) == 0:
-            # pairwise tree fold: the sum over a cell is bit-for-bit the sum
-            # of its two half-cell sums, so dyadic coarsening telescopes
-            # exactly across every level
-            out = fine
-            while out.shape[0] > n_steps:
-                out = out.reshape(-1, 2, self.noise_dim).sum(axis=1)
-            return out
-        return fine.reshape(n_steps, q, self.noise_dim).sum(axis=1)
+            raise _outside(t_start, n_steps, dt, self.first_cell, self.n_cells, h)
+        return _fold(self.increments[j0:j1], n_steps, q)
+
+
+def _fold(fine: np.ndarray, n_steps: int, q: int) -> np.ndarray:
+    """Sum each run of q consecutive fine rows: (n_steps * q, m) -> (n_steps, m)."""
+    if q == 1:
+        return fine
+    if q & (q - 1) == 0:
+        # pairwise tree fold: the sum over a cell is bit-for-bit the sum
+        # of its two half-cell sums, so dyadic coarsening telescopes
+        # exactly across every level
+        out = fine
+        while out.shape[0] > n_steps:
+            out = out.reshape(-1, 2, fine.shape[1]).sum(axis=1)
+        return out
+    return fine.reshape(n_steps, q, fine.shape[1]).sum(axis=1)
 
 
 def generate(
@@ -156,10 +231,7 @@ def generate(
     noise_dim: int,
 ) -> WienerGrid:
     """Dyadic grid: fine cells of width 2^-fine_level over the window."""
-    if not (0 <= fine_level <= 30):
-        raise WindowError(f"fine_level must be in [0, 30], got {fine_level}")
-    h = 2.0**-fine_level
-    return _generate(seed, path_index, h, window, noise_dim, fine_level)
+    return _generate(seed, path_index, fine_level, None, window, noise_dim)
 
 
 def generate_uniform(
@@ -170,9 +242,25 @@ def generate_uniform(
     noise_dim: int,
 ) -> WienerGrid:
     """Uniform grid with cell width dt; no coarse/fine refinement available."""
-    if dt <= 0.0:
-        raise WindowError("dt must be positive")
-    return _generate(seed, path_index, dt, window, noise_dim, None)
+    return _generate(seed, path_index, None, dt, window, noise_dim)
+
+
+def _generate(seed, path_index, fine_level, dt, window, noise_dim):
+    h, salt = _grid(fine_level, dt)
+    i0, n = _window_cells(h, window, noise_dim)
+    incs = np.empty((1, n, noise_dim))
+    _Streams(seed, salt, h, i0, n).fill([path_index], incs)
+    incs = incs[0]
+    incs.setflags(write=False)
+    return WienerGrid(
+        seed=seed,
+        path_index=path_index,
+        noise_dim=noise_dim,
+        cell_width=h,
+        first_cell=i0,
+        increments=incs,
+        fine_level=fine_level,
+    )
 
 
 def ensemble_increments(
@@ -187,43 +275,32 @@ def ensemble_increments(
 
     Returns shape (len(paths), n_steps, noise_dim). Row i is path paths[i]
     on a uniform grid of width dt, or on the dyadic grid 2^-fine_level
-    summed to width dt; each row depends only on its own path index, so
-    any split of the paths into chunks gives the same rows.
+    summed to width dt by the tree fold of `WienerGrid.step_increments`;
+    each row depends only on its own path index, so any split of the paths
+    into chunks gives the same rows, and each cell only on its absolute
+    index, so adjacent windows concatenate to the joint window. One Philox
+    generator serves every stream of the call; the normals are written
+    straight into the output, or, for dt coarser than the cells, folded
+    one row at a time.
     """
     n = grid_steps(window[1] - window[0], dt, f"window {window} length")
     out = np.empty((len(paths), n, noise_dim))
-    for row, p in enumerate(paths):
-        if fine_level is None:
-            grid = generate_uniform(seed, p, dt, window, noise_dim)
-        else:
-            grid = generate(seed, p, fine_level, window, noise_dim)
-        out[row] = grid.step_increments(window[0], n, dt)
+    h, salt = _grid(fine_level, dt)
+    i0, n_cells = _window_cells(h, window, noise_dim)
+    q = grid_steps(dt, h, "dt")
+    if q < 1:
+        raise WindowError(f"dt {dt} is below the cell width {h}")
+    if n * q > n_cells:
+        raise _outside(window[0], n, dt, i0, n_cells, h)
+    streams = _Streams(seed, salt, h, i0, n * q)
+    if q == 1:
+        streams.fill(paths, out)
+        return out
+    fine = np.empty((1, n * q, noise_dim))
+    for row in range(len(paths)):
+        streams.fill(paths[row : row + 1], fine)
+        out[row] = _fold(fine[0], n, q)
     return out
-
-
-def _generate(seed, path_index, h, window, noise_dim, fine_level):
-    i0 = grid_steps(window[0], h, "window start")
-    i1 = grid_steps(window[1], h, "window end")
-    if i1 <= i0:
-        raise WindowError(f"window {window} must have positive length")
-    if noise_dim < 1:
-        raise WindowError("noise_dim must be >= 1")
-    n = i1 - i0
-    salt = _cell_salt(fine_level, h)
-    scale = np.sqrt(h)
-    incs = np.empty((n, noise_dim))
-    for comp in range(noise_dim):
-        incs[:, comp] = scale * _raw_normals(seed, path_index, comp, salt, i0, n)
-    incs.setflags(write=False)
-    return WienerGrid(
-        seed=seed,
-        path_index=path_index,
-        noise_dim=noise_dim,
-        cell_width=h,
-        first_cell=i0,
-        increments=incs,
-        fine_level=fine_level,
-    )
 
 
 def coarse_increment(grid: WienerGrid, coarse_level: int, cell_index: int) -> np.ndarray:

@@ -65,7 +65,13 @@ def pullback_converge(
     """Increase the pull-back depth k until consecutive runs agree in L2.
 
     The noise is identical per path across k (windows nested leftward), so
-    the Monte-Carlo gap estimate is a paired difference.
+    the Monte-Carlo gap estimate is a paired difference. Each cell depends
+    only on its absolute index, so depth k draws only its new period
+    (-k*tau, -(k-1)*tau) and prepends it to the cells already held: every
+    cell is drawn once. Each depth keeps only the final states; on
+    acceptance path 0 alone is run again from -k*tau on the same cells to
+    record its last period, which equals its row of the batched run
+    because a path's bits do not depend on its batch.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -78,20 +84,20 @@ def pullback_converge(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     steps_per_tau = grid_steps(tau, dt, "period")
     n_eval = grid_steps(t_eval, dt, "t_eval")
+    x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
     prev = None
     gap_history = []
     for k in range(1, k_max + 1):
         start = -k * tau
+        # depth 1 draws (-tau, t_eval); each deeper one prepends its period
+        end = t_eval if k == 1 else -(k - 1) * tau
+        new = ensemble_increments(seed, range(ensemble), (start, end), problem.noise_dim, dt)
+        cells = new if k == 1 else np.concatenate([new, cells], axis=1)
         n_steps = k * steps_per_tau + n_eval
-        incs = ensemble_increments(
-            seed, range(ensemble), (start, t_eval), problem.noise_dim, dt
+        _, final, _ = simulate_ensemble(
+            problem, scheme, start, n_steps, x0, cells, record=False
         )
-        x0 = np.broadcast_to(xi, (ensemble, xi.size))
-        _, states, _ = simulate_ensemble(
-            problem, scheme, start, n_steps, x0, incs, record=True
-        )
-        final = states[:, -1]
         gap = float("inf")
         if prev is not None:
             gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
@@ -99,13 +105,16 @@ def pullback_converge(
         # the first depth has no gap; only an infinite tolerance accepts it
         if gap <= tolerance:
             n_keep = min(steps_per_tau, n_steps)
+            _, path0, _ = simulate_ensemble(
+                problem, scheme, start, n_steps, x0[:1], cells[:1], record=True
+            )
             return PullbackResult(
                 k_used=k,
                 tolerance=tolerance,
                 l2_gap=gap,
                 sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
-                states=states[0, -(n_keep + 1) :],
-                final_ensemble=final.copy(),
+                states=path0[0, -(n_keep + 1) :],
+                final_ensemble=final,
                 gap_history=gap_history,
             )
         prev = final

@@ -13,8 +13,9 @@ from rpsde.analysis import (
     ms_error,
     numerical_contraction_test,
 )
-from rpsde.integrator import ThetaScheme
+from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import build_additive_model, build_cubic_model, build_linear_model
+from rpsde.noise import ensemble_increments
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
 
@@ -212,3 +213,21 @@ class TestNumericalContraction:
         assert test.passed
         assert test.gap_series[0] == pytest.approx(1.44)
         assert (test.gap_series.min() <= 1e-12)
+
+    def test_one_batch_equals_two_runs(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return simulate_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr("rpsde.analysis.simulate_ensemble", counting)
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=0.75, dt=0.1)
+        test = numerical_contraction_test(prob, sch, [0.6], [-0.4], 3, 25, seed=2)
+        assert calls == [60]
+        incs = ensemble_increments(2, range(25), (-6.0, 0.0), 1, 0.1)
+        _, xs, _ = simulate_ensemble(prob, sch, -6.0, 60, np.full((25, 1), 0.6), incs)
+        _, ys, _ = simulate_ensemble(prob, sch, -6.0, 60, np.full((25, 1), -0.4), incs)
+        gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)
+        assert np.array_equal(test.gap_series, gap)

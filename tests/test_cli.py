@@ -3,6 +3,9 @@ import csv
 import pytest
 
 from rpsde.cli import ConfigError, load_config, main
+from rpsde.integrator import ThetaScheme
+from rpsde.models import catalog_entry
+from rpsde.periodic import pullback_converge
 
 
 def read_csv(path):
@@ -143,6 +146,23 @@ class TestPullback:
         footer = {r[0]: r[1] for r in rows if r[0] in ("k_used", "l2_gap", "converged")}
         assert footer["converged"] == "1"
         assert int(footer["k_used"]) >= 1
+
+    def test_gap_history_written(self, tmp_path):
+        rc = main(
+            ["pullback", "--out", str(tmp_path), "--set", "model=linear_ou",
+             "--set", "dt=0.05", "--set", "ensemble=20", "--set", "tolerance=1e-4"]
+        )
+        assert rc == 0
+        res = pullback_converge(
+            catalog_entry("linear_ou").problem, ThetaScheme(theta=1.0, dt=0.05),
+            t_eval=0.0, xi=[0.6], tolerance=1e-4, k_max=20, ensemble=20, seed=0,
+        )
+        rows = read_csv(tmp_path / "pullback_gaps.csv")
+        assert len(rows) == res.k_used >= 4
+        assert rows[0] == ["k", "l2_gap"]
+        assert rows[1:] == [
+            [str(k), f"{gap:.17g}"] for k, gap in enumerate(res.gap_history, start=2)
+        ]
 
     def test_failure_exit_code(self, tmp_path):
         # barely-contracting model cannot meet the tolerance in one depth step

@@ -5,14 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import ndtri
+
 from rpsde.noise import (
     WindowError,
+    _mix64,
+    _stream_key,
     coarse_increment,
     ensemble_increments,
     generate,
     generate_uniform,
     grid_steps,
 )
+
+# stream salt of the uniform grid dt = 0.01
+SALT_DT_001 = 0x1DF4147B
+
+
+def raw_key(seed, path_index, component, mode_salt):
+    """The key words before Philox reads them."""
+    k0 = _mix64(seed)
+    return [k0, _mix64(k0 ^ _mix64(path_index) ^ _mix64(component + 0x1000) ^ _mix64(mode_salt))]
+
+
+def increments_one_generator_per_stream(seed, paths, window, dt):
+    """Uniform-grid increments with a new Philox built for every stream, m = 1."""
+    i0 = round(window[0] / dt)
+    n = round((window[1] - window[0]) / dt)
+    b0, lane0 = divmod(i0 + (1 << 62), 4)
+    salt = 0x5A5A0000 ^ int(np.float64(dt).view(np.uint64)) & 0xFFFFFFFF
+    rows = []
+    for p in paths:
+        bg = np.random.Philox(key=raw_key(seed, p, 0, salt), counter=[b0, 0, 0, 0])
+        raw = bg.random_raw(lane0 + n + 4)[lane0 : lane0 + n]
+        rows.append(math.sqrt(dt) * ndtri(((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53))
+    return np.array(rows)[..., None]
 
 
 class TestDeterminism:
@@ -141,6 +168,44 @@ class TestValidation:
             generate(0, 0, 4, (1.0, 1.0), 1)
 
 
+class TestStreamKey:
+    # seed 0 mixes to k0 >= 2^63, so a stream with k1 < 2^63 gives Philox a
+    # list it reads through float64; paths 0-2 round, path 3 is exact
+    def test_key_words_as_philox_reads_them(self):
+        assert SALT_DT_001 == 0x5A5A0000 ^ int(np.float64(0.01).view(np.uint64)) & 0xFFFFFFFF
+        sides = set()
+        for p in range(4):
+            k = raw_key(0, p, 0, SALT_DT_001)
+            sides.add(k[1] >> 63)
+            words = _stream_key(0, p, 0, SALT_DT_001)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, np.asarray(k).astype(np.uint64))
+            assert np.array_equal(words, np.random.Philox(key=k).state["state"]["key"])
+            exact = np.array(k, dtype=np.uint64)
+            assert np.array_equal(words, exact) == (k[1] >> 63 == 1)
+        assert sides == {0, 1}
+
+    def test_increments_pinned(self):
+        # float.hex of the first two and the last increment per path,
+        # recorded when every stream built its own generator
+        expected = [
+            ("0x1.f2bf8b11bfc1dp-7", "-0x1.eaa575861a55dp-4", "-0x1.ccd78e141d8b0p-6"),
+            ("0x1.aa98c1735e310p-5", "-0x1.212364ae6680ap-5", "-0x1.a8f93a76b1de0p-4"),
+            ("0x1.8ada57989b5efp-5", "0x1.9048d3d134587p-4", "-0x1.51cf0ef219117p-5"),
+            ("0x1.0b9dab9976e58p-3", "0x1.b17319a77710fp-4", "0x1.290f8207fc208p-4"),
+        ]
+        incs = ensemble_increments(0, range(4), (-1.0, 0.0), 1, 0.01)[..., 0]
+        for p, (first, second, last) in enumerate(expected):
+            assert [float(v).hex() for v in incs[p, [0, 1, -1]]] == [first, second, last]
+
+    def test_rows_equal_one_generator_per_stream(self):
+        # 700 streams of 97 cells span two chunks of the shared generator
+        window = (-0.97, 0.0)
+        incs = ensemble_increments(0, range(700), window, 1, 0.01)
+        ref = increments_one_generator_per_stream(0, range(700), window, 0.01)
+        assert np.array_equal(incs, ref)
+
+
 class TestEnsembleIncrements:
     def test_uniform_rows_are_per_path_streams(self):
         incs = ensemble_increments(5, range(4), (-1.0, 0.5), 2, 0.25)
@@ -161,3 +226,15 @@ class TestEnsembleIncrements:
         whole = ensemble_increments(9, range(0, 5), (-2.0, 0.0), 1, 0.1)
         chunk = ensemble_increments(9, range(2, 5), (-2.0, 0.0), 1, 0.1)
         assert np.array_equal(chunk, whole[2:5])
+
+    @pytest.mark.parametrize(
+        "noise_dim, dt, fine_level, split",
+        [(1, 0.01, None, -0.37), (1, 2.0**-4, 8, 0.25), (2, 0.05, None, -1.0)],
+        ids=["uniform", "dyadic-coarse-dt", "two-noises"],
+    )
+    def test_adjacent_windows_concatenate(self, noise_dim, dt, fine_level, split):
+        window = (-2.0, 1.0)
+        joint = ensemble_increments(3, range(5), window, noise_dim, dt, fine_level)
+        left = ensemble_increments(3, range(5), (window[0], split), noise_dim, dt, fine_level)
+        right = ensemble_increments(3, range(5), (split, window[1]), noise_dim, dt, fine_level)
+        assert joint.tobytes() == np.concatenate([left, right], axis=1).tobytes()

@@ -6,7 +6,7 @@ import pytest
 
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import SdeProblem, build_cubic_model, build_linear_model
-from rpsde.noise import generate_uniform
+from rpsde.noise import ensemble_increments, generate_uniform
 from rpsde.periodic import (
     PullbackError,
     initial_value_independence,
@@ -74,6 +74,36 @@ def pullback_curve_by_definition(problem, scheme, x0, horizon, seed):
     return np.array(curve)
 
 
+def pullback_by_definition(problem, scheme, t_eval, xi, tolerance, k_max, ensemble, seed):
+    """Every depth redraws (-k*tau, t_eval) and records every state of every path."""
+    dt = scheme.dt
+    steps_per_tau = round(problem.period / dt)
+    n_eval = round(t_eval / dt)
+    xi = np.asarray(xi, dtype=float)
+    x0 = np.broadcast_to(xi, (ensemble, xi.size))
+    prev, gaps = None, []
+    for k in range(1, k_max + 1):
+        start = -k * problem.period
+        n_steps = k * steps_per_tau + n_eval
+        incs = ensemble_increments(seed, range(ensemble), (start, t_eval), problem.noise_dim, dt)
+        _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
+        final = states[:, -1]
+        if prev is not None:
+            gaps.append(float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1)))))
+            if gaps[-1] <= tolerance:
+                n_keep = min(steps_per_tau, n_steps)
+                return dict(
+                    k_used=k,
+                    l2_gap=gaps[-1],
+                    gap_history=gaps,
+                    final_ensemble=final,
+                    states=states[0, -(n_keep + 1) :],
+                    sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
+                )
+        prev = final
+    raise AssertionError("tolerance not met")
+
+
 class TestPullbackConverge:
     def test_cubic_converges_quickly(self):
         prob = build_cubic_model(**BENCH)
@@ -122,6 +152,44 @@ class TestPullbackConverge:
         assert hist[-1] < hist[0]
         for a, b in zip(hist, hist[1:]):
             assert b <= a * 1.5  # Monte-Carlo slack
+
+
+    @pytest.mark.parametrize(
+        "problem, xi, t_eval, tolerance",
+        [
+            (build_cubic_model(**BENCH), [0.6], 0.3, 1e-15),
+            (coupled_problem(), [0.3, -0.2], 0.2, 1e-4),
+        ],
+        ids=["cubic-theta0.75", "two-dim"],
+    )
+    def test_equals_definition(self, problem, xi, t_eval, tolerance):
+        sch = ThetaScheme(theta=0.75, dt=0.05)
+        res = pullback_converge(problem, sch, t_eval, xi, tolerance, 12, 20, seed=3)
+        ref = pullback_by_definition(problem, sch, t_eval, xi, tolerance, 12, 20, seed=3)
+        assert res.k_used == ref["k_used"] >= 3
+        assert res.l2_gap == ref["l2_gap"]
+        assert res.gap_history == ref["gap_history"]
+        for name in ("final_ensemble", "states", "sample_times"):
+            assert np.array_equal(getattr(res, name), ref[name]), name
+
+    def test_each_cell_drawn_once(self, monkeypatch):
+        windows = []
+
+        def recording(seed, paths, window, noise_dim, dt, fine_level=None):
+            assert paths == range(30)
+            windows.append(window)
+            return ensemble_increments(seed, paths, window, noise_dim, dt, fine_level)
+
+        monkeypatch.setattr("rpsde.periodic.ensemble_increments", recording)
+        prob = build_linear_model(1.0, 0.3)
+        dt = 0.05
+        res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=dt), 0.35, [0.6], 1e-4, 20, 30, 1)
+        assert res.k_used >= 5
+        cells = sorted((round(a / dt), round(b / dt)) for a, b in windows)
+        assert len(cells) == res.k_used
+        assert cells[0][0] == -res.k_used * round(prob.period / dt)
+        assert cells[-1][1] == round(0.35 / dt)
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(cells, cells[1:]))
 
 
 class TestInitialValueIndependence:
