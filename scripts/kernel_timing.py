@@ -9,9 +9,9 @@ component) stream and nanoseconds per cell. Then, for each model, theta in
 {1, 0.75} and batch size 1, 200 and 10^4, times simulate_ensemble
 (record=False, dt 2^-7) over a fixed number of steps and prints the best of
 three runs as microseconds per step and nanoseconds per path-step, with the
-mean Newton iterations per step. Noise and initial states
-come from numpy's default_rng outside the timed region, so only the stepping
-kernel is measured.
+mean Newton iterations per step (0 where the model's stage is solved in closed
+form). Noise and initial states come from numpy's default_rng outside the
+timed region, so only the stepping kernel is measured.
 
     python3 scripts/kernel_timing.py
 """

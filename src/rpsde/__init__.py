@@ -16,7 +16,6 @@ from .analysis import (
 from .integrator import (
     NewtonError,
     ThetaScheme,
-    exact_linear_step,
     simulate_ensemble,
     step,
 )

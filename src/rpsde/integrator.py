@@ -1,4 +1,4 @@
-"""Stochastic theta stepping with Newton-solved implicit stage.
+"""Stochastic theta stepping with a Newton-solved or closed-form implicit stage.
 
 One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
 
@@ -8,6 +8,8 @@ One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
 
 The implicit stage is solved by damped Newton iteration; dissipativity
 (L_f < lambda) makes the stage map strongly monotone, so the root is unique.
+A problem with state_free_drift has a linear stage, solved in closed form
+with 0 iterations; newton_tol and newton_max_iter have no effect there.
 
 simulate_ensemble is the one stepping loop (`step` is a single step of it).
 It is batched: states have shape (batch, d) and every path in the batch
@@ -37,7 +39,6 @@ __all__ = [
     "NewtonError",
     "step",
     "simulate_ensemble",
-    "exact_linear_step",
 ]
 
 
@@ -95,7 +96,8 @@ class _Kernel:
     matrix is the scalar 1 + theta*dt*(a00 - J); with one noise the noise
     term is g[..., 0]*dW. Each gives the bits of the general form. At
     theta = 1 the explicit drift and linear part carry the weight
-    (1-theta)*dt = 0 and are skipped.
+    (1-theta)*dt = 0 and are skipped. A state-free drift gives the stage
+    y = (I + theta*dt*A)^{-1}(rhs + theta*dt*f), applied in column order.
     """
 
     def __init__(self, problem: SdeProblem, scheme: ThetaScheme):
@@ -112,6 +114,9 @@ class _Kernel:
         self.explicit_dt = (1.0 - scheme.theta) * scheme.dt
         self.tol = scheme.newton_tol
         self.max_iter = scheme.newton_max_iter
+        self.state_free = problem.state_free_drift
+        if self.state_free and not self.scalar:
+            self.stage_inverse = np.linalg.inv(self.eye + self.theta_dt * self.a)
 
     def rhs(self, t_j, x, dw):
         """Explicit part of the step: x + (1-theta)*dt*(-A x + f) + g dW, batched."""
@@ -147,7 +152,7 @@ class _Kernel:
     def solve(self, t_next, rhs, guess):
         """Batched damped Newton for y + theta*dt*(A y - f(t_next, y)) = rhs.
 
-        Returns (y, iterations), where iterations is the most any path took.
+        Returns (y, iterations), where iterations is the most any path took; 0 in closed form.
         The working arrays hold the whole batch while no path has converged;
         a path leaves them, with its value written to y, the moment its
         residual norm is at most tol. A non-finite residual never counts as
@@ -155,6 +160,11 @@ class _Kernel:
         the result.
         """
         tf = _reduce_time(t_next, self.period)
+        if self.state_free:
+            b = rhs + self.theta_dt * self.drift(tf, rhs)
+            if self.scalar:
+                return b / (1.0 + self.theta_dt * self.a00), 0
+            return _linear_part(self.stage_inverse, b), 0
         tol = self.tol
         y, r = guess, rhs
         f = self.residual(tf, y, r)
@@ -280,11 +290,3 @@ def step(
     )
     return y[0] if x_j.ndim == 1 else y
 
-
-def exact_linear_step(
-    lam: float, sigma: float, scheme: ThetaScheme, x: float, dw: float
-) -> float:
-    """Closed-form theta step for dX = -lam X dt + sigma dW; validates Newton."""
-    return (x * (1.0 - (1.0 - scheme.theta) * lam * scheme.dt) + sigma * dw) / (
-        1.0 + scheme.theta * lam * scheme.dt
-    )

@@ -46,7 +46,8 @@ class SdeProblem:
     """One dissipative semi-linear SDE instance.
 
     Immutable after construction; drift/diffusion must be pure functions so
-    problems can be shared freely.
+    problems can be shared freely. state_free_drift: f(t, x) does not depend
+    on x, so its Jacobian is 0 and the integrator solves the stage in closed form.
     """
 
     state_dim: int
@@ -60,6 +61,7 @@ class SdeProblem:
     one_sided_lipschitz: float
     moment_exponent: float
     growth_exponent: float
+    state_free_drift: bool = False
 
     def __post_init__(self):
         a = np.asarray(self.linear_matrix, dtype=float)
@@ -190,16 +192,12 @@ def build_additive_model() -> SdeProblem:
         one_sided_lipschitz=_ADDITIVE_LF,
         moment_exponent=21.0,
         growth_exponent=1.0,
+        state_free_drift=True,
     )
 
 
 def build_linear_model(lam: float, sigma: float) -> SdeProblem:
-    """Ornstein-Uhlenbeck oracle: dX = -lam X dt + sigma dW, zero drift nonlinearity.
-
-    The implicit theta step for this problem has the closed form implemented
-    in integrator.exact_linear_step, which is used to validate the Newton
-    solver.
-    """
+    """Ornstein-Uhlenbeck model: dX = -lam X dt + sigma dW, zero drift nonlinearity."""
     if lam <= 0.0:
         raise ParameterError(f"need lam > 0, got {lam}")
     if sigma < 0.0:
@@ -226,6 +224,7 @@ def build_linear_model(lam: float, sigma: float) -> SdeProblem:
         one_sided_lipschitz=min(1e-3, 0.5 * lam),
         moment_exponent=21.0,
         growth_exponent=1.0,
+        state_free_drift=True,
     )
 
 

@@ -60,32 +60,31 @@ def grid_steps(t: float, h: float, name: str) -> int:
     return n
 
 
-def _mix64(z: int) -> int:
-    # splitmix64 finalizer
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z):
+    """splitmix64 finalizer of a Python int, or of each word of a np.uint64 array."""
+    with np.errstate(over="ignore"):
+        z = (z + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
 
-def _stream_key(seed: int, path_index: int, component: int, mode_salt: int) -> np.ndarray:
-    """The two Philox key words of one (seed, path, component, grid) stream.
+def _stream_key(seed: int, path_index, component: int, mode_salt: int) -> np.ndarray:
+    """Philox key words, shape np.shape(path_index) + (2,), of (seed, path, component, grid).
 
-    The words are k0 = mix(seed) and k1 = mix(k0 ^ mix(path_index) ^
-    mix(component + 0x1000) ^ mix(mode_salt)), as Philox receives them: the
-    pair was always passed as the list `Philox(key=[k0, k1])`, which numpy
-    reads through `np.asarray`. When exactly one word is >= 2^63 that list
-    becomes float64, and both words lose their low 11 bits (about half the
-    streams). Every increment is defined by the words Philox received, so
-    `_philox_key` keeps the rounding by applying numpy's own conversion.
+    k0 = mix(seed), k1 = mix(k0 ^ mix(path_index) ^ mix(component + 0x1000) ^ mix(mode_salt)),
+    as Philox has always received them: through `np.asarray([k0, k1])`, which
+    is float64 when exactly one word is >= 2^63, so both words of those rows
+    (about half the streams) lose their low 11 bits. Every increment is
+    defined by these words, so those rows go through the same conversion.
     """
     k0 = _mix64(seed & _MASK64)
-    k1 = _mix64(k0 ^ _mix64(path_index) ^ _mix64(component + 0x1000) ^ _mix64(mode_salt))
-    return _philox_key(k0, k1)
-
-
-def _philox_key(k0: int, k1: int) -> np.ndarray:
-    return np.asarray([k0, k1]).astype(np.uint64)
+    paths = np.asarray(path_index, dtype=np.int64).astype(np.uint64)
+    k1 = _mix64(_mix64(paths) ^ np.uint64(k0 ^ _mix64(component + 0x1000) ^ _mix64(mode_salt)))
+    keys = np.stack([np.full_like(k1, k0), k1], axis=-1)
+    rounded = (k1 >> 63) != k0 >> 63
+    keys[rounded] = keys[rounded].astype(np.float64).astype(np.uint64)
+    return keys
 
 
 # raw Philox words turned into normals in one pass: a few hundred short
@@ -96,8 +95,8 @@ _CHUNK_WORDS = 1 << 16
 class _Streams:
     """Scaled normals of cells [i0, i0 + n) from the streams of one seed and grid.
 
-    The per-call work (mixing the seed and the grid salt, the first Philox
-    block and lane) is done once. Each (path, component) stream then sets
+    The first Philox block and lane are found once per call, and the keys of
+    a component in one vector pass. Each (path, component) stream then sets
     the key of one reused Philox instead of constructing a generator, and
     the words of a chunk of streams become normals in one pass.
     """
@@ -110,8 +109,8 @@ class _Streams:
         self.n_raw = 4 * ((p0 + n - b0 * 4 + 3) // 4)
         self.n = n
         self.scale = np.sqrt(h)
-        self.k0 = _mix64(seed & _MASK64)
-        self.salted = self.k0 ^ _mix64(mode_salt)
+        self.seed = seed
+        self.mode_salt = mode_salt
         self.bitgen = np.random.Philox(key=0)
         self.state = self.bitgen.state
         self.state["state"]["counter"] = [b0 & _MASK64, b0 >> 64, 0, 0]
@@ -120,16 +119,14 @@ class _Streams:
     def fill(self, paths, out):
         """Write sqrt(h) * N(0, 1) per cell into out, (len(paths), n, m); row i is paths[i]."""
         m = out.shape[2]
-        # k1 of _stream_key, with the seed, component and salt mixes hoisted
-        salted = [self.salted ^ _mix64(comp + 0x1000) for comp in range(m)]
+        keys = [_stream_key(self.seed, paths, comp, self.mode_salt) for comp in range(m)]
         rows = max(1, _CHUNK_WORDS // (m * self.n_raw))
         raw = np.empty((min(rows, len(paths)), m, self.n_raw), dtype=np.uint64)
         for r0 in range(0, len(paths), rows):
             chunk = paths[r0 : r0 + rows]
-            for i, p in enumerate(chunk):
-                p_mix = _mix64(p)
+            for i in range(len(chunk)):
                 for comp in range(m):
-                    self.state["state"]["key"] = _philox_key(self.k0, _mix64(salted[comp] ^ p_mix))
+                    self.state["state"]["key"] = keys[comp][r0 + i]
                     self.bitgen.state = self.state
                     raw[i, comp] = self.bitgen.random_raw(self.n_raw)
             bits = raw[: len(chunk), :, self.lane0 : self.lane0 + self.n] >> np.uint64(11)

@@ -84,6 +84,8 @@ def pullback_converge(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     steps_per_tau = grid_steps(tau, dt, "period")
     n_eval = grid_steps(t_eval, dt, "t_eval")
+    if n_eval <= -steps_per_tau:
+        raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
     prev = None

@@ -14,14 +14,15 @@ from rpsde.analysis import (
     numerical_contraction_test,
 )
 from rpsde.cli import main as cli_main
-from rpsde.integrator import ThetaScheme, exact_linear_step, step
-from rpsde.models import build_cubic_model, build_additive_model, build_linear_model
+from rpsde.integrator import ThetaScheme, simulate_ensemble, step
+from rpsde.models import build_cubic_model, build_additive_model
 from rpsde.noise import coarse_increment, generate
 from rpsde.periodic import (
     initial_value_independence,
     periodicity_check_pullback,
     periodicity_check_shifted,
 )
+from test_integrator import exact_linear_step, newton_linear_problem
 
 CUBIC = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
 LEVELS = [6, 7, 8, 9, 10]
@@ -78,21 +79,22 @@ def test_3_oracle_equivalence():
         dt = rng.uniform(0.001, 0.5)
         lam = rng.uniform(0.1, 10.0)
         sigma = rng.uniform(0.0, 1.0)
-        prob = build_linear_model(lam, sigma)
+        # without the state-free flag, so Newton solves the linear stage
+        prob = newton_linear_problem(lam, sigma)
         # tight tolerance: the linear solve must not stop at the first guess
         sch = ThetaScheme(theta=theta, dt=dt, newton_tol=1e-13)
         dws = rng.normal(scale=math.sqrt(dt), size=1000)
-        x_num = np.array([rng.normal()])
-        x_ora = float(x_num[0])
-        for dw in dws:
-            per_step = abs(
-                step(prob, sch, 0.0, np.array([x_ora]), np.array([dw]))[0]
-                - exact_linear_step(lam, sigma, sch, x_ora, dw)
-            )
-            worst_step = max(worst_step, per_step)
-            x_num = step(prob, sch, 0.0, x_num, np.array([dw]))
-            x_ora = exact_linear_step(lam, sigma, sch, x_ora, dw)
-        worst_path = max(worst_path, abs(x_num[0] - x_ora))
+        x_ora = np.empty(len(dws) + 1)
+        x_ora[0] = rng.normal()
+        for j, dw in enumerate(dws):
+            x_ora[j + 1] = exact_linear_step(lam, sigma, sch, x_ora[j], dw)
+        # one Newton step from every oracle state, as one batch
+        per_step = step(prob, sch, 0.0, x_ora[:-1, None], dws[:, None])[:, 0]
+        worst_step = max(worst_step, float(np.abs(per_step - x_ora[1:]).max()))
+        _, x_num, _ = simulate_ensemble(
+            prob, sch, 0.0, len(dws), x_ora[None, :1], dws[None, :, None], record=False
+        )
+        worst_path = max(worst_path, abs(x_num[0, 0] - x_ora[-1]))
     ok = worst_step <= 1e-10 and worst_path <= 1e-8
     _report(
         "3 oracle equivalence",

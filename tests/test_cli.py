@@ -84,10 +84,15 @@ class TestConfig:
             ("periodicity", ["--set", "x0=0.1,0.2"], "state_dim is 1"),
             ("pullback", ["--set", "xi=0.1,0.2"], "state_dim is 1"),
             ("simulate", ["--set", "initial_values="], "initial_values"),
+            ("pullback", ["--set", "t_eval=-2.5"], "t_eval"),
+            ("pullback", ["--set", "t_eval=-2"], "t_eval"),
+            ("pullback", ["--set", "model=linear_ou", "--set", "t_eval=-1.5"], "t_eval"),
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
-             "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values"],
+             "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values",
+             "pullback-t-eval-before-period", "pullback-t-eval-at-period",
+             "pullback-linear-t-eval-before-period"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message

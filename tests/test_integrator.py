@@ -4,18 +4,61 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rpsde.integrator import (
-    NewtonError,
-    ThetaScheme,
-    exact_linear_step,
-    simulate_ensemble,
-    step,
+from rpsde.integrator import NewtonError, ThetaScheme, simulate_ensemble, step
+from rpsde.models import (
+    SdeProblem,
+    build_additive_model,
+    build_cubic_model,
+    build_linear_model,
+    catalog_entry,
 )
-from rpsde.models import SdeProblem, build_additive_model, build_cubic_model, build_linear_model
 from rpsde.noise import ensemble_increments, generate, generate_uniform
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
+
+
+def exact_linear_step(lam, sigma, scheme, x, dw):
+    """Closed-form theta step for dX = -lam X dt + sigma dW, the oracle of the Newton stage."""
+    return (x * (1.0 - (1.0 - scheme.theta) * lam * scheme.dt) + sigma * dw) / (
+        1.0 + scheme.theta * lam * scheme.dt
+    )
+
+
+def newton_linear_problem(lam, sigma):
+    """build_linear_model without the state-free flag, so Newton solves its stage."""
+    return replace(build_linear_model(lam, sigma), state_free_drift=False)
+
+
+def state_free_problem():
+    """Two states coupled through A, two noises, and a drift f(t) free of the state."""
+    a = np.array([[4.0, 1.0], [1.0, 3.0]])
+    g = np.array([[0.3, 0.1], [-0.1, 0.2]])
+
+    def drift(t, x):
+        f = [math.sin(2.0 * math.pi * t), 0.5 * math.cos(2.0 * math.pi * t)]
+        return np.broadcast_to(f, x.shape).copy()
+
+    def drift_jacobian(t, x):
+        return np.zeros(x.shape + (2,))
+
+    def diffusion(t, x):
+        return np.broadcast_to(g, x.shape + (2,)).copy()
+
+    return SdeProblem(
+        state_dim=2,
+        noise_dim=2,
+        linear_matrix=a,
+        lambda_min=float(np.linalg.eigvalsh(a).min()),
+        drift=drift,
+        drift_jacobian=drift_jacobian,
+        diffusion=diffusion,
+        period=1.0,
+        one_sided_lipschitz=1e-3,
+        moment_exponent=21.0,
+        growth_exponent=1.0,
+        state_free_drift=True,
+    )
 
 
 def cubic_like_problem(lam):
@@ -168,7 +211,7 @@ class TestExactLinearStep:
             sigma = rng.uniform(0.0, 1.0)
             x = rng.normal()
             dw = rng.normal() * math.sqrt(dt)
-            prob = build_linear_model(lam, sigma)
+            prob = newton_linear_problem(lam, sigma)
             sch = ThetaScheme(theta=theta, dt=dt)
             exact = exact_linear_step(lam, sigma, sch, x, dw)
             num = step(prob, sch, 0.0, np.array([x]), np.array([dw]))[0]
@@ -188,7 +231,7 @@ class TestSimulatePath:
 
     def test_linear_oracle_recursion(self):
         lam, sigma = 2.0, 0.3
-        prob = build_linear_model(lam, sigma)
+        prob = newton_linear_problem(lam, sigma)
         sch = ThetaScheme(theta=0.8, dt=2.0**-6)
         grid = generate(9, 0, 6, (0.0, 16.0), 1)
         n = 1000
@@ -237,8 +280,11 @@ class TestEnsembleConsistency:
             (lambda: build_cubic_model(**BENCH), 0.75, 0.1, [[0.6], [0.0], [-0.6], [0.3]]),
             (lambda: build_cubic_model(**BENCH), 1.0, 0.25, [[5.0], [0.6], [-0.3], [-3.0]]),
             (coupled_problem, 0.75, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2], [0.0, 0.0]]),
+            (build_additive_model, 0.75, 0.1, [[0.6], [0.0], [-0.6], [0.3]]),
+            (state_free_problem, 1.0, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2], [0.0, 0.0]]),
         ],
-        ids=["cubic-theta0.75", "cubic-theta1", "two-dim-theta0.75"],
+        ids=["cubic-theta0.75", "cubic-theta1", "two-dim-theta0.75",
+             "additive-closed-form", "two-dim-closed-form"],
     )
     def test_batched_equals_single(self, make, theta, dt, x0):
         prob = make()
@@ -261,10 +307,52 @@ class TestEnsembleConsistency:
             assert np.array_equal(batched[p], single[0])
             single_iters.append(iters)
         single_iters = np.array(single_iters)
-        # paths leave the Newton loop at different iterations, so both the
-        # all-active and the masked phase ran in the batch
-        assert (single_iters.min(axis=0) < single_iters.max(axis=0)).any()
+        if prob.state_free_drift:
+            # the closed-form stage takes no Newton iteration
+            assert not single_iters.any()
+        else:
+            # paths leave the Newton loop at different iterations, so both the
+            # all-active and the masked phase ran in the batch
+            assert (single_iters.min(axis=0) < single_iters.max(axis=0)).any()
         assert np.array_equal(batched_iters, single_iters.max(axis=0))
+
+
+class TestClosedFormStage:
+    MODELS = [
+        lambda: catalog_entry("linear_ou").problem,
+        build_additive_model,
+        state_free_problem,
+    ]
+    IDS = ["linear_ou", "additive_sine", "two-dim"]
+
+    def run(self, prob, sch, n=40, batch=8):
+        x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (batch, prob.state_dim))
+        window = (-1.0, -1.0 + n * sch.dt)
+        incs = ensemble_increments(5, range(batch), window, prob.noise_dim, sch.dt)
+        return simulate_ensemble(prob, sch, -1.0, n, x0, incs)
+
+    @pytest.mark.parametrize("theta", [0.75, 1.0])
+    @pytest.mark.parametrize("make", MODELS, ids=IDS)
+    def test_equals_newton(self, make, theta):
+        prob = make()
+        assert prob.state_free_drift
+        sch = ThetaScheme(theta=theta, dt=0.05, newton_tol=1e-13)
+        _, closed, iters = self.run(prob, sch)
+        _, newton, newton_iters = self.run(replace(prob, state_free_drift=False), sch)
+        assert not iters.any() and newton_iters.all()
+        np.testing.assert_allclose(closed, newton, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", MODELS, ids=IDS)
+    def test_no_jacobian_and_no_newton_settings(self, make):
+        def jacobian(t, x):
+            raise AssertionError("the closed-form stage called the Jacobian")
+
+        prob = replace(make(), drift_jacobian=jacobian)
+        _, states, iters = self.run(prob, ThetaScheme(theta=0.75, dt=0.05))
+        assert iters.shape == (40,) and not iters.any()
+        # newton_tol and newton_max_iter have no effect on the closed form
+        sch = ThetaScheme(theta=0.75, dt=0.05, newton_tol=1e-300, newton_max_iter=1)
+        assert np.array_equal(self.run(prob, sch)[1], states)
 
 
 class TestGoldenBits:

@@ -185,6 +185,18 @@ class TestStreamKey:
             assert np.array_equal(words, exact) == (k[1] >> 63 == 1)
         assert sides == {0, 1}
 
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3], ids=["k0-high", "above-2^64-k0-low"])
+    def test_vector_keys_equal_philox_state(self, seed):
+        paths = np.arange(64)
+        keys = _stream_key(seed, paths, 1, SALT_DT_001)
+        assert keys.shape == (64, 2) and keys.dtype == np.uint64
+        rounded = set()
+        for p in paths:
+            k = raw_key(seed, int(p), 1, SALT_DT_001)
+            rounded.add(k[0] >> 63 != k[1] >> 63)
+            assert np.array_equal(keys[p], np.random.Philox(key=k).state["state"]["key"])
+        assert rounded == {True, False}
+
     def test_increments_pinned(self):
         # float.hex of the first two and the last increment per path,
         # recorded when every stream built its own generator
