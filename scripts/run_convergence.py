@@ -18,10 +18,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results/convergence")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument(
-        "--jobs", type=int, default=1,
-        help="sequential path chunks per run, bounding memory; output is identical",
-    )
     ap.add_argument("--ensemble", type=int, default=200)
     ap.add_argument(
         "--reference-level", type=int, default=12,
@@ -37,7 +33,6 @@ def main():
                     "converge",
                     "--out", str(out),
                     "--seed", str(args.seed),
-                    "--jobs", str(args.jobs),
                     "--set", f"model={model}",
                     "--set", f"theta={theta}",
                     "--set", "levels=6,7,8,9,10",

@@ -33,7 +33,6 @@ from .models import (
 from .noise import (
     WienerGrid,
     WindowError,
-    coarse_increment,
     ensemble_increments,
     generate,
     generate_uniform,

@@ -1,9 +1,10 @@
 """Contraction constants, strong-error measurement, and moment monitoring.
 
 The strong error is measured against a fine reference path computed with the
-same theta scheme on the same Brownian path: coarse-grid increments are exact
-partial sums of the fine-grid increments, so every coarse run is coupled to
-the reference pathwise.
+same theta scheme on the same Brownian path: coarse-grid increments are the
+pairwise tree sums (`noise.tree_fold`) of the fine-grid increments, so every
+coarse run is coupled to the reference pathwise. The levels stream through
+the time window together, in blocks of a bounded number of fine values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
-from .noise import ensemble_increments, grid_steps
+from .noise import ensemble_increments, grid_steps, tree_fold
 
 __all__ = [
     "ContractionConstants",
@@ -84,11 +85,18 @@ def fit_slope(stepsizes, errors) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+# fine values (paths x cells x noise components) that ms_error draws at once:
+# about 8 MB, whatever the reference level, ensemble or window
+_BLOCK_VALUES = 1 << 20
+
+
 @dataclass
 class ConvergenceReport:
     stepsizes: np.ndarray  # strictly decreasing
     rms_errors: np.ndarray
     stderrs: np.ndarray
+    level_diffs: np.ndarray  # rms|X_l - X_prev| for each level after the coarsest
+    level_diff_stderrs: np.ndarray
     fitted_slope: float
     intercept: float
     ensemble_size: int
@@ -108,14 +116,20 @@ def ms_error(
     seed: int,
     xi=0.6,
     newton_tol: float = 1e-5,
-    jobs: int = 1,
 ) -> ConvergenceReport:
     """Root-mean-square error at t_end of dyadic-stepsize runs vs a fine reference.
 
-    Per Brownian path: one fine grid at 2^-reference_level drives the
-    reference run and (via exact telescoped coarse increments) every coarse
-    run; errors are pathwise differences at the final time. A failed Newton
-    solve aborts the experiment; paths are never dropped.
+    One fine grid at h = 2^-reference_level per Brownian path drives the
+    reference run and every coarse run. The window is streamed in blocks of
+    whole coarsest cells, about 2^20 fine values (8 MB) each: a block's
+    cells are drawn once, folded by `tree_fold` level by level down to the
+    coarsest, and every level steps through the block from its states at the
+    block start. Block ends are whole cells of the dyadic grid, so every
+    step time is the one of an unblocked run, and memory is bounded by the
+    block rather than by the window. Errors are pathwise differences at the
+    final time: against the reference, and between consecutive levels
+    (`level_diffs`). A failed Newton solve aborts the experiment; paths are
+    never dropped.
     """
     levels = sorted(levels)
     if not levels:
@@ -125,48 +139,35 @@ def ms_error(
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     coarse_dt = 2.0 ** -levels[0]
-    n_coarse = grid_steps(t_end, coarse_dt, "t_end")
-    n_coarse -= grid_steps(t_start, coarse_dt, "t_start")
+    first = grid_steps(t_start, coarse_dt, "t_start")
+    n_coarse = grid_steps(t_end, coarse_dt, "t_end") - first
     if n_coarse <= 0:
         raise ValueError("t_start must precede t_end")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    all_levels = list(levels) + [reference_level]
     m = problem.noise_dim
-    sq_all = {lvl: [] for lvl in levels}
-    # paths run in `jobs` sequential chunks, which bounds the fine-increment
-    # array to about ensemble/jobs paths; each path's result is chunk-free
-    for p_lo, p_hi in _chunk_ranges(ensemble, jobs):
-        n_paths = p_hi - p_lo
-        fine = ensemble_increments(
-            seed, range(p_lo, p_hi), (t_start, t_end), m,
-            2.0**-reference_level, fine_level=reference_level,
+    ref, h = reference_level, 2.0**-reference_level
+    q = 1 << (ref - levels[0])  # fine cells per coarsest cell
+    block = max(q, _BLOCK_VALUES // (ensemble * m) // q * q)
+    schemes = {lvl: ThetaScheme(theta, 2.0**-lvl, newton_tol) for lvl in levels + [ref]}
+    states = dict.fromkeys(schemes, np.broadcast_to(xi, (ensemble, xi.size)))
+    c_end = (first + n_coarse) * q
+    for c in range(first * q, c_end, block):
+        n = min(block, c_end - c)
+        incs = ensemble_increments(
+            seed, range(ensemble), (c * h, (c + n) * h), m, h, fine_level=ref
         )
-        x0 = np.broadcast_to(xi, (n_paths, xi.size))
-        finals = {}
-        for lvl in all_levels:
-            n_steps = n_coarse << (lvl - levels[0])
-            q = 2 ** (reference_level - lvl)
-            incs = fine.reshape(n_paths, n_steps, q, m).sum(axis=2)
-            scheme = ThetaScheme(theta=theta, dt=2.0**-lvl, newton_tol=newton_tol)
-            _, finals[lvl], _ = simulate_ensemble(
-                problem, scheme, t_start, n_steps, x0, incs, record=False
-            )
-        for lvl in levels:
-            diff = finals[lvl] - finals[reference_level]
-            sq_all[lvl].append(np.sum(diff**2, axis=-1))
-
+        for lvl in range(ref, levels[0] - 1, -1):
+            if lvl < ref:
+                incs = tree_fold(incs, 2)
+            if lvl in schemes:
+                _, states[lvl], _ = simulate_ensemble(
+                    problem, schemes[lvl], c * h, n >> (ref - lvl), states[lvl], incs,
+                    record=False,
+                )
+    finals = [states[lvl] for lvl in levels]
+    rms, stderrs = _rms_gaps(finals, [states[ref]] * len(levels))
+    diffs, diff_stderrs = _rms_gaps(finals[1:], finals[:-1])
     stepsizes = np.array([2.0**-lvl for lvl in levels])
-    rms = np.empty(len(levels))
-    stderrs = np.empty(len(levels))
-    for i, lvl in enumerate(levels):
-        s = np.concatenate(sq_all[lvl])
-        mean_sq = s.mean()
-        rms[i] = math.sqrt(mean_sq)
-        # delta-method standard error of sqrt(mean of squares)
-        se_mean = s.std(ddof=1) / math.sqrt(s.size) if s.size > 1 else 0.0
-        stderrs[i] = se_mean / (2.0 * rms[i]) if rms[i] > 0.0 else 0.0
-    order = np.argsort(-stepsizes)  # strictly decreasing stepsizes
-    stepsizes, rms, stderrs = stepsizes[order], rms[order], stderrs[order]
     if (rms > 0.0).all():
         slope, intercept = fit_slope(stepsizes, rms)
     else:
@@ -175,6 +176,8 @@ def ms_error(
         stepsizes=stepsizes,
         rms_errors=rms,
         stderrs=stderrs,
+        level_diffs=diffs,
+        level_diff_stderrs=diff_stderrs,
         fitted_slope=slope,
         intercept=intercept,
         ensemble_size=ensemble,
@@ -184,10 +187,15 @@ def ms_error(
     )
 
 
-def _chunk_ranges(n, jobs):
-    jobs = max(1, min(jobs, n))
-    size = (n + jobs - 1) // jobs
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+def _rms_gaps(xs, ys):
+    """Per pair: rms over the paths of |x - y|, and its delta-method stderr."""
+    out = np.zeros((2, len(xs)))
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        s = np.sum((x - y) ** 2, axis=-1)
+        out[0, i] = math.sqrt(s.mean())
+        se_mean = s.std(ddof=1) / math.sqrt(s.size) if s.size > 1 else 0.0
+        out[1, i] = se_mean / (2.0 * out[0, i]) if out[0, i] > 0.0 else 0.0
+    return out
 
 
 @dataclass
@@ -310,13 +318,17 @@ def numerical_contraction_test(
 
 
 def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    """CSV export: level, dt, rms_error, stderr rows plus slope/intercept footer."""
+    """CSV export: level, dt, rms_error, stderr, level_diff rows, slope/intercept footer.
+
+    level_diff is rms|X_l - X_prev| against the previous level; empty on the coarsest row.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["level", "dt", "rms_error", "stderr"])
-        for lvl, dt, e, se in zip(
-            report.levels, report.stepsizes, report.rms_errors, report.stderrs
+        w.writerow(["level", "dt", "rms_error", "stderr", "level_diff"])
+        diffs = [""] + [f"{v:.17g}" for v in report.level_diffs]
+        for lvl, dt, e, se, diff in zip(
+            report.levels, report.stepsizes, report.rms_errors, report.stderrs, diffs
         ):
-            w.writerow([lvl, f"{dt:.17g}", f"{e:.17g}", f"{se:.17g}"])
-        w.writerow(["slope", f"{report.fitted_slope:.17g}", "", ""])
-        w.writerow(["intercept", f"{report.intercept:.17g}", "", ""])
+            w.writerow([lvl, f"{dt:.17g}", f"{e:.17g}", f"{se:.17g}", diff])
+        w.writerow(["slope", f"{report.fitted_slope:.17g}", "", "", ""])
+        w.writerow(["intercept", f"{report.intercept:.17g}", "", "", ""])

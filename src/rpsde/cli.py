@@ -38,7 +38,6 @@ from .periodic import (
 __all__ = ["main"]
 
 _FLOAT_FMT = "{:.17g}"
-_JOBS_HELP = "converge: path chunks run in turn, bounding memory; same output for any value"
 
 
 class ConfigError(ValueError):
@@ -109,7 +108,7 @@ def _write_plot_script(out: Path, name: str, lines: list[str]):
     (out / name).write_text("\n".join(header + lines) + "\n")
 
 
-def run_simulate(cfg: dict, out: Path, jobs: int) -> bool:
+def run_simulate(cfg: dict, out: Path) -> bool:
     entry = _resolve_model(cfg)
     problem = entry.problem
     scheme = _resolve_scheme(cfg)
@@ -156,7 +155,7 @@ def run_simulate(cfg: dict, out: Path, jobs: int) -> bool:
     return True
 
 
-def run_pullback(cfg: dict, out: Path, jobs: int) -> bool:
+def run_pullback(cfg: dict, out: Path) -> bool:
     entry = _resolve_model(cfg)
     scheme = _resolve_scheme(cfg)
     seed = int(cfg.get("seed", 0))
@@ -194,7 +193,7 @@ def run_pullback(cfg: dict, out: Path, jobs: int) -> bool:
     return True
 
 
-def run_periodicity(cfg: dict, out: Path, jobs: int) -> bool:
+def run_periodicity(cfg: dict, out: Path) -> bool:
     entry = _resolve_model(cfg)
     problem = entry.problem
     scheme = _resolve_scheme(cfg)
@@ -249,7 +248,7 @@ def run_periodicity(cfg: dict, out: Path, jobs: int) -> bool:
     return shifted.passed and pullback.passed
 
 
-def run_converge(cfg: dict, out: Path, jobs: int) -> bool:
+def run_converge(cfg: dict, out: Path) -> bool:
     entry = _resolve_model(cfg)
     report = ms_error(
         entry.problem,
@@ -262,7 +261,6 @@ def run_converge(cfg: dict, out: Path, jobs: int) -> bool:
         seed=int(cfg.get("seed", 0)),
         xi=_floats(cfg.get("xi", "0.6")),
         newton_tol=float(cfg.get("newton_tol", 1e-5)),
-        jobs=jobs,
     )
     write_convergence_csv(report, out / "convergence.csv")
     _write_plot_script(
@@ -277,7 +275,7 @@ def run_converge(cfg: dict, out: Path, jobs: int) -> bool:
     return bool(np.isfinite(report.fitted_slope))
 
 
-def run_contraction(cfg: dict, out: Path, jobs: int) -> bool:
+def run_contraction(cfg: dict, out: Path) -> bool:
     entry = _resolve_model(cfg)
     problem = entry.problem
     scheme = _resolve_scheme(cfg)
@@ -359,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
         p.add_argument("--out", type=str, default=".")
         p.add_argument(
             "--set",
@@ -388,7 +385,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(out, cfg, args.command)
-        ok = _COMMANDS[args.command](cfg, out, max(1, args.jobs))
+        ok = _COMMANDS[args.command](cfg, out)
     except (ConfigError, ValueError, OSError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ Two grid modes:
 `grid_steps` is the one place where a time becomes a whole number of cells;
 a grid keeps its first absolute cell, so a Wiener shift is an index offset.
 `ensemble_increments` turns a seed and a range of path indices into the
-(paths, steps, m) increment array that every batched estimator consumes.
+(paths, steps, m) increment array that every batched estimator consumes, and
+`tree_fold` sums fine steps into coarse ones by a pairwise tree.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ __all__ = [
     "grid_steps",
     "generate",
     "generate_uniform",
-    "coarse_increment",
     "ensemble_increments",
+    "tree_fold",
 ]
 
 # Cell positions are offset by 2^62 blocks-worth of draws so that negative
@@ -202,22 +203,24 @@ class WienerGrid:
         j1 = j0 + n_steps * q
         if j0 < 0 or j1 > self.n_cells:
             raise _outside(t_start, n_steps, dt, self.first_cell, self.n_cells, h)
-        return _fold(self.increments[j0:j1], n_steps, q)
+        return tree_fold(self.increments[j0:j1], q)
 
 
-def _fold(fine: np.ndarray, n_steps: int, q: int) -> np.ndarray:
-    """Sum each run of q consecutive fine rows: (n_steps * q, m) -> (n_steps, m)."""
-    if q == 1:
-        return fine
-    if q & (q - 1) == 0:
-        # pairwise tree fold: the sum over a cell is bit-for-bit the sum
-        # of its two half-cell sums, so dyadic coarsening telescopes
-        # exactly across every level
-        out = fine
-        while out.shape[0] > n_steps:
-            out = out.reshape(-1, 2, fine.shape[1]).sum(axis=1)
-        return out
-    return fine.reshape(n_steps, q, fine.shape[1]).sum(axis=1)
+def tree_fold(increments: np.ndarray, q: int) -> np.ndarray:
+    """Sum each run of q consecutive steps: (..., n * q, m) -> (..., n, m).
+
+    For q a power of two the sum is a pairwise tree: the sum over a cell is
+    bit for bit the sum of its two half-cell sums, so dyadic coarsening
+    telescopes exactly across every level, and folding level by level gives
+    the bits of folding at once.
+    """
+    *lead, n, m = increments.shape
+    if q & (q - 1):
+        return increments.reshape(*lead, n // q, q, m).sum(axis=-2)
+    while q > 1:
+        increments = increments.reshape(*lead, -1, 2, m).sum(axis=-2)
+        q //= 2
+    return increments
 
 
 def generate(
@@ -272,13 +275,12 @@ def ensemble_increments(
 
     Returns shape (len(paths), n_steps, noise_dim). Row i is path paths[i]
     on a uniform grid of width dt, or on the dyadic grid 2^-fine_level
-    summed to width dt by the tree fold of `WienerGrid.step_increments`;
-    each row depends only on its own path index, so any split of the paths
-    into chunks gives the same rows, and each cell only on its absolute
-    index, so adjacent windows concatenate to the joint window. One Philox
-    generator serves every stream of the call; the normals are written
-    straight into the output, or, for dt coarser than the cells, folded
-    one row at a time.
+    summed to width dt by `tree_fold`; each row depends only on its own path
+    index, so any split of the paths into chunks gives the same rows, and
+    each cell only on its absolute index, so adjacent windows concatenate to
+    the joint window. One Philox generator serves every stream of the call;
+    the normals are written straight into the output, or, for dt coarser
+    than the cells, folded one row at a time.
     """
     n = grid_steps(window[1] - window[0], dt, f"window {window} length")
     out = np.empty((len(paths), n, noise_dim))
@@ -296,18 +298,5 @@ def ensemble_increments(
     fine = np.empty((1, n * q, noise_dim))
     for row in range(len(paths)):
         streams.fill(paths[row : row + 1], fine)
-        out[row] = _fold(fine[0], n, q)
+        out[row] = tree_fold(fine[0], q)
     return out
-
-
-def coarse_increment(grid: WienerGrid, coarse_level: int, cell_index: int) -> np.ndarray:
-    """Brownian increment over coarse cell [i*2^-c, (i+1)*2^-c] as exact fine sums."""
-    if grid.fine_level is None:
-        raise WindowError("coarse_increment requires a dyadic grid")
-    if coarse_level > grid.fine_level:
-        raise WindowError(
-            f"coarse_level {coarse_level} exceeds fine_level {grid.fine_level}"
-        )
-    dt = 2.0**-coarse_level
-    return grid.step_increments(cell_index * dt, 1, dt)[0]
-

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpsde import analysis
 from rpsde.analysis import (
     contraction_constant,
     fit_slope,
@@ -15,7 +17,8 @@ from rpsde.analysis import (
 )
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import build_additive_model, build_cubic_model, build_linear_model
-from rpsde.noise import ensemble_increments
+from rpsde.noise import ensemble_increments, generate, tree_fold
+from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
 
@@ -134,11 +137,75 @@ class TestMsError:
         for e1, e2, se in zip(small.rms_errors, big.rms_errors, small.stderrs):
             assert abs(e1 - e2) < 3 * max(se, 1e-300)
 
-    def test_jobs_do_not_change_results(self):
-        prob = build_additive_model()
-        a = ms_error(prob, 1.0, [5, 6], 8, 40, 0.0, 1.0, seed=3, xi=[0.1], jobs=1)
-        b = ms_error(prob, 1.0, [5, 6], 8, 40, 0.0, 1.0, seed=3, xi=[0.1], jobs=4)
-        assert np.array_equal(a.rms_errors, b.rms_errors)
+    @pytest.mark.parametrize(
+        "problem, theta, xi",
+        [(build_cubic_model(**BENCH), 0.75, [0.6]), (coupled_problem(), 1.0, [0.3, -0.2])],
+        ids=["cubic-theta0.75", "two-dim-theta1"],
+    )
+    def test_streamed_blocks_equal_unblocked_fold(self, monkeypatch, problem, theta, xi):
+        # 512 fine cells at level 8 over (-1, 1), 32 per coarsest cell; room
+        # for 180 cells per path, rounded down to 160: blocks of 160, 160, 160
+        # and 32 cells
+        ensemble, m = 5, problem.noise_dim
+        monkeypatch.setattr(analysis, "_BLOCK_VALUES", ensemble * m * 180)
+        windows = []
+
+        def recording(seed, paths, window, *args, **kwargs):
+            windows.append(window)
+            return ensemble_increments(seed, paths, window, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "ensemble_increments", recording)
+        rep = ms_error(problem, theta, [3, 4, 6], 8, ensemble, -1.0, 1.0, seed=4, xi=xi)
+        assert windows == [(-1.0, -0.375), (-0.375, 0.25), (0.25, 0.875), (0.875, 1.0)]
+
+        # one full-window draw, tree-folded to each level and run at once
+        fine = ensemble_increments(4, range(ensemble), (-1.0, 1.0), m, 2.0**-8, fine_level=8)
+        x0 = np.broadcast_to(np.array(xi), (ensemble, len(xi)))
+        finals = {}
+        for lvl in (3, 4, 6, 8):
+            incs = tree_fold(fine, 2 ** (8 - lvl))
+            scheme = ThetaScheme(theta=theta, dt=2.0**-lvl)
+            _, finals[lvl], _ = simulate_ensemble(
+                problem, scheme, -1.0, incs.shape[1], x0, incs, record=False
+            )
+        sq = [np.sum((finals[lvl] - finals[8]) ** 2, axis=-1) for lvl in (3, 4, 6)]
+        rms = np.array([math.sqrt(s.mean()) for s in sq])
+        stderrs = np.array(
+            [s.std(ddof=1) / math.sqrt(ensemble) / (2.0 * r) for s, r in zip(sq, rms)]
+        )
+        assert np.array_equal(rep.rms_errors, rms)
+        assert np.array_equal(rep.stderrs, stderrs)
+        assert rep.fitted_slope == fit_slope([2.0**-3, 2.0**-4, 2.0**-6], rms)[0]
+
+    def test_memory_bounded_by_block(self):
+        # the unblocked level-12 array of 200 paths over (-4, 4) alone is 52 MB
+        prob = build_linear_model(1.0, 0.3)
+        tracemalloc.start()
+        try:
+            ms_error(prob, 1.0, [9, 10], 12, 200, -4.0, 4.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+    def test_level_diffs_by_hand(self):
+        prob = build_cubic_model(**BENCH)
+        rep = ms_error(prob, 1.0, [2, 3, 5], 6, 4, 0.0, 1.0, seed=1, xi=[0.3])
+        # each path run alone on its own grid, level by level
+        finals = {lvl: [] for lvl in (2, 3, 5)}
+        for p in range(4):
+            grid = generate(1, p, 6, (0.0, 1.0), 1)
+            for lvl in finals:
+                incs = grid.step_increments(0.0, 2**lvl, 2.0**-lvl)[None]
+                scheme = ThetaScheme(theta=1.0, dt=2.0**-lvl)
+                _, x, _ = simulate_ensemble(prob, scheme, 0.0, 2**lvl, [[0.3]], incs, record=False)
+                finals[lvl].append(x[0, 0])
+        for i, (fine, coarse) in enumerate([(3, 2), (5, 3)]):
+            sq = (np.array(finals[fine]) - np.array(finals[coarse])) ** 2
+            assert rep.level_diffs[i] == math.sqrt(sq.mean())
+            se = sq.std(ddof=1) / 2.0 / (2.0 * math.sqrt(sq.mean()))
+            assert rep.level_diff_stderrs[i] == pytest.approx(se, rel=1e-12)
+        assert rep.level_diffs.shape == rep.level_diff_stderrs.shape == (2,)
 
     def test_reference_must_be_finest(self):
         prob = build_additive_model()

@@ -127,12 +127,6 @@ class TestSimulate:
         assert (tmp_path / "trajectories.gp").exists()
         assert (tmp_path / "manifest.txt").exists()
 
-    def test_jobs_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(self.ARGS + ["--out", str(a), "--jobs", "1"]) == 0
-        assert main(self.ARGS + ["--out", str(b), "--jobs", "8"]) == 0
-        assert (a / "trajectories.csv").read_bytes() == (b / "trajectories.csv").read_bytes()
-
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(self.ARGS + ["--out", str(a)]) == 0
@@ -206,18 +200,11 @@ class TestConverge:
         )
         assert rc == 0
         rows = read_csv(tmp_path / "convergence.csv")
-        assert rows[0] == ["level", "dt", "rms_error", "stderr"]
+        assert rows[0] == ["level", "dt", "rms_error", "stderr", "level_diff"]
         assert len(rows) == 1 + 3 + 2  # header, three levels, slope + intercept
         assert rows[-2][0] == "slope"
-
-
-    def test_jobs_byte_identical(self, tmp_path):
-        args = ["converge", "--set", "model=additive_sine", "--set", "levels=4,5,6",
-                "--set", "reference_level=8", "--set", "ensemble=30"]
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
-        assert main(args + ["--out", str(b), "--jobs", "3"]) == 0
-        assert (a / "convergence.csv").read_bytes() == (b / "convergence.csv").read_bytes()
+        # the coarsest level has no previous level to differ from
+        assert rows[1][4] == "" and all(float(r[4]) > 0.0 for r in rows[2:4])
 
 
 class TestContraction:

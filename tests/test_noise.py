@@ -11,11 +11,11 @@ from rpsde.noise import (
     WindowError,
     _mix64,
     _stream_key,
-    coarse_increment,
     ensemble_increments,
     generate,
     generate_uniform,
     grid_steps,
+    tree_fold,
 )
 
 # stream salt of the uniform grid dt = 0.01
@@ -26,6 +26,14 @@ def raw_key(seed, path_index, component, mode_salt):
     """The key words before Philox reads them."""
     k0 = _mix64(seed)
     return [k0, _mix64(k0 ^ _mix64(path_index) ^ _mix64(component + 0x1000) ^ _mix64(mode_salt))]
+
+
+def coarse_increment(grid, coarse_level, cell_index):
+    """Brownian increment over the dyadic cell [i*2^-c, (i+1)*2^-c], as exact fine sums."""
+    if grid.fine_level is None:
+        raise WindowError("coarse_increment requires a dyadic grid")
+    dt = 2.0**-coarse_level
+    return grid.step_increments(cell_index * dt, 1, dt)[0]
 
 
 def increments_one_generator_per_stream(seed, paths, window, dt):
@@ -120,6 +128,18 @@ class TestCoarsening:
             coarse = g.step_increments(0.0, 2**c, 2.0**-c)
             finer = g.step_increments(0.0, 2 ** (c + 1), 2.0 ** -(c + 1))
             assert np.array_equal(coarse, finer.reshape(2**c, 2, 1).sum(axis=1))
+
+    def test_level_by_level_fold_equals_step_increments(self):
+        # two paths of a level-8 grid with two noises, folded to every level
+        grids = [generate(17, p, 8, (-1.0, 1.0), 2) for p in range(2)]
+        folded = np.stack([g.increments for g in grids])
+        for lvl in range(8, -1, -1):
+            if lvl < 8:
+                folded = tree_fold(folded, 2)
+            for p, g in enumerate(grids):
+                at_once = g.step_increments(-1.0, 2 ** (lvl + 1), 2.0**-lvl)
+                assert np.array_equal(folded[p], at_once)
+                assert np.array_equal(tree_fold(g.increments, 2 ** (8 - lvl)), at_once)
 
     def test_coarse_increment_requires_dyadic(self):
         g = generate_uniform(3, 0, 0.1, (0.0, 1.0), 1)
