@@ -1,4 +1,4 @@
-"""Contraction constants, strong-error measurement, and moment monitoring.
+"""Contraction constants, strong-error measurement, and the contraction test.
 
 The strong error is measured against a fine reference path computed with the
 same theta scheme on the same Brownian path: coarse-grid increments are the
@@ -22,12 +22,10 @@ from .noise import ensemble_increments, grid_steps, tree_fold
 __all__ = [
     "ContractionConstants",
     "ConvergenceReport",
-    "MomentSeries",
     "ContractionTest",
     "contraction_constant",
     "ms_error",
     "fit_slope",
-    "moment_monitor",
     "numerical_contraction_test",
     "write_convergence_csv",
 ]
@@ -132,8 +130,8 @@ def ms_error(
     never dropped.
     """
     levels = sorted(levels)
-    if not levels:
-        raise ValueError("levels must name at least one level")
+    if len(set(levels)) < 2:
+        raise ValueError(f"levels must name at least two distinct levels, got {levels}")
     if reference_level < levels[-1]:
         raise ValueError("reference_level must be at least the finest coarse level")
     if ensemble < 1:
@@ -196,48 +194,6 @@ def _rms_gaps(xs, ys):
         se_mean = s.std(ddof=1) / math.sqrt(s.size) if s.size > 1 else 0.0
         out[1, i] = se_mean / (2.0 * out[0, i]) if out[0, i] > 0.0 else 0.0
     return out
-
-
-@dataclass
-class MomentSeries:
-    times: np.ndarray
-    second_moment: np.ndarray
-    stderr: np.ndarray
-    growth_flag: bool
-
-
-def moment_monitor(
-    problem: SdeProblem,
-    scheme: ThetaScheme,
-    k: int,
-    ensemble: int,
-    seed: int,
-    xi=0.6,
-) -> MomentSeries:
-    """Monte-Carlo second moment of the pull-back run from -k*tau to 0.
-
-    Flags unbounded growth when the last-quarter mean exceeds 4x the
-    first-quarter mean after a one-period burn-in.
-    """
-    if ensemble < 2:
-        raise ValueError("ensemble must be >= 2")
-    start = -k * problem.period
-    steps_per_tau = grid_steps(problem.period, scheme.dt, "period")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    incs = ensemble_increments(
-        seed, range(ensemble), (start, 0.0), problem.noise_dim, scheme.dt
-    )
-    x0 = np.broadcast_to(xi, (ensemble, xi.size))
-    times, states, _ = simulate_ensemble(
-        problem, scheme, start, k * steps_per_tau, x0, incs, record=True
-    )
-    sq = np.sum(states**2, axis=-1)  # (ensemble, n_times)
-    mom = sq.mean(axis=0)
-    se = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
-    vals = mom[steps_per_tau:]
-    quarter = max(1, vals.size // 4)
-    flag = bool(vals[-quarter:].mean() > 4.0 * vals[:quarter].mean())
-    return MomentSeries(times=times, second_moment=mom, stderr=se, growth_flag=flag)
 
 
 @dataclass

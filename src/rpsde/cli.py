@@ -29,7 +29,6 @@ from .models import ModelCatalogEntry, catalog_entry
 from .noise import ensemble_increments, grid_steps
 from .periodic import (
     PullbackError,
-    initial_value_independence,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,

@@ -16,7 +16,7 @@ Jacobian and (..., d, m) for the diffusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,13 +24,11 @@ import numpy as np
 __all__ = [
     "SdeProblem",
     "ModelCatalogEntry",
-    "DissipativityReport",
     "ParameterError",
     "build_cubic_model",
     "build_additive_model",
     "build_linear_model",
     "catalog_entry",
-    "check_dissipativity",
     "MODEL_NAMES",
 ]
 
@@ -48,12 +46,12 @@ class SdeProblem:
     Immutable after construction; drift/diffusion must be pure functions so
     problems can be shared freely. state_free_drift: f(t, x) does not depend
     on x, so its Jacobian is 0 and the integrator solves the stage in closed form.
+    state_dim and lambda_min (the smallest eigenvalue of A) are derived from
+    linear_matrix.
     """
 
-    state_dim: int
     noise_dim: int
     linear_matrix: np.ndarray
-    lambda_min: float
     drift: Callable[[float, np.ndarray], np.ndarray]
     drift_jacobian: Callable[[float, np.ndarray], np.ndarray]
     diffusion: Callable[[float, np.ndarray], np.ndarray]
@@ -62,22 +60,20 @@ class SdeProblem:
     moment_exponent: float
     growth_exponent: float
     state_free_drift: bool = False
+    state_dim: int = field(init=False)
+    lambda_min: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.linear_matrix, dtype=float)
-        if a.shape != (self.state_dim, self.state_dim):
-            raise ParameterError(
-                f"linear_matrix must be {self.state_dim}x{self.state_dim}, got {a.shape}"
-            )
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ParameterError(f"linear_matrix must be square, got shape {a.shape}")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
             raise ParameterError("linear_matrix must be symmetric")
         eigmin = float(np.linalg.eigvalsh(a).min())
         if eigmin <= 0.0:
             raise ParameterError(f"linear_matrix must be positive definite (min eig {eigmin})")
-        if abs(eigmin - self.lambda_min) > 1e-9 * max(1.0, abs(eigmin)):
-            raise ParameterError(
-                f"lambda_min {self.lambda_min} does not match smallest eigenvalue {eigmin}"
-            )
+        object.__setattr__(self, "state_dim", a.shape[0])
+        object.__setattr__(self, "lambda_min", eigmin)
         if not 0.0 < self.one_sided_lipschitz < self.lambda_min:
             raise ParameterError(
                 f"need 0 < L_f < lambda: L_f={self.one_sided_lipschitz}, lambda={self.lambda_min}"
@@ -104,15 +100,6 @@ class ModelCatalogEntry:
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
             raise ParameterError(f"unknown model name {self.name!r}")
-
-
-@dataclass(frozen=True)
-class DissipativityReport:
-    sample_count: int
-    box_radius: float
-    max_ratio: float
-    l_f: float
-    passed: bool
 
 
 def build_cubic_model(
@@ -148,10 +135,8 @@ def build_cubic_model(
         return (b + c * x + dcoef * x**2 * (1.0 + math.sin(math.pi * t)))[..., None]
 
     return SdeProblem(
-        state_dim=1,
         noise_dim=1,
         linear_matrix=np.array([[lam]]),
-        lambda_min=lam,
         drift=drift,
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,
@@ -181,10 +166,8 @@ def build_additive_model() -> SdeProblem:
         return np.full(x.shape + (1,), 0.05)
 
     return SdeProblem(
-        state_dim=1,
         noise_dim=1,
         linear_matrix=np.array([[lam]]),
-        lambda_min=lam,
         drift=drift,
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,
@@ -213,10 +196,8 @@ def build_linear_model(lam: float, sigma: float) -> SdeProblem:
         return np.full(x.shape + (1,), sigma)
 
     return SdeProblem(
-        state_dim=1,
         noise_dim=1,
         linear_matrix=np.array([[lam]]),
-        lambda_min=lam,
         drift=drift,
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,
@@ -249,54 +230,3 @@ def catalog_entry(name: str, **params) -> ModelCatalogEntry:
         )
     values = {**defaults, **params}
     return ModelCatalogEntry(name, build(**values), values)
-
-
-def check_dissipativity(
-    problem: SdeProblem,
-    sample_count: int,
-    box_radius: float,
-    rng_seed: int,
-    tolerance_rel: float = 1e-9,
-) -> DissipativityReport:
-    """Sampled check of the one-sided Lipschitz / monotonicity condition.
-
-    Samples (t, x, y) uniformly in [0, tau) x [-r, r]^d and reports the
-    maximum of
-
-        (<x-y, f(t,x)-f(t,y)> + (p*-1) |g(t,x)-g(t,y)|^2) / |x-y|^2
-
-    which dissipativity requires to stay below L_f.
-    """
-    if sample_count < 1:
-        raise ParameterError("sample_count must be >= 1")
-    if box_radius <= 0.0:
-        raise ParameterError("box_radius must be positive")
-    rng = np.random.default_rng(rng_seed)
-    d = problem.state_dim
-    pstar = problem.moment_exponent
-    max_ratio = 0.0
-    batch = 4096
-    remaining = sample_count
-    while remaining > 0:
-        n = min(batch, remaining)
-        remaining -= n
-        ts = rng.uniform(0.0, problem.period, size=n)
-        xs = rng.uniform(-box_radius, box_radius, size=(n, d))
-        ys = rng.uniform(-box_radius, box_radius, size=(n, d))
-        for t, x, y in zip(ts, xs, ys):
-            diff = x - y
-            nrm2 = float(diff @ diff)
-            if nrm2 == 0.0:
-                continue
-            fdiff = problem.drift(t, x) - problem.drift(t, y)
-            gdiff = problem.diffusion(t, x) - problem.diffusion(t, y)
-            num = float(diff @ fdiff) + (pstar - 1.0) * float(np.sum(gdiff**2))
-            max_ratio = max(max_ratio, num / nrm2)
-    l_f = problem.one_sided_lipschitz
-    return DissipativityReport(
-        sample_count=sample_count,
-        box_radius=box_radius,
-        max_ratio=max_ratio,
-        l_f=l_f,
-        passed=max_ratio <= l_f * (1.0 + tolerance_rel),
-    )

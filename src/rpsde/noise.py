@@ -16,7 +16,7 @@ Two grid modes:
 `grid_steps` is the one place where a time becomes a whole number of cells;
 a grid keeps its first absolute cell, so a Wiener shift is an index offset.
 `ensemble_increments` turns a seed and a range of path indices into the
-(paths, steps, m) increment array that every batched estimator consumes, and
+(paths, cells, m) increment array that every batched estimator consumes, and
 `tree_fold` sums fine steps into coarse ones by a pairwise tree.
 """
 
@@ -162,13 +162,6 @@ def _window_cells(h, window, noise_dim):
     return i0, i1 - i0
 
 
-def _outside(t_start, n_steps, dt, first_cell, n_cells, h):
-    return WindowError(
-        f"cells [{t_start}, {t_start + n_steps * dt}] outside window "
-        f"[{first_cell * h}, {(first_cell + n_cells) * h}]"
-    )
-
-
 @dataclass(frozen=True)
 class WienerGrid:
     """Seeded two-sided Brownian increments over one window.
@@ -202,7 +195,10 @@ class WienerGrid:
         j0 = grid_steps(t_start, h, "t_start") - self.first_cell
         j1 = j0 + n_steps * q
         if j0 < 0 or j1 > self.n_cells:
-            raise _outside(t_start, n_steps, dt, self.first_cell, self.n_cells, h)
+            raise WindowError(
+                f"cells [{t_start}, {t_start + n_steps * dt}] outside window "
+                f"[{self.first_cell * h}, {(self.first_cell + self.n_cells) * h}]"
+            )
         return tree_fold(self.increments[j0:j1], q)
 
 
@@ -271,32 +267,21 @@ def ensemble_increments(
     dt: float,
     fine_level: int | None = None,
 ) -> np.ndarray:
-    """Step increments of width dt over the window, one row per path index.
+    """Cell increments of width dt over the window, one row per path index.
 
-    Returns shape (len(paths), n_steps, noise_dim). Row i is path paths[i]
-    on a uniform grid of width dt, or on the dyadic grid 2^-fine_level
-    summed to width dt by `tree_fold`; each row depends only on its own path
-    index, so any split of the paths into chunks gives the same rows, and
-    each cell only on its absolute index, so adjacent windows concatenate to
-    the joint window. One Philox generator serves every stream of the call;
-    the normals are written straight into the output, or, for dt coarser
-    than the cells, folded one row at a time.
+    Returns shape (len(paths), n_cells, noise_dim). Row i is path paths[i]
+    on a uniform grid of width dt, or on the dyadic grid 2^-fine_level,
+    whose width dt must then be; coarser steps are whole-block `tree_fold`s
+    of these rows. Each row depends only on its own path index, so any
+    split of the paths into chunks gives the same rows, and each cell only
+    on its absolute index, so adjacent windows concatenate to the joint
+    window. One Philox generator serves every stream of the call, and the
+    normals are written straight into the output.
     """
-    n = grid_steps(window[1] - window[0], dt, f"window {window} length")
-    out = np.empty((len(paths), n, noise_dim))
     h, salt = _grid(fine_level, dt)
-    i0, n_cells = _window_cells(h, window, noise_dim)
-    q = grid_steps(dt, h, "dt")
-    if q < 1:
-        raise WindowError(f"dt {dt} is below the cell width {h}")
-    if n * q > n_cells:
-        raise _outside(window[0], n, dt, i0, n_cells, h)
-    streams = _Streams(seed, salt, h, i0, n * q)
-    if q == 1:
-        streams.fill(paths, out)
-        return out
-    fine = np.empty((1, n * q, noise_dim))
-    for row in range(len(paths)):
-        streams.fill(paths[row : row + 1], fine)
-        out[row] = tree_fold(fine[0], q)
+    if h != dt:
+        raise WindowError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")
+    i0, n = _window_cells(h, window, noise_dim)
+    out = np.empty((len(paths), n, noise_dim))
+    _Streams(seed, salt, h, i0, n).fill(paths, out)
     return out

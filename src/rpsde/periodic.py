@@ -19,11 +19,9 @@ from .noise import ensemble_increments, grid_steps
 
 __all__ = [
     "PullbackResult",
-    "IndependenceReport",
     "PeriodicityReport",
     "PullbackError",
     "pullback_converge",
-    "initial_value_independence",
     "periodicity_check_shifted",
     "periodicity_check_pullback",
 ]
@@ -124,58 +122,6 @@ def pullback_converge(
         f"pull-back gap {gap_history[-1] if gap_history else float('nan'):g} "
         f"above tolerance {tolerance:g} after k_max={k_max}",
         gap_history[-1] if gap_history else float("nan"),
-    )
-
-
-@dataclass
-class IndependenceReport:
-    initial_values: np.ndarray
-    times: np.ndarray
-    trajectories: np.ndarray  # (n_initial, n_times, d)
-    sup_distance: float
-    threshold: float
-    passed: bool
-
-
-def initial_value_independence(
-    problem: SdeProblem,
-    scheme: ThetaScheme,
-    xis,
-    k: int,
-    seed: int,
-    threshold: float = 1e-3,
-) -> IndependenceReport:
-    """One shared-noise path per initial value; pull-back from -k*tau to 0.
-
-    Reports the supremum over t >= -k*tau + 2*tau of pairwise distances;
-    contraction makes all trajectories collapse onto the same random
-    periodic path.
-    """
-    xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    if xis.shape[0] < 2:
-        raise ValueError("need at least two initial values")
-    if k < BURN_IN_PERIODS:
-        raise ValueError(f"k must be >= {BURN_IN_PERIODS}, the burn-in periods")
-    dt = scheme.dt
-    start = -k * problem.period
-    steps_per_tau = grid_steps(problem.period, dt, "period")
-    incs = ensemble_increments(seed, range(1), (start, 0.0), problem.noise_dim, dt)
-    times, states, _ = simulate_ensemble(
-        problem, scheme, start, k * steps_per_tau, xis, incs, record=True
-    )
-    settled = states[:, BURN_IN_PERIODS * steps_per_tau :]
-    sup = 0.0
-    for i in range(xis.shape[0]):
-        for j in range(i + 1, xis.shape[0]):
-            dist = np.linalg.norm(settled[i] - settled[j], axis=-1)
-            sup = max(sup, float(dist.max()))
-    return IndependenceReport(
-        initial_values=xis,
-        times=times,
-        trajectories=states,
-        sup_distance=sup,
-        threshold=threshold,
-        passed=sup <= threshold,
     )
 
 

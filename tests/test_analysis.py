@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,16 +11,51 @@ from rpsde import analysis
 from rpsde.analysis import (
     contraction_constant,
     fit_slope,
-    moment_monitor,
     ms_error,
     numerical_contraction_test,
 )
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import build_additive_model, build_cubic_model, build_linear_model
-from rpsde.noise import ensemble_increments, generate, tree_fold
+from rpsde.noise import ensemble_increments, generate, grid_steps, tree_fold
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
+
+
+@dataclass
+class MomentSeries:
+    times: np.ndarray
+    second_moment: np.ndarray
+    stderr: np.ndarray
+    growth_flag: bool
+
+
+def moment_monitor(problem, scheme, k, ensemble, seed, xi=0.6):
+    """Monte-Carlo second moment of the pull-back run from -k*tau to 0.
+
+    Flags unbounded growth when the last-quarter mean exceeds 4x the
+    first-quarter mean after a one-period burn-in: the paper's uniform
+    moment bound, checked on the ensemble.
+    """
+    if ensemble < 2:
+        raise ValueError("ensemble must be >= 2")
+    start = -k * problem.period
+    steps_per_tau = grid_steps(problem.period, scheme.dt, "period")
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    incs = ensemble_increments(
+        seed, range(ensemble), (start, 0.0), problem.noise_dim, scheme.dt
+    )
+    x0 = np.broadcast_to(xi, (ensemble, xi.size))
+    times, states, _ = simulate_ensemble(
+        problem, scheme, start, k * steps_per_tau, x0, incs, record=True
+    )
+    sq = np.sum(states**2, axis=-1)  # (ensemble, n_times)
+    mom = sq.mean(axis=0)
+    se = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
+    vals = mom[steps_per_tau:]
+    quarter = max(1, vals.size // 4)
+    flag = bool(vals[-quarter:].mean() > 4.0 * vals[:quarter].mean())
+    return MomentSeries(times=times, second_moment=mom, stderr=se, growth_flag=flag)
 
 
 class TestContractionConstant:
@@ -119,8 +154,10 @@ class TestFitSlope:
 class TestMsError:
     def test_self_comparison_is_zero(self):
         prob = build_linear_model(1.0, 0.3)
-        rep = ms_error(prob, 1.0, [5], 5, 8, 0.0, 1.0, seed=0, xi=[1.0])
-        assert rep.rms_errors[0] == 0.0
+        # a second level, since a slope needs two; the level-5 run is the reference run
+        rep = ms_error(prob, 1.0, [4, 5], 5, 8, 0.0, 1.0, seed=0, xi=[1.0])
+        assert rep.rms_errors[1] == 0.0
+        assert rep.rms_errors[0] > 0.0 and math.isnan(rep.fitted_slope)
 
     def test_linear_oracle_order_one(self):
         prob = build_linear_model(1.0, 0.3)
@@ -206,6 +243,15 @@ class TestMsError:
             se = sq.std(ddof=1) / 2.0 / (2.0 * math.sqrt(sq.mean()))
             assert rep.level_diff_stderrs[i] == pytest.approx(se, rel=1e-12)
         assert rep.level_diffs.shape == rep.level_diff_stderrs.shape == (2,)
+
+    @pytest.mark.parametrize("levels", [[], [6], [5, 5]])
+    def test_two_distinct_levels_needed_before_any_draw(self, monkeypatch, levels):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("ms_error drew noise before checking its levels")
+
+        monkeypatch.setattr(analysis, "ensemble_increments", no_draw)
+        with pytest.raises(ValueError, match="levels must name at least two distinct levels"):
+            ms_error(build_additive_model(), 1.0, levels, 8, 10, 0.0, 1.0, seed=0)
 
     def test_reference_must_be_finest(self):
         prob = build_additive_model()

@@ -81,6 +81,8 @@ class TestConfig:
             ("pullback", ["--set", "ensemble=0"], "ensemble must be"),
             ("converge", ["--set", "ensemble=0"], "ensemble must be"),
             ("converge", ["--set", "levels="], "levels must"),
+            ("converge", ["--set", "levels=6"], "levels must"),
+            ("converge", ["--set", "levels=5,5"], "levels must"),
             ("periodicity", ["--set", "x0=0.1,0.2"], "state_dim is 1"),
             ("pullback", ["--set", "xi=0.1,0.2"], "state_dim is 1"),
             ("simulate", ["--set", "initial_values="], "initial_values"),
@@ -90,6 +92,7 @@ class TestConfig:
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
+             "converge-one-level", "converge-repeated-level",
              "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values",
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
              "pullback-linear-t-eval-before-period"],

@@ -46,10 +46,8 @@ def state_free_problem():
         return np.broadcast_to(g, x.shape + (2,)).copy()
 
     return SdeProblem(
-        state_dim=2,
         noise_dim=2,
         linear_matrix=a,
-        lambda_min=float(np.linalg.eigvalsh(a).min()),
         drift=drift,
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,
@@ -64,10 +62,8 @@ def state_free_problem():
 def cubic_like_problem(lam):
     """Scalar problem with drift -x^3 and negligible linear part, for root tests."""
     return SdeProblem(
-        state_dim=1,
         noise_dim=1,
         linear_matrix=np.array([[lam]]),
-        lambda_min=lam,
         drift=lambda t, x: -(x**3),
         drift_jacobian=lambda t, x: (-3.0 * x**2)[..., None],
         diffusion=lambda t, x: np.ones(x.shape + (1,)),
@@ -92,10 +88,8 @@ def pow_cubic_problem():
         return (b + c * x + dcoef * x**2 * (1.0 + math.sin(math.pi * t)))[..., None]
 
     return SdeProblem(
-        state_dim=1,
         noise_dim=1,
         linear_matrix=np.array([[lam]]),
-        lambda_min=lam,
         drift=drift,
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,

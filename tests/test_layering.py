@@ -5,7 +5,8 @@ A module may import only public names from another rpsde module, and only at
 module level: a private name shared across modules belongs in the module
 that owns it, made public, and a function-level import hides a dependency.
 A time becomes a whole number of cells only in `noise.grid_steps`, so the
-builtin `round` is called nowhere else.
+builtin `round` is called nowhere else. Every public name is used inside the
+package: a name that only the tests call belongs in the tests.
 """
 
 import ast
@@ -76,3 +77,54 @@ def test_round_only_in_grid_steps(path):
         and id(node) not in allowed
     ]
     assert not calls, f"{path.name}: round() at lines {calls}; use noise.grid_steps"
+
+
+# public names the package itself does not use, with the reason they stay
+UNUSED_EXPORTS = {
+    ("noise", "generate"): "bench/spans.py wraps it by name",
+    ("noise", "generate_uniform"): "bench/spans.py wraps it by name",
+}
+
+
+def public_names(tree):
+    """The string entries of a module's __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def is_read(tree, name, skip=()):
+    """Whether `name` is read, as a name or an attribute, outside the nodes in skip."""
+    skipped = {id(n) for node in skip for n in ast.walk(node)}
+    return any(
+        id(node) not in skipped
+        and (
+            (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_every_public_name_is_used_in_the_package():
+    trees = {m.stem: ast.parse(m.read_text(), filename=str(m)) for m in MODULES}
+    wrong = []
+    for module, tree in trees.items():
+        for name in public_names(tree):
+            # the definition itself, and its body, are no use
+            own = [
+                node
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+            ]
+            used = any(
+                is_read(other, name, own if other is tree else ()) for other in trees.values()
+            )
+            if used == ((module, name) in UNUSED_EXPORTS):
+                wrong.append(f"{module}.{name}")
+    stale = [f"{m}.{n}" for m, n in UNUSED_EXPORTS if n not in public_names(trees[m])]
+    assert not wrong, f"public but unused inside rpsde, or used but listed as unused: {wrong}"
+    assert not stale, f"listed as unused exports but not public: {stale}"

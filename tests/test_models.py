@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +11,62 @@ from rpsde.models import (
     build_cubic_model,
     build_linear_model,
     catalog_entry,
-    check_dissipativity,
 )
 
 BENCH_PARAMS = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
+
+
+@dataclass(frozen=True)
+class DissipativityReport:
+    sample_count: int
+    box_radius: float
+    max_ratio: float
+    l_f: float
+    passed: bool
+
+
+def check_dissipativity(problem, sample_count, box_radius, rng_seed, tolerance_rel=1e-9):
+    """Sampled check of the one-sided Lipschitz / monotonicity condition.
+
+    Samples (t, x, y) uniformly in [0, tau) x [-r, r]^d and reports the
+    maximum of
+
+        (<x-y, f(t,x)-f(t,y)> + (p*-1) |g(t,x)-g(t,y)|^2) / |x-y|^2
+
+    which dissipativity requires to stay below L_f. The callables take one
+    time and a batch of states, so each sample is one call on the pair (x, y);
+    the ratios are computed on the whole batch.
+    """
+    if sample_count < 1:
+        raise ParameterError("sample_count must be >= 1")
+    if box_radius <= 0.0:
+        raise ParameterError("box_radius must be positive")
+    rng = np.random.default_rng(rng_seed)
+    d = problem.state_dim
+    max_ratio = 0.0
+    for done in range(0, sample_count, 4096):
+        n = min(4096, sample_count - done)
+        ts = rng.uniform(0.0, problem.period, size=n)
+        xs = rng.uniform(-box_radius, box_radius, size=(n, d))
+        ys = rng.uniform(-box_radius, box_radius, size=(n, d))
+        pairs = np.stack([xs, ys], axis=1)
+        f = np.array([problem.drift(t, xy) for t, xy in zip(ts, pairs)])
+        g = np.array([problem.diffusion(t, xy) for t, xy in zip(ts, pairs)])
+        diff = xs - ys
+        nrm2 = np.sum(diff * diff, axis=-1)
+        num = np.sum(diff * (f[:, 0] - f[:, 1]), axis=-1) + (
+            problem.moment_exponent - 1.0
+        ) * np.sum((g[:, 0] - g[:, 1]) ** 2, axis=(-2, -1))
+        apart = nrm2 != 0.0
+        max_ratio = max(max_ratio, float(np.max(num[apart] / nrm2[apart], initial=0.0)))
+    l_f = problem.one_sided_lipschitz
+    return DissipativityReport(
+        sample_count=sample_count,
+        box_radius=box_radius,
+        max_ratio=max_ratio,
+        l_f=l_f,
+        passed=max_ratio <= l_f * (1.0 + tolerance_rel),
+    )
 
 
 class TestCubicModel:
@@ -90,22 +143,43 @@ class TestCatalog:
             catalog_entry("additive_sine", lam=1.0)
 
 
+def matrix_problem(a):
+    """A problem with linear part a and nothing else."""
+    d = np.shape(a)[-1]
+    return SdeProblem(
+        noise_dim=1,
+        linear_matrix=a,
+        drift=lambda t, x: np.zeros_like(x),
+        drift_jacobian=lambda t, x: np.zeros(x.shape + (d,)),
+        diffusion=lambda t, x: np.zeros(x.shape + (1,)),
+        period=1.0,
+        one_sided_lipschitz=0.5,
+        moment_exponent=21.0,
+        growth_exponent=1.0,
+    )
+
+
 class TestProblemInvariants:
     def test_nonsymmetric_matrix_rejected(self):
-        kwargs = dict(
-            state_dim=2,
-            noise_dim=1,
-            lambda_min=1.0,
-            drift=lambda t, x: np.zeros_like(x),
-            drift_jacobian=lambda t, x: np.zeros(x.shape + (2,)),
-            diffusion=lambda t, x: np.zeros(x.shape + (1,)),
-            period=1.0,
-            one_sided_lipschitz=0.5,
-            moment_exponent=21.0,
-            growth_exponent=1.0,
-        )
         with pytest.raises(ParameterError, match="symmetric"):
-            SdeProblem(linear_matrix=np.array([[1.0, 0.5], [0.0, 1.0]]), **kwargs)
+            matrix_problem(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ParameterError, match="square"):
+            matrix_problem(np.ones((1, 2)))
+
+    def test_dimension_and_lambda_from_matrix(self):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        prob = matrix_problem(a)
+        assert prob.state_dim == 2
+        assert prob.lambda_min == float(np.linalg.eigvalsh(a).min())
+        # a 1x1 matrix gives its entry exactly
+        for name, lam in [
+            ("cubic_multiplicative", 5 * math.pi),
+            ("additive_sine", 10 * math.pi),
+            ("linear_ou", 1.0),
+        ]:
+            assert catalog_entry(name).problem.lambda_min == lam
 
     def test_moment_exponent_bound(self):
         with pytest.raises(ParameterError, match="moment"):

@@ -247,8 +247,8 @@ class TestEnsembleIncrements:
             assert np.array_equal(incs[p], grid.step_increments(-1.0, 6, 0.25))
 
     def test_dyadic_rows_are_per_path_streams(self):
-        # level-6 cells summed to steps of 2^-4
-        incs = ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-4, fine_level=6)
+        # level-6 cells, the block folded to steps of 2^-4 as ms_error folds it
+        incs = tree_fold(ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-6, fine_level=6), 4)
         assert incs.shape == (3, 16, 1)
         for p in range(3):
             grid = generate(5, p, 6, (0.0, 1.0), 1)
@@ -265,8 +265,17 @@ class TestEnsembleIncrements:
         ids=["uniform", "dyadic-coarse-dt", "two-noises"],
     )
     def test_adjacent_windows_concatenate(self, noise_dim, dt, fine_level, split):
+        # dyadic cells are drawn at the cell width and folded to dt as a block
+        h = dt if fine_level is None else 2.0**-fine_level
+
+        def draw(window):
+            incs = ensemble_increments(3, range(5), window, noise_dim, h, fine_level)
+            return tree_fold(incs, round(dt / h))
+
         window = (-2.0, 1.0)
-        joint = ensemble_increments(3, range(5), window, noise_dim, dt, fine_level)
-        left = ensemble_increments(3, range(5), (window[0], split), noise_dim, dt, fine_level)
-        right = ensemble_increments(3, range(5), (split, window[1]), noise_dim, dt, fine_level)
+        joint, left, right = draw(window), draw((window[0], split)), draw((split, window[1]))
         assert joint.tobytes() == np.concatenate([left, right], axis=1).tobytes()
+
+    def test_dyadic_dt_must_be_the_cell_width(self):
+        with pytest.raises(WindowError, match="cell width"):
+            ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-4, fine_level=6)

@@ -9,7 +9,6 @@ from rpsde.models import SdeProblem, build_cubic_model, build_linear_model
 from rpsde.noise import ensemble_increments, generate_uniform
 from rpsde.periodic import (
     PullbackError,
-    initial_value_independence,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
@@ -46,10 +45,8 @@ def coupled_problem():
         return g
 
     return SdeProblem(
-        state_dim=2,
         noise_dim=2,
         linear_matrix=a,
-        lambda_min=lam,
         drift=drift,
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,
@@ -192,50 +189,46 @@ class TestPullbackConverge:
         assert all(prev[1] == nxt[0] for prev, nxt in zip(cells, cells[1:]))
 
 
+def shared_noise_run(problem, scheme, xis, k, seed):
+    """Every initial value from -k*tau to 0 under the one noise path 0, as `rpsde simulate` runs them."""
+    start = -k * problem.period
+    n = round(k * problem.period / scheme.dt)
+    incs = ensemble_increments(seed, range(1), (start, 0.0), problem.noise_dim, scheme.dt)
+    times, states, _ = simulate_ensemble(problem, scheme, start, n, np.array(xis, dtype=float), incs)
+    return times, states
+
+
 class TestInitialValueIndependence:
     @pytest.mark.parametrize("theta", [0.75, 1.0])
     def test_cubic_benchmark_setup(self, theta):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=theta, dt=0.1)
-        rep = initial_value_independence(prob, sch, [[0.6], [0.0], [-0.6]], k=5, seed=11)
-        assert rep.passed
-        assert rep.sup_distance <= 1e-3
+        _, states = shared_noise_run(prob, sch, [[0.6], [0.0], [-0.6]], k=5, seed=11)
+        # after a burn-in of two periods
+        settled = states[:, 2 * round(prob.period / sch.dt) :]
+        sup = max(
+            float(np.linalg.norm(settled[i] - settled[j], axis=-1).max())
+            for i in range(3)
+            for j in range(i + 1, 3)
+        )
+        assert sup <= 1e-3
 
     def test_identical_initial_values(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
-        rep = initial_value_independence(prob, sch, [[0.6], [0.6]], k=2, seed=0)
-        assert rep.sup_distance == 0.0
+        _, states = shared_noise_run(prob, sch, [[0.6], [0.6]], k=2, seed=0)
+        assert np.array_equal(states[0], states[1])
 
     def test_zero_noise_linear_distance_formula(self):
         lam, dt = 1.0, 0.25
         prob = build_linear_model(lam, 0.0)
         sch = ThetaScheme(theta=1.0, dt=dt)
         k = 4
-        rep = initial_value_independence(prob, sch, [[1.0], [-1.0]], k=k, seed=0)
+        times, states = shared_noise_run(prob, sch, [[1.0], [-1.0]], k=k, seed=0)
         rho = contraction_factor(1.0, lam, dt)
-        for t, a, b in zip(rep.times, rep.trajectories[0], rep.trajectories[1]):
+        for t, a, b in zip(times, states[0], states[1]):
             j = round((t + k * prob.period) / dt)
             assert abs(a[0] - b[0]) == pytest.approx(2.0 * rho**j, rel=1e-12, abs=1e-300)
-
-    def test_period_not_multiple_of_dt_rejected(self):
-        # five periods of 0.3 are 6 steps of 0.25, but one period is 1.2 steps
-        prob = replace(build_linear_model(1.0, 0.1), period=0.3)
-        sch = ThetaScheme(theta=1.0, dt=0.25)
-        with pytest.raises(ValueError, match="multiple of the stepsize"):
-            initial_value_independence(prob, sch, [[1.0], [-1.0]], k=5, seed=0)
-
-    def test_shorter_than_burn_in_rejected(self):
-        prob = build_linear_model(1.0, 0.1)
-        sch = ThetaScheme(theta=1.0, dt=0.25)
-        with pytest.raises(ValueError, match="k must be >= 2"):
-            initial_value_independence(prob, sch, [[1.0], [-1.0]], k=1, seed=0)
-
-    def test_needs_two_values(self):
-        prob = build_linear_model(1.0, 0.0)
-        sch = ThetaScheme(theta=1.0, dt=0.25)
-        with pytest.raises(ValueError):
-            initial_value_independence(prob, sch, [[1.0]], k=1, seed=0)
 
 
 class TestPeriodicityShifted:
