@@ -11,7 +11,10 @@ component) stream and nanoseconds per cell. Then, for each model, theta in
 three runs as microseconds per step and nanoseconds per path-step, with the
 mean Newton iterations per step (0 where the model's stage is solved in closed
 form). Noise and initial states come from numpy's default_rng outside the
-timed region, so only the stepping kernel is measured.
+timed region, so only the stepping kernel is measured. The increments are
+time-major, as ensemble_increments returns them, so the slab a step reads is
+contiguous; one last line times linear_ou at batch 10^4 on row-major
+increments, whose per-step slab is a strided gather, for comparison.
 
     python3 scripts/kernel_timing.py
 """
@@ -47,10 +50,13 @@ def time_noise(paths, window, dt, fine_level):
     return best, incs.size
 
 
-def time_kernel(problem, scheme, batch, n_steps):
+def time_kernel(problem, scheme, batch, n_steps, time_major=True):
     rng = np.random.default_rng(0)
     x0 = rng.uniform(-0.6, 0.6, (batch, problem.state_dim))
-    incs = math.sqrt(scheme.dt) * rng.standard_normal((batch, n_steps, problem.noise_dim))
+    incs = math.sqrt(scheme.dt) * rng.standard_normal((n_steps, batch, problem.noise_dim))
+    incs = incs.transpose(1, 0, 2)
+    if not time_major:
+        incs = np.ascontiguousarray(incs)
     best = math.inf
     for _ in range(REPEAT):
         t0 = time.perf_counter()
@@ -69,15 +75,22 @@ def main():
     print()
     print(f"{'model':<22}{'theta':>6}{'batch':>7}{'steps':>6}"
           f"{'us/step':>10}{'ns/path-step':>14}{'iters':>7}")
+
+    def row(label, problem, scheme, batch, n_steps, time_major=True):
+        best, iters = time_kernel(problem, scheme, batch, n_steps, time_major)
+        print(f"{label:<22}{scheme.theta:>6}{batch:>7}{n_steps:>6}"
+              f"{1e6 * best / n_steps:>10.1f}{1e9 * best / (n_steps * batch):>14.1f}"
+              f"{iters:>7.2f}", flush=True)
+
     for name in MODEL_NAMES:
         problem = catalog_entry(name).problem
         for theta in (1.0, 0.75):
             scheme = ThetaScheme(theta=theta, dt=DT)
             for batch, n_steps in SIZES:
-                best, iters = time_kernel(problem, scheme, batch, n_steps)
-                print(f"{name:<22}{theta:>6}{batch:>7}{n_steps:>6}"
-                      f"{1e6 * best / n_steps:>10.1f}{1e9 * best / (n_steps * batch):>14.1f}"
-                      f"{iters:>7.2f}", flush=True)
+                row(name, problem, scheme, batch, n_steps)
+    batch, n_steps = SIZES[-1]
+    row("linear_ou, row-major", catalog_entry("linear_ou").problem,
+        ThetaScheme(theta=1.0, dt=DT), batch, n_steps, time_major=False)
     return 0
 
 

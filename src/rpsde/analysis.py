@@ -132,6 +132,9 @@ def ms_error(
     levels = sorted(levels)
     if len(set(levels)) < 2:
         raise ValueError(f"levels must name at least two distinct levels, got {levels}")
+    repeats = sorted({lvl for lvl in levels if levels.count(lvl) > 1})
+    if repeats:
+        raise ValueError(f"levels name {', '.join(map(str, repeats))} more than once")
     if reference_level < levels[-1]:
         raise ValueError("reference_level must be at least the finest coarse level")
     if ensemble < 1:
@@ -229,24 +232,24 @@ def numerical_contraction_test(
         raise ValueError("initial values must differ")
     if k < 1 or ensemble < 1:
         raise ValueError("k and ensemble must be >= 1")
-    dt = scheme.dt
-    start = -k * problem.period
-    n_steps = grid_steps(-start, dt, "k*period")
-    incs = ensemble_increments(
-        seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
-    )
     d = problem.state_dim
     for v in (xi, eta):
         if v.size != d:
             raise ValueError(
                 f"initial state has shape {(ensemble, v.size)}; the model's state_dim is {d}"
             )
-    # X and Y run as one batch of 2*ensemble over the same increments; a
-    # path's bits do not depend on its batch
+    dt = scheme.dt
+    start = -k * problem.period
+    n_steps = grid_steps(-start, dt, "k*period")
+    cells = ensemble_increments(
+        seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
+    ).transpose(1, 0, 2)
+    # X and Y run as one batch of 2*ensemble over the same increments, joined
+    # along the path axis of the time-major cells; a path's bits do not
+    # depend on its batch
+    incs = np.concatenate([cells, cells], axis=1).transpose(1, 0, 2)
     x0 = np.repeat(np.stack([xi, eta]), ensemble, axis=0)
-    _, states, _ = simulate_ensemble(
-        problem, scheme, start, n_steps, x0, np.concatenate([incs, incs]), record=True
-    )
+    _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
     xs, ys = states[:ensemble], states[ensemble:]
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j
     consts = contraction_constant(

@@ -235,7 +235,9 @@ def simulate_ensemble(
 
     x0: (batch, d) initial states; increments: (batch, n_steps, m) Brownian
     increments (a (1, n_steps, m) array broadcasts one noise path to all
-    batch members). Returns (times, states, newton_iters) where states is
+    batch members). Step j reads the slab increments[:, j] once; it is
+    contiguous in the time-major layout that noise.ensemble_increments
+    returns, and any layout gives the same bits. Returns (times, states, newton_iters) where states is
     (batch, n_steps+1, d) if record else the final (batch, d), and
     newton_iters is the per-step maximum iteration count.
     """

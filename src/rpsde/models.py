@@ -64,7 +64,8 @@ class SdeProblem:
     lambda_min: float = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.linear_matrix, dtype=float)
+        # a copy, so freezing it below leaves the caller's array writeable
+        a = np.array(self.linear_matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ParameterError(f"linear_matrix must be square, got shape {a.shape}")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):

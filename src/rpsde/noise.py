@@ -16,8 +16,9 @@ Two grid modes:
 `grid_steps` is the one place where a time becomes a whole number of cells;
 a grid keeps its first absolute cell, so a Wiener shift is an index offset.
 `ensemble_increments` turns a seed and a range of path indices into the
-(paths, cells, m) increment array that every batched estimator consumes, and
-`tree_fold` sums fine steps into coarse ones by a pairwise tree.
+(paths, cells, m) increment array that every batched estimator consumes,
+stored time-major so that each step's slab is contiguous, and `tree_fold`
+sums fine steps into coarse ones by a pairwise tree.
 """
 
 from __future__ import annotations
@@ -118,7 +119,10 @@ class _Streams:
         self.state["buffer_pos"] = 4  # empty buffer, as in a new generator
 
     def fill(self, paths, out):
-        """Write sqrt(h) * N(0, 1) per cell into out, (len(paths), n, m); row i is paths[i]."""
+        """Write sqrt(h) * N(0, 1) per cell into the time-major out, (n, len(paths), m).
+
+        out[j, i] is cell i0 + j of path paths[i].
+        """
         m = out.shape[2]
         keys = [_stream_key(self.seed, paths, comp, self.mode_salt) for comp in range(m)]
         rows = max(1, _CHUNK_WORDS // (m * self.n_raw))
@@ -136,7 +140,7 @@ class _Streams:
             u += 0.5
             u *= 2.0**-53
             ndtri(u, out=u)
-            np.multiply(self.scale, u, out=out[r0 : r0 + len(chunk)].transpose(0, 2, 1))
+            np.multiply(self.scale, u, out=out[:, r0 : r0 + len(chunk)].transpose(1, 2, 0))
 
 
 def _grid(fine_level, dt):
@@ -208,7 +212,8 @@ def tree_fold(increments: np.ndarray, q: int) -> np.ndarray:
     For q a power of two the sum is a pairwise tree: the sum over a cell is
     bit for bit the sum of its two half-cell sums, so dyadic coarsening
     telescopes exactly across every level, and folding level by level gives
-    the bits of folding at once.
+    the bits of folding at once. The result keeps the memory layout of the
+    input (time-major in, time-major out), with the same bits either way.
     """
     *lead, n, m = increments.shape
     if q & (q - 1):
@@ -244,9 +249,9 @@ def generate_uniform(
 def _generate(seed, path_index, fine_level, dt, window, noise_dim):
     h, salt = _grid(fine_level, dt)
     i0, n = _window_cells(h, window, noise_dim)
-    incs = np.empty((1, n, noise_dim))
+    incs = np.empty((n, 1, noise_dim))
     _Streams(seed, salt, h, i0, n).fill([path_index], incs)
-    incs = incs[0]
+    incs = incs[:, 0]
     incs.setflags(write=False)
     return WienerGrid(
         seed=seed,
@@ -269,19 +274,21 @@ def ensemble_increments(
 ) -> np.ndarray:
     """Cell increments of width dt over the window, one row per path index.
 
-    Returns shape (len(paths), n_cells, noise_dim). Row i is path paths[i]
+    Returns shape (len(paths), n_cells, noise_dim), stored time-major: it
+    is the transpose of a C-contiguous (n_cells, len(paths), noise_dim)
+    array, so the slab [:, j] of cell j is contiguous. Row i is path paths[i]
     on a uniform grid of width dt, or on the dyadic grid 2^-fine_level,
     whose width dt must then be; coarser steps are whole-block `tree_fold`s
     of these rows. Each row depends only on its own path index, so any
     split of the paths into chunks gives the same rows, and each cell only
     on its absolute index, so adjacent windows concatenate to the joint
     window. One Philox generator serves every stream of the call, and the
-    normals are written straight into the output.
+    normals are written straight into the time-major output.
     """
     h, salt = _grid(fine_level, dt)
     if h != dt:
         raise WindowError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")
     i0, n = _window_cells(h, window, noise_dim)
-    out = np.empty((len(paths), n, noise_dim))
+    out = np.empty((n, len(paths), noise_dim))
     _Streams(seed, salt, h, i0, n).fill(paths, out)
-    return out
+    return out.transpose(1, 0, 2)

@@ -65,8 +65,12 @@ def pullback_converge(
     The noise is identical per path across k (windows nested leftward), so
     the Monte-Carlo gap estimate is a paired difference. Each cell depends
     only on its absolute index, so depth k draws only its new period
-    (-k*tau, -(k-1)*tau) and prepends it to the cells already held: every
-    cell is drawn once. Each depth keeps only the final states; on
+    (-k*tau, -(k-1)*tau): every cell is drawn once. The cells are held
+    time-major in one buffer filled from the end; depth k writes its period
+    just before the held cells and runs on the last (t_eval + k*tau)/dt of
+    them as a view. A full buffer is replaced by one twice as large that takes
+    the held cells at its end, so cells are copied once per doubling, not
+    once per depth. Each depth keeps only the final states; on
     acceptance path 0 alone is run again from -k*tau on the same cells to
     record its last period, which equals its row of the batched run
     because a path's bits do not depend on its batch.
@@ -86,17 +90,28 @@ def pullback_converge(
         raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
+    # time-major cells (capacity, ensemble, m); the last `held` are in use.
+    # No view of buf outlives its depth, so growing frees the old buffer.
+    buf = np.empty((0, ensemble, problem.noise_dim))
+    held = 0
     prev = None
     gap_history = []
     for k in range(1, k_max + 1):
         start = -k * tau
-        # depth 1 draws (-tau, t_eval); each deeper one prepends its period
-        end = t_eval if k == 1 else -(k - 1) * tau
-        new = ensemble_increments(seed, range(ensemble), (start, end), problem.noise_dim, dt)
-        cells = new if k == 1 else np.concatenate([new, cells], axis=1)
         n_steps = k * steps_per_tau + n_eval
+        if n_steps > len(buf):
+            grown = np.empty((max(2 * len(buf), n_steps),) + buf.shape[1:])
+            grown[len(grown) - held :] = buf[len(buf) - held :]
+            buf = grown
+        lo = len(buf) - n_steps
+        # depth 1 draws (-tau, t_eval), each deeper one its own period
+        end = t_eval if k == 1 else -(k - 1) * tau
+        buf[lo : len(buf) - held] = ensemble_increments(
+            seed, range(ensemble), (start, end), problem.noise_dim, dt
+        ).transpose(1, 0, 2)
+        held = n_steps
         _, final, _ = simulate_ensemble(
-            problem, scheme, start, n_steps, x0, cells, record=False
+            problem, scheme, start, n_steps, x0, buf[lo:].transpose(1, 0, 2), record=False
         )
         gap = float("inf")
         if prev is not None:
@@ -106,7 +121,8 @@ def pullback_converge(
         if gap <= tolerance:
             n_keep = min(steps_per_tau, n_steps)
             _, path0, _ = simulate_ensemble(
-                problem, scheme, start, n_steps, x0[:1], cells[:1], record=True
+                problem, scheme, start, n_steps, x0[:1], buf[lo:, :1].transpose(1, 0, 2),
+                record=True,
             )
             return PullbackResult(
                 k_used=k,

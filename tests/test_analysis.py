@@ -253,6 +253,17 @@ class TestMsError:
         with pytest.raises(ValueError, match="levels must name at least two distinct levels"):
             ms_error(build_additive_model(), 1.0, levels, 8, 10, 0.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "levels, names", [([4, 4, 5], "4"), ([6, 5, 6, 5, 7], "5, 6")], ids=["once", "twice"]
+    )
+    def test_repeated_level_rejected_before_any_draw(self, monkeypatch, levels, names):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("ms_error drew noise before checking its levels")
+
+        monkeypatch.setattr(analysis, "ensemble_increments", no_draw)
+        with pytest.raises(ValueError, match=f"^levels name {names} more than once$"):
+            ms_error(build_additive_model(), 1.0, levels, 8, 10, 0.0, 1.0, seed=0)
+
     def test_reference_must_be_finest(self):
         prob = build_additive_model()
         with pytest.raises(ValueError):
@@ -304,6 +315,17 @@ class TestNumericalContraction:
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError):
             numerical_contraction_test(prob, sch, [0.6], [0.6], 2, 10, seed=0)
+
+    @pytest.mark.parametrize("xi, eta", [([0.6, 0.1], [-0.6]), ([0.6], [-0.6, 0.1])])
+    def test_shape_checked_before_any_draw(self, monkeypatch, xi, eta):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the contraction test drew noise before checking its shapes")
+
+        monkeypatch.setattr(analysis, "ensemble_increments", no_draw)
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with pytest.raises(ValueError, match="state_dim is 1"):
+            numerical_contraction_test(prob, sch, xi, eta, 2, 10, seed=0)
 
     def test_deterministic_linear_series(self):
         lam, dt = 1.0, 0.25

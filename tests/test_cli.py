@@ -59,12 +59,14 @@ class TestConfig:
             ("converge", ["--set", "levels="]),
             ("periodicity", ["--set", "x0=0.1,0.2"]),
             ("pullback", ["--set", "xi=0.1,0.2"]),
+            ("converge", ["--set", "levels=4,4,5"]),
+            ("contraction", ["--set", "xi=0.1,0.2"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
              "simulate-negative-k", "contraction-zero-k", "pullback-zero-ensemble",
              "converge-zero-ensemble", "converge-no-levels", "periodicity-x0-dim",
-             "pullback-xi-dim"],
+             "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -83,6 +85,8 @@ class TestConfig:
             ("converge", ["--set", "levels="], "levels must"),
             ("converge", ["--set", "levels=6"], "levels must"),
             ("converge", ["--set", "levels=5,5"], "levels must"),
+            ("converge", ["--set", "levels=4,4,5"], "levels name 4 more than once"),
+            ("contraction", ["--set", "eta=0.1,0.2"], "state_dim is 1"),
             ("periodicity", ["--set", "x0=0.1,0.2"], "state_dim is 1"),
             ("pullback", ["--set", "xi=0.1,0.2"], "state_dim is 1"),
             ("simulate", ["--set", "initial_values="], "initial_values"),
@@ -92,7 +96,8 @@ class TestConfig:
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
-             "converge-one-level", "converge-repeated-level",
+             "converge-one-level", "converge-repeated-level", "converge-level-twice",
+             "contraction-eta-dim",
              "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values",
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
              "pullback-linear-t-eval-before-period"],

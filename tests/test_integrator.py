@@ -311,6 +311,29 @@ class TestEnsembleConsistency:
         assert np.array_equal(batched_iters, single_iters.max(axis=0))
 
 
+    @pytest.mark.parametrize(
+        "make, theta",
+        [
+            (lambda: build_cubic_model(**BENCH), 0.75),
+            (coupled_problem, 1.0),
+            (build_additive_model, 0.75),
+            (state_free_problem, 1.0),
+        ],
+        ids=["cubic", "two-dim", "additive-closed-form", "two-dim-closed-form"],
+    )
+    def test_row_major_increments_give_the_same_bits(self, make, theta):
+        prob = make()
+        sch = ThetaScheme(theta=theta, dt=0.05)
+        incs = ensemble_increments(8, range(6), (-1.0, 0.0), prob.noise_dim, 0.05)
+        rows = np.ascontiguousarray(incs)
+        assert incs[:, 0].flags.c_contiguous and not rows[:, 0].flags.c_contiguous
+        x0 = np.linspace(-0.6, 0.6, 6 * prob.state_dim).reshape(6, prob.state_dim)
+        _, a, a_iters = simulate_ensemble(prob, sch, -1.0, 20, x0, incs)
+        _, b, b_iters = simulate_ensemble(prob, sch, -1.0, 20, x0, rows)
+        assert a.tobytes() == b.tobytes()
+        assert np.array_equal(a_iters, b_iters)
+
+
 class TestClosedFormStage:
     MODELS = [
         lambda: catalog_entry("linear_ou").problem,

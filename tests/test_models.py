@@ -181,6 +181,15 @@ class TestProblemInvariants:
         ]:
             assert catalog_entry(name).problem.lambda_min == lam
 
+    def test_caller_matrix_stays_writeable(self):
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        prob = matrix_problem(a)
+        assert a.flags.writeable
+        assert prob.linear_matrix is not a
+        assert not prob.linear_matrix.flags.writeable
+        a[0, 0] = 9.0
+        assert prob.linear_matrix[0, 0] == 4.0
+
     def test_moment_exponent_bound(self):
         with pytest.raises(ParameterError, match="moment"):
             build_cubic_model(5 * math.pi, 3.0, 1.5, 0.5, 0.1, pstar=10.0)

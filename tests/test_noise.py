@@ -276,6 +276,19 @@ class TestEnsembleIncrements:
         joint, left, right = draw(window), draw((window[0], split)), draw((split, window[1]))
         assert joint.tobytes() == np.concatenate([left, right], axis=1).tobytes()
 
+    @pytest.mark.parametrize(
+        "noise_dim, dt, fine_level", [(1, 0.01, None), (2, 2.0**-6, 6)], ids=["uniform", "dyadic"]
+    )
+    def test_time_major_layout(self, noise_dim, dt, fine_level):
+        # the stepping loop reads incs[:, j], one contiguous slab per step
+        incs = ensemble_increments(3, range(7), (-1.0, 1.0), noise_dim, dt, fine_level)
+        assert incs.shape == (7, round(2.0 / dt), noise_dim)
+        assert incs.transpose(1, 0, 2).flags.c_contiguous
+        folded = tree_fold(incs, 4)
+        assert folded.transpose(1, 0, 2).flags.c_contiguous
+        # the pairwise order does not depend on the layout
+        assert folded.tobytes() == tree_fold(np.ascontiguousarray(incs), 4).tobytes()
+
     def test_dyadic_dt_must_be_the_cell_width(self):
         with pytest.raises(WindowError, match="cell width"):
             ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-4, fine_level=6)

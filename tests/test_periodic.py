@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rpsde.integrator import ThetaScheme, simulate_ensemble
-from rpsde.models import SdeProblem, build_cubic_model, build_linear_model
+from rpsde.models import SdeProblem, build_cubic_model, build_linear_model, catalog_entry
 from rpsde.noise import ensemble_increments, generate_uniform
 from rpsde.periodic import (
     PullbackError,
@@ -156,14 +157,19 @@ class TestPullbackConverge:
         [
             (build_cubic_model(**BENCH), [0.6], 0.3, 1e-15),
             (coupled_problem(), [0.3, -0.2], 0.2, 1e-4),
+            # 20k - 7 cells at depth k: the buffer grows at k = 2, 3, 4 and 7
+            # and has room at k = 5, 6, 8, 9 and 10
+            (build_linear_model(1.0, 0.3), [0.6], -0.35, 1e-4),
         ],
-        ids=["cubic-theta0.75", "two-dim"],
+        ids=["cubic-theta0.75", "two-dim", "linear-before-zero-to-k10"],
     )
     def test_equals_definition(self, problem, xi, t_eval, tolerance):
         sch = ThetaScheme(theta=0.75, dt=0.05)
         res = pullback_converge(problem, sch, t_eval, xi, tolerance, 12, 20, seed=3)
         ref = pullback_by_definition(problem, sch, t_eval, xi, tolerance, 12, 20, seed=3)
         assert res.k_used == ref["k_used"] >= 3
+        if t_eval < 0.0:
+            assert res.k_used == 10
         assert res.l2_gap == ref["l2_gap"]
         assert res.gap_history == ref["gap_history"]
         for name in ("final_ensemble", "states", "sample_times"):
@@ -187,6 +193,21 @@ class TestPullbackConverge:
         assert cells[0][0] == -res.k_used * round(prob.period / dt)
         assert cells[-1][1] == round(0.35 / dt)
         assert all(prev[1] == nxt[0] for prev, nxt in zip(cells, cells[1:]))
+
+
+    def test_memory_within_twice_the_held_cells(self):
+        # depth 8 holds 800 cells of 2000 paths; prepending each period with a
+        # concatenate peaked at twice that, growing by doubling peaks at 1.5x
+        prob = catalog_entry("linear_ou").problem
+        tracemalloc.start()
+        try:
+            res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=0.01), 0.0, [0.6], 1e-3, 20,
+                                    2000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.k_used == 8
+        assert peak < 1.8 * (8 * 100 * 2000 * 8)
 
 
 def shared_noise_run(problem, scheme, xis, k, seed):
