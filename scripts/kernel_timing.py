@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Per-cell cost of ensemble_increments and per-step cost of simulate_ensemble.
 
-First, times noise.ensemble_increments (best of three) for two shapes: 10^4
-paths of 100 cells at uniform dt 0.01, the pull-back depth loop's per-period
-draw, and 200 paths of 32,768 cells on the dyadic level-12 grid, the
-convergence experiment's fine grid; it prints microseconds per (path,
-component) stream and nanoseconds per cell. Then, for each model, theta in
+First, times noise.ensemble_increments (best of three) for four shapes: 10^4
+paths of 100, 200 and 400 cells at uniform dt 0.01, the draws of one, two and
+four periods with which the pull-back depth loop doubles its depth, and 200
+paths of 32,768 cells on the dyadic level-12 grid, the convergence
+experiment's fine grid; it prints microseconds per (path, component) stream
+and nanoseconds per cell, which splits the cost of a stream's setup from
+that of its cells. Then, for each model, theta in
 {1, 0.75} and batch size 1, 200 and 10^4, times simulate_ensemble
 (record=False, dt 2^-7) over a fixed number of steps and prints the best of
 three runs as microseconds per step and nanoseconds per path-step, with the
@@ -37,6 +39,8 @@ REPEAT = 3
 # (label, paths, window, dt, fine_level)
 NOISE_CASES = (
     ("uniform dt 0.01", 10_000, (-1.0, 0.0), 0.01, None),
+    ("uniform dt 0.01", 10_000, (-2.0, 0.0), 0.01, None),
+    ("uniform dt 0.01", 10_000, (-4.0, 0.0), 0.01, None),
     ("dyadic level 12", 200, (-4.0, 4.0), 2.0**-12, 12),
 )
 

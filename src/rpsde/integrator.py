@@ -97,7 +97,8 @@ class _Kernel:
     term is g[..., 0]*dW. Each gives the bits of the general form. At
     theta = 1 the explicit drift and linear part carry the weight
     (1-theta)*dt = 0 and are skipped. A state-free drift gives the stage
-    y = (I + theta*dt*A)^{-1}(rhs + theta*dt*f), applied in column order.
+    y = (I + theta*dt*A)^{-1}(rhs + theta*dt*f), applied in column order;
+    f does not read the state, so it is evaluated on one row and broadcast.
     """
 
     def __init__(self, problem: SdeProblem, scheme: ThetaScheme):
@@ -161,7 +162,7 @@ class _Kernel:
         """
         tf = _reduce_time(t_next, self.period)
         if self.state_free:
-            b = rhs + self.theta_dt * self.drift(tf, rhs)
+            b = rhs + self.theta_dt * self.drift(tf, rhs[:1])
             if self.scalar:
                 return b / (1.0 + self.theta_dt * self.a00), 0
             return _linear_part(self.stage_inverse, b), 0

@@ -271,6 +271,7 @@ def ensemble_increments(
     noise_dim: int,
     dt: float,
     fine_level: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cell increments of width dt over the window, one row per path index.
 
@@ -283,12 +284,18 @@ def ensemble_increments(
     split of the paths into chunks gives the same rows, and each cell only
     on its absolute index, so adjacent windows concatenate to the joint
     window. One Philox generator serves every stream of the call, and the
-    normals are written straight into the time-major output.
+    normals are written straight into the time-major output: a new array,
+    or `out`, a float64 (n_cells, len(paths), noise_dim) array that the
+    caller holds and that is checked before anything is drawn.
     """
     h, salt = _grid(fine_level, dt)
     if h != dt:
         raise WindowError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")
     i0, n = _window_cells(h, window, noise_dim)
-    out = np.empty((n, len(paths), noise_dim))
+    shape = (n, len(paths), noise_dim)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out is {out.dtype} {out.shape}; need float64 {shape}")
     _Streams(seed, salt, h, i0, n).fill(paths, out)
     return out.transpose(1, 0, 2)

@@ -64,18 +64,24 @@ def pullback_converge(
 
     The noise is identical per path across k (windows nested leftward), so
     the Monte-Carlo gap estimate is a paired difference. Each cell depends
-    only on its absolute index, so depth k draws only its new period
-    (-k*tau, -(k-1)*tau): every cell is drawn once. The cells are held
-    time-major in one buffer filled from the end; depth k writes its period
-    just before the held cells and runs on the last (t_eval + k*tau)/dt of
-    them as a view. A full buffer is replaced by one twice as large that takes
-    the held cells at its end, so cells are copied once per doubling, not
-    once per depth. Each depth keeps only the final states; on
-    acceptance path 0 alone is run again from -k*tau on the same cells to
-    record its last period, which equals its row of the batched run
-    because a path's bits do not depend on its batch.
+    only on its absolute index and adjacent windows concatenate, so the
+    cells are drawn ahead, each once, in doublings of the depth: the first
+    draw covers depths 1 and 2, (-2*tau, t_eval), and when depth k is not
+    yet drawn one call draws the periods of depths k to min(k_max, 2*(k-1)).
+    Depth 8 thus costs three draws, (-2*tau, t_eval), (-4*tau, -2*tau) and
+    (-8*tau, -4*tau), each opening one stream per path and component. A gap
+    needs two depths, and at an accepted depth k >= 2 fewer than twice its
+    cells are drawn, none before -k_max*tau. The cells are held time-major
+    in one buffer, the deepest first, and depth k runs on the last
+    (t_eval + k*tau)/dt of them as a view. A growth allocates the larger
+    buffer, moves the held cells to its end, frees the old one and then
+    draws the new periods straight into its front, so cells are copied once
+    per doubling. Each depth keeps only the final states; on acceptance
+    path 0 alone is run again from -k*tau on the same cells to record its
+    last period, which equals its row of the batched run because a path's
+    bits do not depend on its batch.
     """
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -90,26 +96,27 @@ def pullback_converge(
         raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
-    # time-major cells (capacity, ensemble, m); the last `held` are in use.
-    # No view of buf outlives its depth, so growing frees the old buffer.
+    # time-major cells (cells, ensemble, m) of depths 1 to k_drawn. No view of
+    # buf outlives its depth, so growing frees the old buffer.
     buf = np.empty((0, ensemble, problem.noise_dim))
-    held = 0
+    k_drawn = 0
     prev = None
     gap_history = []
     for k in range(1, k_max + 1):
+        if k > k_drawn:
+            k_to = min(k_max, max(2, 2 * k_drawn))
+            grown = np.empty((k_to * steps_per_tau + n_eval,) + buf.shape[1:])
+            new = len(grown) - len(buf)
+            grown[new:] = buf
+            buf = grown
+            end = t_eval if k_drawn == 0 else -k_drawn * tau
+            ensemble_increments(
+                seed, range(ensemble), (-k_to * tau, end), problem.noise_dim, dt, out=buf[:new]
+            )
+            k_drawn = k_to
         start = -k * tau
         n_steps = k * steps_per_tau + n_eval
-        if n_steps > len(buf):
-            grown = np.empty((max(2 * len(buf), n_steps),) + buf.shape[1:])
-            grown[len(grown) - held :] = buf[len(buf) - held :]
-            buf = grown
         lo = len(buf) - n_steps
-        # depth 1 draws (-tau, t_eval), each deeper one its own period
-        end = t_eval if k == 1 else -(k - 1) * tau
-        buf[lo : len(buf) - held] = ensemble_increments(
-            seed, range(ensemble), (start, end), problem.noise_dim, dt
-        ).transpose(1, 0, 2)
-        held = n_steps
         _, final, _ = simulate_ensemble(
             problem, scheme, start, n_steps, x0, buf[lo:].transpose(1, 0, 2), record=False
         )

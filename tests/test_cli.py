@@ -61,12 +61,14 @@ class TestConfig:
             ("pullback", ["--set", "xi=0.1,0.2"]),
             ("converge", ["--set", "levels=4,4,5"]),
             ("contraction", ["--set", "xi=0.1,0.2"]),
+            ("pullback", ["--set", "tolerance=nan"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
              "simulate-negative-k", "contraction-zero-k", "pullback-zero-ensemble",
              "converge-zero-ensemble", "converge-no-levels", "periodicity-x0-dim",
-             "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim"],
+             "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim",
+             "pullback-nan-tolerance"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])

@@ -289,6 +289,30 @@ class TestEnsembleIncrements:
         # the pairwise order does not depend on the layout
         assert folded.tobytes() == tree_fold(np.ascontiguousarray(incs), 4).tobytes()
 
+    @pytest.mark.parametrize("noise_dim", [1, 2])
+    def test_out_holds_the_fresh_bits(self, noise_dim):
+        fresh = ensemble_increments(3, range(5), (-1.0, 0.5), noise_dim, 0.05)
+        held = np.full((40, 5, noise_dim), np.nan)
+        incs = ensemble_increments(3, range(5), (-1.0, 0.5), noise_dim, 0.05, out=held[10:])
+        assert np.shares_memory(incs, held)
+        assert incs.tobytes() == fresh.tobytes()
+        assert held[10:].transpose(1, 0, 2).tobytes() == fresh.tobytes()
+        assert np.isnan(held[:10]).all()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((29, 5, 1)), np.empty((30, 4, 1)), np.empty((30, 5, 2)), np.empty((5, 30, 1)),
+         np.empty((30, 5, 1), dtype=np.float32)],
+        ids=["short", "few-paths", "two-noises", "paths-first", "float32"],
+    )
+    def test_wrong_out_rejected_before_any_draw(self, monkeypatch, out):
+        def no_draw(*args):
+            raise AssertionError("drew noise")
+
+        monkeypatch.setattr("rpsde.noise._Streams.fill", no_draw)
+        with pytest.raises(ValueError, match=r"need float64 \(30, 5, 1\)"):
+            ensemble_increments(3, range(5), (-1.0, 0.5), 1, 0.05, out=out)
+
     def test_dyadic_dt_must_be_the_cell_width(self):
         with pytest.raises(WindowError, match="cell width"):
             ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-4, fine_level=6)

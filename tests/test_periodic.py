@@ -175,25 +175,48 @@ class TestPullbackConverge:
         for name in ("final_ensemble", "states", "sample_times"):
             assert np.array_equal(getattr(res, name), ref[name]), name
 
-    def test_each_cell_drawn_once(self, monkeypatch):
+    @staticmethod
+    def drawn_cells(monkeypatch, tolerance, k_max):
+        """The result (None after PullbackError) and the sorted windows drawn, in cells."""
         windows = []
 
-        def recording(seed, paths, window, noise_dim, dt, fine_level=None):
+        def recording(seed, paths, window, noise_dim, dt, fine_level=None, out=None):
             assert paths == range(30)
             windows.append(window)
-            return ensemble_increments(seed, paths, window, noise_dim, dt, fine_level)
+            return ensemble_increments(seed, paths, window, noise_dim, dt, fine_level, out)
 
         monkeypatch.setattr("rpsde.periodic.ensemble_increments", recording)
         prob = build_linear_model(1.0, 0.3)
         dt = 0.05
-        res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=dt), 0.35, [0.6], 1e-4, 20, 30, 1)
-        assert res.k_used >= 5
+        try:
+            res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=dt), 0.35, [0.6], tolerance,
+                                    k_max, 30, 1)
+        except PullbackError:
+            res = None
         cells = sorted((round(a / dt), round(b / dt)) for a, b in windows)
-        assert len(cells) == res.k_used
-        assert cells[0][0] == -res.k_used * round(prob.period / dt)
+        # adjacent and never overlapping, the first ending at t_eval
         assert cells[-1][1] == round(0.35 / dt)
         assert all(prev[1] == nxt[0] for prev, nxt in zip(cells, cells[1:]))
+        return res, [-a // round(prob.period / dt) for a, _ in cells]
 
+    def test_each_cell_drawn_once(self, monkeypatch):
+        res, depths = self.drawn_cells(monkeypatch, 1e-4, 20)
+        assert res.k_used == 10
+        # each draw doubles the depth: (-2tau, t_eval), (-4tau, -2tau), ...
+        assert depths == [16, 8, 4, 2]
+
+    @pytest.mark.parametrize(
+        "tolerance, k_max, depths",
+        [(1e-3, 20, [8, 4, 2]), (1e-4, 3, [3, 2])],
+        ids=["k7-three-draws", "k-max-3-caps-the-last-draw"],
+    )
+    def test_draws_double_the_depth(self, monkeypatch, tolerance, k_max, depths):
+        res, drawn = self.drawn_cells(monkeypatch, tolerance, k_max)
+        if res is None:
+            assert k_max == 3  # runs out of depths; nothing before -k_max*tau is drawn
+        else:
+            assert 5 <= res.k_used <= 8
+        assert drawn == depths
 
     def test_memory_within_twice_the_held_cells(self):
         # depth 8 holds 800 cells of 2000 paths; prepending each period with a
