@@ -11,18 +11,16 @@ The implicit stage is solved by damped Newton iteration; dissipativity
 A problem with state_free_drift has a linear stage, solved in closed form
 with 0 iterations; newton_tol and newton_max_iter have no effect there.
 
-simulate_ensemble is the one stepping loop (`step` is a single step of it).
-It is batched: states have shape (batch, d) and every path in the batch
-evolves independently, so results per path do not depend on how paths are
-grouped into batches. Every operation on the state acts on each row alone:
-the models' callables are elementwise in the path, the linear part sums its
-products in column order instead of calling BLAS, and for d > 1 each path's
-Newton matrix is solved on its own. A path's bits therefore depend only on
-its own row and on the Newton iterations it takes. The Newton loop works on
-the whole arrays while no path has converged and, after that, on the rows
-not yet converged; either way a path stops exactly when its own residual
-norm reaches the tolerance, so the all-active and the masked phase give the
-same bits per path.
+simulate_ensemble is the one stepping loop. It is batched: states have
+shape (batch, d) and every path in the batch evolves independently, so
+results per path do not depend on how paths are grouped into batches. Every
+operation on the state acts on each row alone: the models' callables are
+elementwise in the path, the linear part sums its products in column order
+instead of calling BLAS, and for d > 1 each path's Newton matrix is solved
+on its own. A path's bits therefore depend only on its own row and on the
+Newton iterations it takes. The Newton loop runs on the whole batch and
+freezes a path once its own residual norm reaches the tolerance, so the
+iterations a path takes do not depend on its batch either.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .models import SdeProblem
 __all__ = [
     "ThetaScheme",
     "NewtonError",
-    "step",
     "simulate_ensemble",
 ]
 
@@ -64,7 +61,7 @@ class ThetaScheme:
             raise ValueError(f"theta must be in (1/2, 1], got {self.theta}")
         if not 0.0 < self.dt < 1.0:
             raise ValueError(f"dt must be in (0, 1), got {self.dt}")
-        if self.newton_tol <= 0.0 or self.newton_max_iter < 1:
+        if not 0.0 < self.newton_tol < math.inf or self.newton_max_iter < 1:
             raise ValueError("invalid Newton settings")
 
 
@@ -154,11 +151,10 @@ class _Kernel:
         """Batched damped Newton for y + theta*dt*(A y - f(t_next, y)) = rhs.
 
         Returns (y, iterations), where iterations is the most any path took; 0 in closed form.
-        The working arrays hold the whole batch while no path has converged;
-        a path leaves them, with its value written to y, the moment its
-        residual norm is at most tol. A non-finite residual never counts as
-        converged, so it ends in NewtonError. guess may be overwritten with
-        the result.
+        Each iteration runs on the whole batch, and a path whose residual norm
+        is at most tol is frozen: its row keeps its value from then on. A
+        non-finite residual never counts as converged, so it ends in
+        NewtonError.
         """
         tf = _reduce_time(t_next, self.period)
         if self.state_free:
@@ -166,41 +162,30 @@ class _Kernel:
             if self.scalar:
                 return b / (1.0 + self.theta_dt * self.a00), 0
             return _linear_part(self.stage_inverse, b), 0
-        tol = self.tol
-        y, r = guess, rhs
-        f = self.residual(tf, y, r)
+        y = guess
+        f = self.residual(tf, y, rhs)
         nrm = self.norm(f)
-        out = rows = None  # the result and the rows still iterating, once some path converged
         for it in range(self.max_iter + 1):
-            done = nrm <= tol
-            if done.all():
-                if out is None:
-                    return y, it
-                out[rows] = y
-                return out, it
-            if done.any():
-                if out is None:
-                    out, rows = y, np.arange(y.shape[0])
-                else:
-                    out[rows[done]] = y[done]
-                left = ~done
-                rows, y, r, f, nrm = rows[left], y[left], r[left], f[left], nrm[left]
+            todo = ~(nrm <= self.tol)
+            # count_nonzero costs a fraction of todo.any() on a small batch
+            if not np.count_nonzero(todo):
+                return y, it
             if it == self.max_iter:
                 break
-            y, f, nrm = self._damped_update(tf, y, r, f, nrm)
+            y, f, nrm = self._damped_update(tf, y, rhs, f, nrm, todo)
             if not np.isfinite(nrm).all():
                 raise NewtonError(
-                    "non-finite state in Newton iteration", float(np.fmax.reduce(nrm))
+                    "non-finite state in Newton iteration", float(np.fmax.reduce(nrm[todo]))
                 )
         worst = float(nrm.max())
         raise NewtonError(
-            f"Newton failed to reach tolerance {tol} in {self.max_iter} "
+            f"Newton failed to reach tolerance {self.tol} in {self.max_iter} "
             f"iterations (worst residual {worst:g})",
             worst,
         )
 
-    def _damped_update(self, tf, y, r, f, nrm):
-        """One Newton iteration on the working rows.
+    def _damped_update(self, tf, y, r, f, nrm, todo):
+        """One Newton iteration on the rows in todo; the other rows keep y, f and nrm.
 
         A path whose residual norm did not decrease has its step halved, up
         to 30 times.
@@ -209,7 +194,7 @@ class _Kernel:
         trial = y + dy
         ft = self.residual(tf, trial, r)
         nt = self.norm(ft)
-        worse = nt >= nrm
+        worse = (nt >= nrm) & todo
         if worse.any():
             alpha = np.ones(y.shape[0])
             for _ in range(30):
@@ -217,9 +202,14 @@ class _Kernel:
                 trial[worse] = y[worse] + alpha[worse, None] * dy[worse]
                 ft[worse] = self.residual(tf, trial[worse], r[worse])
                 nt[worse] = self.norm(ft[worse])
-                worse = nt >= nrm
+                worse &= nt >= nrm
                 if not worse.any():
                     break
+        if np.count_nonzero(todo) < todo.size:
+            frozen = ~todo
+            np.copyto(trial, y, where=frozen[:, None])
+            np.copyto(ft, f, where=frozen[:, None])
+            np.copyto(nt, nrm, where=frozen)
         return trial, ft, nt
 
 
@@ -270,26 +260,4 @@ def simulate_ensemble(
         if record:
             out[:, j + 1] = x
     return times, (out if record else x), iters
-
-
-def step(
-    problem: SdeProblem,
-    scheme: ThetaScheme,
-    t_j: float,
-    x_j: np.ndarray,
-    dw: np.ndarray,
-) -> np.ndarray:
-    """One full theta step from (t_j, x_j) with Brownian increment dw.
-
-    x_j is (d,) or (batch, d) and dw is (m,) or (batch, m); this is
-    simulate_ensemble over a single step.
-    """
-    x_j = np.asarray(x_j, dtype=float)
-    if not np.isfinite(x_j).all():
-        raise NewtonError("non-finite state")
-    dw = np.atleast_2d(np.asarray(dw, dtype=float))
-    _, y, _ = simulate_ensemble(
-        problem, scheme, t_j, 1, np.atleast_2d(x_j), dw[:, None, :], record=False
-    )
-    return y[0] if x_j.ndim == 1 else y
 

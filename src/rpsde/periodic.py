@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrator import ThetaScheme, simulate_ensemble, step
+from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
 from .noise import ensemble_increments, grid_steps
 
@@ -260,7 +260,8 @@ def periodicity_check_pullback(
     curve = np.repeat(x0[None, :], n_total + 1, axis=0)
     x = np.broadcast_to(x0, (n_total, x0.size))
     for i in range(n_total):
-        x = step(problem, scheme, i * dt, x, cells[i:][::-1])
+        incs = cells[i:][::-1, None]
+        _, x, _ = simulate_ensemble(problem, scheme, i * dt, 1, x, incs, record=False)
         curve[i + 1], x = x[0], x[1:]
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
     after = dev[shift_cells:]

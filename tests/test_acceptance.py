@@ -9,7 +9,7 @@ import numpy as np
 
 from rpsde.analysis import contraction_constant, ms_error, numerical_contraction_test
 from rpsde.cli import main as cli_main
-from rpsde.integrator import ThetaScheme, simulate_ensemble, step
+from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import build_cubic_model, build_additive_model
 from rpsde.noise import generate
 from rpsde.periodic import periodicity_check_pullback, periodicity_check_shifted
@@ -82,8 +82,10 @@ def test_3_oracle_equivalence():
         for j, dw in enumerate(dws):
             x_ora[j + 1] = exact_linear_step(lam, sigma, sch, x_ora[j], dw)
         # one Newton step from every oracle state, as one batch
-        per_step = step(prob, sch, 0.0, x_ora[:-1, None], dws[:, None])[:, 0]
-        worst_step = max(worst_step, float(np.abs(per_step - x_ora[1:]).max()))
+        _, per_step, _ = simulate_ensemble(
+            prob, sch, 0.0, 1, x_ora[:-1, None], dws[:, None, None], record=False
+        )
+        worst_step = max(worst_step, float(np.abs(per_step[:, 0] - x_ora[1:]).max()))
         _, x_num, _ = simulate_ensemble(
             prob, sch, 0.0, len(dws), x_ora[None, :1], dws[None, :, None], record=False
         )

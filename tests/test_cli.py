@@ -62,13 +62,18 @@ class TestConfig:
             ("converge", ["--set", "levels=4,4,5"]),
             ("contraction", ["--set", "xi=0.1,0.2"]),
             ("pullback", ["--set", "tolerance=nan"]),
+            ("simulate", ["--set", "newton_tol=inf"]),
+            ("simulate", ["--set", "newton_tol=nan"]),
+            ("periodicity", ["--set", "x0=nan"]),
+            ("periodicity", ["--set", "model=linear_ou", "--set", "x0=nan"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
              "simulate-negative-k", "contraction-zero-k", "pullback-zero-ensemble",
              "converge-zero-ensemble", "converge-no-levels", "periodicity-x0-dim",
              "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim",
-             "pullback-nan-tolerance"],
+             "pullback-nan-tolerance", "newton-tol-inf", "newton-tol-nan",
+             "periodicity-nan-x0-cubic", "periodicity-nan-x0-linear-ou"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rpsde.integrator import NewtonError, ThetaScheme, simulate_ensemble, step
+from rpsde.integrator import NewtonError, ThetaScheme, simulate_ensemble
 from rpsde.models import (
     SdeProblem,
     build_additive_model,
@@ -23,6 +23,12 @@ def exact_linear_step(lam, sigma, scheme, x, dw):
     return (x * (1.0 - (1.0 - scheme.theta) * lam * scheme.dt) + sigma * dw) / (
         1.0 + scheme.theta * lam * scheme.dt
     )
+
+
+def one_step(prob, sch, t, x, dw):
+    """One theta step of the states x (batch, d) under the increments dw (batch, m)."""
+    dw = np.asarray(dw, dtype=float)[:, None]
+    return simulate_ensemble(prob, sch, t, 1, x, dw, record=False)[1]
 
 
 def newton_linear_problem(lam, sigma):
@@ -111,36 +117,42 @@ class TestThetaScheme:
         with pytest.raises(ValueError):
             ThetaScheme(theta=1.0, dt=dt)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-5, math.inf, math.nan])
+    def test_newton_tol_range(self, tol):
+        # inf would accept every guess as the root, nan would accept none
+        with pytest.raises(ValueError, match="invalid Newton settings"):
+            ThetaScheme(theta=1.0, dt=0.1, newton_tol=tol)
+
 
 class TestImplicitStep:
-    # with dw = 0 and theta = 1, step solves the implicit stage
+    # with dw = 0 and theta = 1, one step solves the implicit stage
     # y + theta*dt*(A y - f(t, y)) = x_j from the guess x_j
 
     def test_linear_scalar(self):
         # theta=1, dt=0.5, A=1, f=0, rhs=1 -> y = 1/(1+0.5) = 2/3
         prob = build_linear_model(1.0, 0.0)
         sch = ThetaScheme(theta=1.0, dt=0.5)
-        y = step(prob, sch, 0.0, np.array([1.0]), np.zeros(1))
+        y = one_step(prob, sch, 0.0, np.array([[1.0]]), np.zeros((1, 1)))[0]
         assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_cubic_root(self):
         # y + 0.1 y^3 = 1.1 has root y = 1; linear part negligible
         prob = cubic_like_problem(1e-9)
         sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-12)
-        y = step(prob, sch, 0.0, np.array([1.1]), np.zeros(1))
+        y = one_step(prob, sch, 0.0, np.array([[1.1]]), np.zeros((1, 1)))[0]
         assert y[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_fixed_point(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
-        y = step(prob, sch, 0.0, np.zeros(1), np.zeros(1))
+        y = one_step(prob, sch, 0.0, np.zeros((1, 1)), np.zeros((1, 1)))[0]
         assert y[0] == 0.0
 
     def test_nonfinite_rhs_rejected(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(NewtonError):
-            step(prob, sch, 0.0, np.array([np.nan]), np.zeros(1))
+            one_step(prob, sch, 0.0, np.array([[np.nan]]), np.zeros((1, 1)))
 
     @pytest.mark.parametrize("theta", [1.0, 0.75])
     def test_nan_residual_rejected(self, theta):
@@ -148,14 +160,31 @@ class TestImplicitStep:
         prob = replace(build_linear_model(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
         sch = ThetaScheme(theta=theta, dt=0.1)
         with pytest.raises(NewtonError):
-            step(prob, sch, 0.0, np.array([0.5]), np.zeros(1))
+            one_step(prob, sch, 0.0, np.array([[0.5]]), np.zeros((1, 1)))
 
     def test_nonconvergence_error_carries_residual(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-14, newton_max_iter=1)
         with pytest.raises(NewtonError) as exc:
-            step(prob, sch, 0.0, np.array([5.0]), np.zeros(1))
+            one_step(prob, sch, 0.0, np.array([[5.0]]), np.zeros((1, 1)))
         assert exc.value.residual is not None
+
+    def test_frozen_row_keeps_out_of_the_residual(self):
+        # row 0 is at its root from the start and stays frozen while row 1 fails
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-14, newton_max_iter=1)
+        residuals = []
+        for x in ([[5.0]], [[0.0], [5.0]]):
+            with pytest.raises(NewtonError) as exc:
+                one_step(prob, sch, 0.0, np.array(x), np.zeros((len(x), 1)))
+            residuals.append(exc.value.residual)
+        assert residuals[0] is not None and residuals[1] == residuals[0]
+
+    def test_overflow_beside_a_frozen_row_rejected(self):
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NewtonError):
+            one_step(prob, sch, 0.0, np.array([[0.0], [1e200]]), np.zeros((2, 1)))
 
 
 class TestStep:
@@ -163,13 +192,13 @@ class TestStep:
         # theta=1, f=0, g=0: x' = x/(1+lam*dt); lam=1, dt=0.5, x=2 -> 4/3
         prob = build_linear_model(1.0, 0.0)
         sch = ThetaScheme(theta=1.0, dt=0.5)
-        x = step(prob, sch, 0.0, np.array([2.0]), np.array([0.0]))
+        x = one_step(prob, sch, 0.0, np.array([[2.0]]), np.array([[0.0]]))[0]
         assert x[0] == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_equilibrium_preserved(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
-        x = step(prob, sch, 0.3, np.zeros(1), np.zeros(1))
+        x = one_step(prob, sch, 0.3, np.zeros((1, 1)), np.zeros((1, 1)))[0]
         # f(t,0) = 0 but g(t,0) = b, so only the dW=0 part keeps x near 0
         assert abs(x[0]) < 1e-10
 
@@ -179,7 +208,7 @@ class TestStep:
         t = 0.25
 
         def s(x, dw):
-            return step(prob, sch, t, np.array([x]), np.array([dw]))[0]
+            return one_step(prob, sch, t, np.array([[x]]), np.array([[dw]]))[0, 0]
 
         base = s(0.0, 0.0)
         lhs = s(0.3 + -0.7, 0.2 + 0.05) - base
@@ -208,7 +237,7 @@ class TestExactLinearStep:
             prob = newton_linear_problem(lam, sigma)
             sch = ThetaScheme(theta=theta, dt=dt)
             exact = exact_linear_step(lam, sigma, sch, x, dw)
-            num = step(prob, sch, 0.0, np.array([x]), np.array([dw]))[0]
+            num = one_step(prob, sch, 0.0, np.array([[x]]), np.array([[dw]]))[0, 0]
             assert num == pytest.approx(exact, abs=1e-10)
 
 
@@ -305,8 +334,8 @@ class TestEnsembleConsistency:
             # the closed-form stage takes no Newton iteration
             assert not single_iters.any()
         else:
-            # paths leave the Newton loop at different iterations, so both the
-            # all-active and the masked phase ran in the batch
+            # paths converge at different iterations, so the batch ran Newton
+            # iterations in which some of its rows were frozen
             assert (single_iters.min(axis=0) < single_iters.max(axis=0)).any()
         assert np.array_equal(batched_iters, single_iters.max(axis=0))
 

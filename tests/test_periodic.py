@@ -413,7 +413,7 @@ class TestPeriodicityPullback:
             calls.append((t_start, n_steps))
             return simulate_ensemble(problem, scheme, t_start, n_steps, x0, increments, record)
 
-        monkeypatch.setattr("rpsde.integrator.simulate_ensemble", counting)
+        monkeypatch.setattr("rpsde.periodic.simulate_ensemble", counting)
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         periodicity_check_pullback(prob, sch, [-0.2], 4.0, seed=3)
