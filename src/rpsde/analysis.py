@@ -9,7 +9,6 @@ the time window together, in blocks of a bounded number of fine values.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ __all__ = [
     "ms_error",
     "fit_slope",
     "numerical_contraction_test",
-    "write_convergence_csv",
 ]
 
 
@@ -97,9 +95,6 @@ class ConvergenceReport:
     level_diff_stderrs: np.ndarray
     fitted_slope: float
     intercept: float
-    ensemble_size: int
-    reference_level: int
-    theta: float
     levels: list = field(default_factory=list)
 
 
@@ -181,9 +176,6 @@ def ms_error(
         level_diff_stderrs=diff_stderrs,
         fitted_slope=slope,
         intercept=intercept,
-        ensemble_size=ensemble,
-        reference_level=reference_level,
-        theta=theta,
         levels=list(levels),
     )
 
@@ -205,8 +197,7 @@ class ContractionTest:
     gap_series: np.ndarray  # E|X_j - Y_j|^2
     envelope: np.ndarray  # C * c_delta^j anchored at j = 0
     c_delta: float
-    safety_factor: float
-    floor: float
+    exact_rate: float  # the exact solution's per-step rate, beside c_delta
     passed: bool
 
 
@@ -226,6 +217,13 @@ def numerical_contraction_test(
     The envelope constant C is anchored empirically at j = 0 and inflated by
     the safety factor; the check stops once the series falls below the floor.
     """
+    consts = contraction_constant(
+        problem.lambda_min,
+        problem.one_sided_lipschitz,
+        scheme.theta,
+        problem.moment_exponent,
+        scheme.dt,
+    )
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     if np.array_equal(xi, eta):
@@ -252,13 +250,6 @@ def numerical_contraction_test(
     _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
     xs, ys = states[:ensemble], states[ensemble:]
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j
-    consts = contraction_constant(
-        problem.lambda_min,
-        problem.one_sided_lipschitz,
-        scheme.theta,
-        problem.moment_exponent,
-        dt,
-    )
     j = np.arange(n_steps + 1)
     envelope = safety_factor * gap[0] * consts.c_delta ** j.astype(float)
     above_floor = gap > floor
@@ -270,24 +261,7 @@ def numerical_contraction_test(
         gap_series=gap,
         envelope=envelope,
         c_delta=consts.c_delta,
-        safety_factor=safety_factor,
-        floor=floor,
+        exact_rate=consts.exact_rate,
         passed=passed,
     )
 
-
-def write_convergence_csv(report: ConvergenceReport, path) -> None:
-    """CSV export: level, dt, rms_error, stderr, level_diff rows, slope/intercept footer.
-
-    level_diff is rms|X_l - X_prev| against the previous level; empty on the coarsest row.
-    """
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "dt", "rms_error", "stderr", "level_diff"])
-        diffs = [""] + [f"{v:.17g}" for v in report.level_diffs]
-        for lvl, dt, e, se, diff in zip(
-            report.levels, report.stepsizes, report.rms_errors, report.stderrs, diffs
-        ):
-            w.writerow([lvl, f"{dt:.17g}", f"{e:.17g}", f"{se:.17g}", diff])
-        w.writerow(["slope", f"{report.fitted_slope:.17g}", "", "", ""])
-        w.writerow(["intercept", f"{report.intercept:.17g}", "", "", ""])

@@ -18,12 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    contraction_constant,
-    ms_error,
-    numerical_contraction_test,
-    write_convergence_csv,
-)
+from .analysis import ms_error, numerical_contraction_test
 from .integrator import NewtonError, ThetaScheme, simulate_ensemble
 from .models import ModelCatalogEntry, catalog_entry
 from .noise import ensemble_increments, grid_steps
@@ -35,8 +30,6 @@ from .periodic import (
 )
 
 __all__ = ["main"]
-
-_FLOAT_FMT = "{:.17g}"
 
 
 class ConfigError(ValueError):
@@ -97,6 +90,14 @@ def _write_manifest(out: Path, cfg: dict, command: str):
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    """The one writer of CSV output: every float as %.17g, any other value as csv writes it."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows)
+
+
 def _write_plot_script(out: Path, name: str, lines: list[str]):
     header = [
         "# gnuplot script; run: gnuplot " + name,
@@ -131,15 +132,8 @@ def run_simulate(cfg: dict, out: Path) -> bool:
             seed, range(1), (start, horizon), problem.noise_dim, scheme.dt
         )
         _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0s, incs)
-    csv_path = out / "trajectories.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + [f"xi_{_FLOAT_FMT.format(v)}" for v in xis])
-        for j, t in enumerate(times):
-            w.writerow(
-                [_FLOAT_FMT.format(t)]
-                + [_FLOAT_FMT.format(states[i, j, 0]) for i in range(len(xis))]
-            )
+    rows = np.column_stack([times, states[:, :, 0].T]).tolist()
+    _write_csv(out / "trajectories.csv", ["t"] + [f"xi_{v:.17g}" for v in xis], rows)
     _write_plot_script(
         out,
         "trajectories.gp",
@@ -172,21 +166,12 @@ def run_pullback(cfg: dict, out: Path) -> bool:
     except PullbackError as exc:
         print(f"pullback: FAILED ({exc})", file=sys.stderr)
         return False
-    with open(out / "pullback.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x"])
-        for t, x in zip(result.sample_times, result.states):
-            w.writerow([_FLOAT_FMT.format(t), _FLOAT_FMT.format(x[0])])
-        w.writerow(["k_used", result.k_used])
-        w.writerow(["l2_gap", _FLOAT_FMT.format(result.l2_gap)])
-        # failure raises PullbackError above, so a written result converged
-        w.writerow(["converged", 1])
-    with open(out / "pullback_gaps.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "l2_gap"])
-        # gap_history[i] compares depth i + 2 with depth i + 1
-        for k, gap in enumerate(result.gap_history, start=2):
-            w.writerow([k, _FLOAT_FMT.format(gap)])
+    rows = np.column_stack([result.sample_times, result.states[:, 0]]).tolist()
+    # failure raises PullbackError above, so a written result converged
+    rows += [["k_used", result.k_used], ["l2_gap", result.l2_gap], ["converged", 1]]
+    _write_csv(out / "pullback.csv", ["t", "x"], rows)
+    # gap_history[i] compares depth i + 2 with depth i + 1
+    _write_csv(out / "pullback_gaps.csv", ["k", "l2_gap"], enumerate(result.gap_history, start=2))
     _write_plot_script(out, "pullback.gp", ["plot 'pullback.csv' using 1:2 with lines"])
     print(f"pullback: converged k={result.k_used} gap={result.l2_gap:.3g}")
     return True
@@ -199,12 +184,14 @@ def run_periodicity(cfg: dict, out: Path) -> bool:
     seed = int(cfg.get("seed", 0))
     k = int(cfg.get("k", 5))
     window = _floats(cfg.get("window", f"{-2 * problem.period},0"))
+    if len(window) != 2:
+        raise ConfigError(f"window must be two numbers a,b, got {cfg['window']!r}")
     shifted = periodicity_check_shifted(
         problem,
         scheme,
         k=k,
         xi=_floats(cfg.get("xi", "0.6")),
-        window=(window[0], window[1]),
+        window=tuple(window),
         seed=seed,
         threshold=float(cfg.get("threshold", 1e-2)),
     )
@@ -216,18 +203,13 @@ def run_periodicity(cfg: dict, out: Path) -> bool:
         seed=seed,
         threshold=float(cfg.get("threshold", 1e-2)),
     )
-    with open(out / "periodicity_shifted.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "path", "shifted_path"])
-        for t, a, b in zip(shifted.times, shifted.reference, shifted.shifted):
-            w.writerow([_FLOAT_FMT.format(t)] + [_FLOAT_FMT.format(v[0]) for v in (a, b)])
-        w.writerow(["sup_gap", _FLOAT_FMT.format(shifted.sup_gap), ""])
-    with open(out / "periodicity_pullback.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "curve"])
-        for t, v in zip(pullback.times, pullback.reference):
-            w.writerow([_FLOAT_FMT.format(t), _FLOAT_FMT.format(v[0])])
-        w.writerow(["period_deviation", _FLOAT_FMT.format(pullback.sup_gap)])
+    cols = [shifted.times, shifted.reference[:, 0], shifted.shifted[:, 0]]
+    rows = np.column_stack(cols).tolist()
+    rows.append(["sup_gap", shifted.sup_gap, ""])
+    _write_csv(out / "periodicity_shifted.csv", ["t", "path", "shifted_path"], rows)
+    rows = np.column_stack([pullback.times, pullback.reference[:, 0]]).tolist()
+    rows.append(["period_deviation", pullback.sup_gap])
+    _write_csv(out / "periodicity_pullback.csv", ["t", "curve"], rows)
     _write_plot_script(
         out,
         "periodicity.gp",
@@ -261,7 +243,12 @@ def run_converge(cfg: dict, out: Path) -> bool:
         xi=_floats(cfg.get("xi", "0.6")),
         newton_tol=float(cfg.get("newton_tol", 1e-5)),
     )
-    write_convergence_csv(report, out / "convergence.csv")
+    # level_diff is rms|X_l - X_prev| against the previous level; empty on the coarsest row
+    diffs = ["", *report.level_diffs.tolist()]
+    rows = [*zip(report.levels, report.stepsizes, report.rms_errors, report.stderrs, diffs)]
+    rows.append(["slope", report.fitted_slope, "", "", ""])
+    rows.append(["intercept", report.intercept, "", "", ""])
+    _write_csv(out / "convergence.csv", ["level", "dt", "rms_error", "stderr", "level_diff"], rows)
     _write_plot_script(
         out,
         "convergence.gp",
@@ -276,31 +263,18 @@ def run_converge(cfg: dict, out: Path) -> bool:
 
 def run_contraction(cfg: dict, out: Path) -> bool:
     entry = _resolve_model(cfg)
-    problem = entry.problem
-    scheme = _resolve_scheme(cfg)
-    consts = contraction_constant(
-        problem.lambda_min,
-        problem.one_sided_lipschitz,
-        scheme.theta,
-        problem.moment_exponent,
-        scheme.dt,
-    )
     test = numerical_contraction_test(
-        problem,
-        scheme,
+        entry.problem,
+        _resolve_scheme(cfg),
         xi=_floats(cfg.get("xi", "0.6")),
         eta=_floats(cfg.get("eta", "-0.6")),
         k=int(cfg.get("k", 15)),
         ensemble=int(cfg.get("ensemble", 200)),
         seed=int(cfg.get("seed", 0)),
     )
-    with open(out / "contraction.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "mean_square_gap", "envelope"])
-        for j, g, e in zip(test.steps, test.gap_series, test.envelope):
-            w.writerow([j, _FLOAT_FMT.format(g), _FLOAT_FMT.format(e)])
-        w.writerow(["c_delta", _FLOAT_FMT.format(consts.c_delta), ""])
-        w.writerow(["exact_rate", _FLOAT_FMT.format(consts.exact_rate), ""])
+    rows = [*zip(test.steps.tolist(), test.gap_series.tolist(), test.envelope.tolist())]
+    rows += [["c_delta", test.c_delta, ""], ["exact_rate", test.exact_rate, ""]]
+    _write_csv(out / "contraction.csv", ["step", "mean_square_gap", "envelope"], rows)
     _write_plot_script(
         out,
         "contraction.gp",
@@ -311,7 +285,7 @@ def run_contraction(cfg: dict, out: Path) -> bool:
         ],
     )
     print(
-        f"contraction: c_delta={consts.c_delta:.6g} "
+        f"contraction: c_delta={test.c_delta:.6g} "
         f"({'pass' if test.passed else 'FAIL'})"
     )
     return test.passed

@@ -32,9 +32,6 @@ __all__ = [
     "MODEL_NAMES",
 ]
 
-MODEL_NAMES = ("cubic_multiplicative", "additive_sine", "linear_ou")
-
-
 class ParameterError(ValueError):
     """A model parameter violates one of the standing assumptions."""
 
@@ -96,11 +93,6 @@ class SdeProblem:
 class ModelCatalogEntry:
     name: str
     problem: SdeProblem
-    parameters: dict
-
-    def __post_init__(self):
-        if self.name not in MODEL_NAMES:
-            raise ParameterError(f"unknown model name {self.name!r}")
 
 
 def build_cubic_model(
@@ -210,24 +202,27 @@ def build_linear_model(lam: float, sigma: float) -> SdeProblem:
     )
 
 
+# name -> (builder, default parameters) of each built-in model
+_CATALOG = {
+    "cubic_multiplicative": (
+        build_cubic_model,
+        dict(lam=5.0 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0),
+    ),
+    "additive_sine": (build_additive_model, {}),
+    "linear_ou": (build_linear_model, dict(lam=1.0, sigma=0.3)),
+}
+MODEL_NAMES = tuple(_CATALOG)
+
+
 def catalog_entry(name: str, **params) -> ModelCatalogEntry:
     """Look up a built-in model by name with optional parameter overrides."""
-    catalog = {
-        "cubic_multiplicative": (
-            build_cubic_model,
-            dict(lam=5.0 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0),
-        ),
-        "additive_sine": (build_additive_model, {}),
-        "linear_ou": (build_linear_model, dict(lam=1.0, sigma=0.3)),
-    }
-    if name not in catalog:
+    if name not in _CATALOG:
         raise ParameterError(f"unknown model name {name!r}; choose from {MODEL_NAMES}")
-    build, defaults = catalog[name]
+    build, defaults = _CATALOG[name]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ParameterError(
             f"{name} has no parameter {', '.join(unknown)}; "
             f"accepted: {', '.join(defaults) or 'none'}"
         )
-    values = {**defaults, **params}
-    return ModelCatalogEntry(name, build(**values), values)
+    return ModelCatalogEntry(name, build(**{**defaults, **params}))

@@ -42,7 +42,6 @@ class PullbackError(RuntimeError):
 @dataclass
 class PullbackResult:
     k_used: int
-    tolerance: float
     l2_gap: float
     sample_times: np.ndarray
     states: np.ndarray  # trajectory of path 0 over sample_times
@@ -133,7 +132,6 @@ def pullback_converge(
             )
             return PullbackResult(
                 k_used=k,
-                tolerance=tolerance,
                 l2_gap=gap,
                 sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
                 states=path0[0, -(n_keep + 1) :],
@@ -154,7 +152,6 @@ class PeriodicityReport:
     reference: np.ndarray  # path values aligned to `times`
     shifted: np.ndarray  # comparison path values aligned to `times`
     sup_gap: float
-    threshold: float
     passed: bool
     degenerate: bool = False
 
@@ -210,7 +207,6 @@ def periodicity_check_shifted(
         reference=p1_vals,
         shifted=p2_vals,
         sup_gap=sup,
-        threshold=threshold,
         passed=sup <= threshold,
     )
 
@@ -252,7 +248,6 @@ def periodicity_check_pullback(
             reference=x0[None, :],
             shifted=x0[None, :],
             sup_gap=0.0,
-            threshold=threshold,
             passed=True,
             degenerate=True,
         )
@@ -271,6 +266,5 @@ def periodicity_check_pullback(
         reference=curve,
         shifted=np.concatenate([curve[shift_cells:], np.full((shift_cells, problem.state_dim), np.nan)]),
         sup_gap=sup,
-        threshold=threshold,
         passed=sup <= threshold,
     )

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -66,6 +67,8 @@ class TestConfig:
             ("simulate", ["--set", "newton_tol=nan"]),
             ("periodicity", ["--set", "x0=nan"]),
             ("periodicity", ["--set", "model=linear_ou", "--set", "x0=nan"]),
+            ("periodicity", ["--set", "window=1"]),
+            ("periodicity", ["--set", "window=-4,0,7"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
@@ -73,7 +76,8 @@ class TestConfig:
              "converge-zero-ensemble", "converge-no-levels", "periodicity-x0-dim",
              "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim",
              "pullback-nan-tolerance", "newton-tol-inf", "newton-tol-nan",
-             "periodicity-nan-x0-cubic", "periodicity-nan-x0-linear-ou"],
+             "periodicity-nan-x0-cubic", "periodicity-nan-x0-linear-ou",
+             "window-one-number", "window-three-numbers"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -236,3 +240,90 @@ class TestContraction:
         assert rows[0] == ["step", "mean_square_gap", "envelope"]
         assert rows[-2][0] == "c_delta"
         assert rows[-1][0] == "exact_rate"
+
+
+# (arguments, exit code, sha256 of every file in --out and of stdout and stderr):
+# any change to an output byte has to change these on purpose
+PINNED = {
+    "simulate-defaults": (
+        ["simulate"],
+        0,
+        {
+            "manifest.txt": "916e443a1c98d98df45f66f8b340a2bbf4eded3203dd9e2e0fe7f07882d7378b",
+            "trajectories.csv": "756d6d4f925ecf8fbf0c04c40179aacdf247607715d474ac177cc62f58970ad6",
+            "trajectories.gp": "881027c3bd31147141100a446797dd73557f877a353f5206790956c7d8dfb7b5",
+            "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "pullback-defaults": (
+        ["pullback"],
+        0,
+        {
+            "manifest.txt": "6456bbb3c1a5303c38eef655c6ac3c621c0667aa33bd1e97d6908c5472ad98ca",
+            "pullback.csv": "bb456d0f91fe020e9714874f4e0f638042f95992fc77ccde55c58d739c761dec",
+            "pullback.gp": "e4116019cfe8c25fbeda931334ac853e7b99e163b7f12dd5bc7cdaf3d8352348",
+            "pullback_gaps.csv": "b7cec81ea6a0e674cb5f5091dc98acae8c446f63eabf33dd8d6d428a34786f56",
+            "<stdout>": "af35ca5cfd1b87c51d4ed4b2830968eeae7439d9ed06daa3abd36a858893bbb0",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "periodicity-defaults": (
+        ["periodicity"],
+        0,
+        {
+            "manifest.txt": "b490ec266765679f83a9d00807304749b696eb50639ff45ee6147176d603c575",
+            "periodicity.gp": "4f8bb225f8d69fb8a2881409a093505360a273132185c13b894022733f0e0f3b",
+            "periodicity_pullback.csv": "7bc3538834a7f35da980c79eb9d7a09d888db194f3327ed03a65ba855d19db83",
+            "periodicity_shifted.csv": "28d3770044b3f7b0a47917e91e7c372c3a12069a6e98c080fc889d48c97e16f8",
+            "<stdout>": "bd049a2c052f4caaa341baff0124fe317541ffb4c698cfc78e415e87cb3b62ca",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "contraction-defaults": (
+        ["contraction"],
+        0,
+        {
+            "contraction.csv": "ee42eae28111ab37889007f8a33354ad75d739c28b5255cf7195f4379dcd9c56",
+            "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
+            "manifest.txt": "5a0508df9dd932bc0095bb6f72893dcefd1370e4959f7f16f67a9fc8b0b3c4cd",
+            "<stdout>": "bc9c8952234685109db7cd905d4d4dc72d3e59e9f6829947134fe910eba74192",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "converge-additive-small": (
+        ["converge", "--set", "model=additive_sine", "--set", "levels=5,6,7",
+         "--set", "reference_level=9", "--set", "ensemble=20", "--set", "t_start=0",
+         "--set", "t_end=1"],
+        0,
+        {
+            "convergence.csv": "dff615ec15221e285626ffe024e5026bc3f36129ccd2260fbab07822d9624131",
+            "convergence.gp": "cd8158bddd670aa538045a28cc50e192e4503e2c41f9b037b0b0d255a6140443",
+            "manifest.txt": "55931015d24aab156e3e3521c5be541ec64cea950612d88c6980773b53e6f792",
+            "<stdout>": "634d335bd804f26d143174cbbb398cd3248031e04c8700ff81065ec2be6572be",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "pullback-failure": (
+        ["pullback", "--set", "model=linear_ou", "--set", "model.lam=0.01",
+         "--set", "model.sigma=0", "--set", "dt=0.25", "--set", "ensemble=4",
+         "--set", "k_max=2", "--set", "tolerance=1e-12", "--set", "xi=1.0"],
+        1,
+        {
+            "manifest.txt": "35f2a4ec6245c36109c0f073c0dffb385e6d74fe9c51faaa81896f707fe29767",
+            "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "<stderr>": "003e514b993ede15fa29c7645f4f062f5edc6c55c524a1a277d2a6c6a1ba3c5f",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_outputs_pinned(tmp_path, capsys, case):
+    args, rc, digests = PINNED[case]
+    assert main([*args, "--out", str(tmp_path)]) == rc
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    captured = capsys.readouterr()
+    for name, text in (("<stdout>", captured.out), ("<stderr>", captured.err)):
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == digests

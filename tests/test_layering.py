@@ -5,7 +5,9 @@ A module may import only public names from another rpsde module, and only at
 module level: a private name shared across modules belongs in the module
 that owns it, made public, and a function-level import hides a dependency.
 A time becomes a whole number of cells only in `noise.grid_steps`, so the
-builtin `round` is called nowhere else. Every public name is used inside the
+builtin `round` is called nowhere else. Files are written by `cli` alone: only
+`cli` imports csv, and the builtin `open` and `csv.writer` are called only in
+`cli._write_csv`, the one CSV writer. Every public name is used inside the
 package: a name that only the tests call belongs in the tests.
 """
 
@@ -77,6 +79,39 @@ def test_round_only_in_grid_steps(path):
         and id(node) not in allowed
     ]
     assert not calls, f"{path.name}: round() at lines {calls}; use noise.grid_steps"
+
+
+def calls(tree):
+    """(node, called name) for every call in tree, the name as written: "open", "csv.writer"."""
+    return [(n, ast.unparse(n.func)) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_files_written_only_by_cli_write_csv(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = set()
+    if path.name == "cli.py":
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_write_csv":
+                allowed.update(id(n) for n in ast.walk(fn))
+    problems = [
+        f"line {node.lineno}: calls {name}"
+        for node, name in calls(tree)
+        if name in ("open", "csv.writer") and id(node) not in allowed
+    ]
+    for node in ast.walk(tree):
+        imported = (
+            [a.name for a in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) else []
+        )
+        if "csv" in imported and path.name != "cli.py":
+            problems.append(f"line {node.lineno}: imports csv")
+    assert not problems, f"{path.name}: " + "; ".join(problems) + "; write through cli._write_csv"
+
+
+def test_one_csv_writer():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert [name for _, name in calls(tree)].count("csv.writer") == 1
 
 
 # public names the package itself does not use, with the reason they stay
