@@ -149,9 +149,7 @@ def ms_error(
     c_end = (first + n_coarse) * q
     for c in range(first * q, c_end, block):
         n = min(block, c_end - c)
-        incs = ensemble_increments(
-            seed, range(ensemble), (c * h, (c + n) * h), m, h, fine_level=ref
-        )
+        incs = ensemble_increments(seed, range(ensemble), c, n, m, h, fine_level=ref)
         for lvl in range(ref, levels[0] - 1, -1):
             if lvl < ref:
                 incs = tree_fold(incs, 2)
@@ -239,13 +237,10 @@ def numerical_contraction_test(
     dt = scheme.dt
     start = -k * problem.period
     n_steps = grid_steps(-start, dt, "k*period")
-    cells = ensemble_increments(
-        seed, range(ensemble), (start, 0.0), problem.noise_dim, dt
-    ).transpose(1, 0, 2)
+    cells = ensemble_increments(seed, range(ensemble), -n_steps, n_steps, problem.noise_dim, dt)
     # X and Y run as one batch of 2*ensemble over the same increments, joined
-    # along the path axis of the time-major cells; a path's bits do not
-    # depend on its batch
-    incs = np.concatenate([cells, cells], axis=1).transpose(1, 0, 2)
+    # along the path axis; a path's bits do not depend on its batch
+    incs = np.concatenate([cells, cells], axis=1)
     x0 = np.repeat(np.stack([xi, eta]), ensemble, axis=0)
     _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
     xs, ys = states[:ensemble], states[ensemble:]

@@ -122,16 +122,11 @@ def run_simulate(cfg: dict, out: Path) -> bool:
     n_steps = grid_steps(horizon - start, scheme.dt, "horizon + k*period")
     if n_steps < 0:
         raise ConfigError(f"horizon {horizon} precedes the start -k*period = {start}")
+    first = grid_steps(start, scheme.dt, "window start")
+    # every initial value runs under the one noise path 0
+    incs = ensemble_increments(seed, range(1), first, n_steps, problem.noise_dim, scheme.dt)
     x0s = np.array(xis, dtype=float)[:, None]
-    times = start + scheme.dt * np.arange(n_steps + 1)
-    if n_steps == 0:
-        states = x0s[:, None, :]
-    else:
-        # every initial value runs under the one noise path 0
-        incs = ensemble_increments(
-            seed, range(1), (start, horizon), problem.noise_dim, scheme.dt
-        )
-        _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0s, incs)
+    times, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0s, incs)
     rows = np.column_stack([times, states[:, :, 0].T]).tolist()
     _write_csv(out / "trajectories.csv", ["t"] + [f"xi_{v:.17g}" for v in xis], rows)
     _write_plot_script(

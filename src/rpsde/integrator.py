@@ -12,8 +12,10 @@ A problem with state_free_drift has a linear stage, solved in closed form
 with 0 iterations; newton_tol and newton_max_iter have no effect there.
 
 simulate_ensemble is the one stepping loop. It is batched: states have
-shape (batch, d) and every path in the batch evolves independently, so
-results per path do not depend on how paths are grouped into batches. Every
+shape (batch, d), increments come time first, (n_steps, batch, m) as
+noise.ensemble_increments returns them, and every path evolves
+independently, so results per path do not depend on how paths are grouped
+into batches. Every
 operation on the state acts on each row alone: the models' callables are
 elementwise in the path, the linear part sums its products in column order
 instead of calling BLAS, and for d > 1 each path's Newton matrix is solved
@@ -224,13 +226,12 @@ def simulate_ensemble(
 ):
     """Drive a batch of paths through n_steps theta steps.
 
-    x0: (batch, d) initial states; increments: (batch, n_steps, m) Brownian
-    increments (a (1, n_steps, m) array broadcasts one noise path to all
-    batch members). Step j reads the slab increments[:, j] once; it is
-    contiguous in the time-major layout that noise.ensemble_increments
-    returns, and any layout gives the same bits. Returns (times, states, newton_iters) where states is
-    (batch, n_steps+1, d) if record else the final (batch, d), and
-    newton_iters is the per-step maximum iteration count.
+    x0: (batch, d) initial states; increments: (n_steps, batch, m) Brownian
+    increments, shaped as noise.ensemble_increments returns them (an
+    (n_steps, 1, m) array broadcasts one noise path to all batch members).
+    Step j reads increments[j] once. Returns (times, states, newton_iters)
+    where states is (batch, n_steps+1, d) if record else the final
+    (batch, d), and newton_iters is the per-step maximum iteration count.
     """
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.state_dim:
@@ -238,11 +239,11 @@ def simulate_ensemble(
         raise ValueError(f"initial state has shape {x.shape}; the model's state_dim is {d}")
     batch = x.shape[0]
     shape = np.shape(increments)
-    if len(shape) != 3 or shape[0] not in (1, batch) or shape[2] != problem.noise_dim:
+    if len(shape) != 3 or shape[1] not in (1, batch) or shape[2] != problem.noise_dim:
         raise ValueError(
-            f"increments have shape {shape}; need (1 or {batch}, {n_steps}, {problem.noise_dim})"
+            f"increments have shape {shape}; need ({n_steps}, 1 or {batch}, {problem.noise_dim})"
         )
-    if shape[1] != n_steps:
+    if shape[0] != n_steps:
         raise ValueError("increments do not cover the requested number of steps")
     kernel = _Kernel(problem, scheme)
     dt = scheme.dt
@@ -253,7 +254,7 @@ def simulate_ensemble(
         out[:, 0] = x
     for j in range(n_steps):
         t_j = t_start + j * dt
-        rhs = kernel.rhs(t_j, x, increments[:, j])
+        rhs = kernel.rhs(t_j, x, increments[j])
         x, iters[j] = kernel.solve(t_j + dt, rhs, x)
         if np.count_nonzero(np.isfinite(x)) < x.size:
             raise NewtonError(f"non-finite state after step at t={t_j}")

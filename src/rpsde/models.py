@@ -225,4 +225,7 @@ def catalog_entry(name: str, **params) -> ModelCatalogEntry:
             f"{name} has no parameter {', '.join(unknown)}; "
             f"accepted: {', '.join(defaults) or 'none'}"
         )
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"model.{key} must be finite, got {value}")
     return ModelCatalogEntry(name, build(**{**defaults, **params}))

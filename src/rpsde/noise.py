@@ -14,15 +14,16 @@ Two grid modes:
     qualitative fixed-stepsize experiments.
 
 `grid_steps` is the one place where a time becomes a whole number of cells;
-a grid keeps its first absolute cell, so a Wiener shift is an index offset.
-`ensemble_increments` turns a seed and a range of path indices into the
-(paths, cells, m) increment array that every batched estimator consumes,
-stored time-major so that each step's slab is contiguous, and `tree_fold`
-sums fine steps into coarse ones by a pairwise tree.
+from there on a window is a first absolute cell and a cell count, so a
+Wiener shift is an index offset. `ensemble_increments` turns a seed, a range
+of path indices and such a window into the time-first (cells, paths, m)
+array that every batched estimator consumes, and `tree_fold` sums fine
+steps into coarse ones along the time axis by a pairwise tree.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -52,8 +53,10 @@ class WindowError(ValueError):
 def grid_steps(t: float, h: float, name: str) -> int:
     """The whole number of cells of width h in t; `name` says what t is.
 
-    t must lie on the grid to within 1e-9 * max(1, |t|).
+    t must be finite and lie on the grid to within 1e-9 * max(1, |t|).
     """
+    if not math.isfinite(t):
+        raise WindowError(f"{name} must be finite, got {t}")
     n = round(t / h)
     if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
         raise WindowError(
@@ -119,7 +122,7 @@ class _Streams:
         self.state["buffer_pos"] = 4  # empty buffer, as in a new generator
 
     def fill(self, paths, out):
-        """Write sqrt(h) * N(0, 1) per cell into the time-major out, (n, len(paths), m).
+        """Write sqrt(h) * N(0, 1) per cell into the time-first out, (n, len(paths), m).
 
         out[j, i] is cell i0 + j of path paths[i].
         """
@@ -153,17 +156,6 @@ def _grid(fine_level, dt):
     if not (0 <= fine_level <= 30):
         raise WindowError(f"fine_level must be in [0, 30], got {fine_level}")
     return 2.0**-fine_level, fine_level
-
-
-def _window_cells(h, window, noise_dim):
-    """First absolute cell and cell count of the window on the grid of width h."""
-    i0 = grid_steps(window[0], h, "window start")
-    i1 = grid_steps(window[1], h, "window end")
-    if i1 <= i0:
-        raise WindowError(f"window {window} must have positive length")
-    if noise_dim < 1:
-        raise WindowError("noise_dim must be >= 1")
-    return i0, i1 - i0
 
 
 @dataclass(frozen=True)
@@ -207,19 +199,18 @@ class WienerGrid:
 
 
 def tree_fold(increments: np.ndarray, q: int) -> np.ndarray:
-    """Sum each run of q consecutive steps: (..., n * q, m) -> (..., n, m).
+    """Sum each run of q consecutive steps of the leading time axis: (n * q, ...) -> (n, ...).
 
     For q a power of two the sum is a pairwise tree: the sum over a cell is
     bit for bit the sum of its two half-cell sums, so dyadic coarsening
     telescopes exactly across every level, and folding level by level gives
-    the bits of folding at once. The result keeps the memory layout of the
-    input (time-major in, time-major out), with the same bits either way.
+    the bits of folding at once.
     """
-    *lead, n, m = increments.shape
+    n, *rest = increments.shape
     if q & (q - 1):
-        return increments.reshape(*lead, n // q, q, m).sum(axis=-2)
+        return increments.reshape(n // q, q, *rest).sum(axis=1)
     while q > 1:
-        increments = increments.reshape(*lead, -1, 2, m).sum(axis=-2)
+        increments = increments.reshape(-1, 2, *rest).sum(axis=1)
         q //= 2
     return increments
 
@@ -247,11 +238,12 @@ def generate_uniform(
 
 
 def _generate(seed, path_index, fine_level, dt, window, noise_dim):
-    h, salt = _grid(fine_level, dt)
-    i0, n = _window_cells(h, window, noise_dim)
-    incs = np.empty((n, 1, noise_dim))
-    _Streams(seed, salt, h, i0, n).fill([path_index], incs)
-    incs = incs[:, 0]
+    h = _grid(fine_level, dt)[0]
+    i0 = grid_steps(window[0], h, "window start")
+    n = grid_steps(window[1], h, "window end") - i0
+    if n <= 0:
+        raise WindowError(f"window {window} must have positive length")
+    incs = ensemble_increments(seed, [path_index], i0, n, noise_dim, h, fine_level)[:, 0]
     incs.setflags(write=False)
     return WienerGrid(
         seed=seed,
@@ -267,35 +259,40 @@ def _generate(seed, path_index, fine_level, dt, window, noise_dim):
 def ensemble_increments(
     seed: int,
     paths,
-    window: tuple[float, float],
+    first_cell: int,
+    n_cells: int,
     noise_dim: int,
     dt: float,
     fine_level: int | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cell increments of width dt over the window, one row per path index.
+    """Increments of n_cells cells of width dt from absolute cell first_cell, for each path index.
 
-    Returns shape (len(paths), n_cells, noise_dim), stored time-major: it
-    is the transpose of a C-contiguous (n_cells, len(paths), noise_dim)
-    array, so the slab [:, j] of cell j is contiguous. Row i is path paths[i]
-    on a uniform grid of width dt, or on the dyadic grid 2^-fine_level,
-    whose width dt must then be; coarser steps are whole-block `tree_fold`s
-    of these rows. Each row depends only on its own path index, so any
-    split of the paths into chunks gives the same rows, and each cell only
-    on its absolute index, so adjacent windows concatenate to the joint
-    window. One Philox generator serves every stream of the call, and the
-    normals are written straight into the time-major output: a new array,
-    or `out`, a float64 (n_cells, len(paths), noise_dim) array that the
-    caller holds and that is checked before anything is drawn.
+    Returns the C-contiguous (n_cells, len(paths), noise_dim) array whose
+    [j, i] is absolute cell first_cell + j of path paths[i], on a uniform
+    grid of width dt, or on the dyadic grid 2^-fine_level, whose width dt
+    must then be; coarser steps are whole-block `tree_fold`s. A path's
+    values depend only on its own index, so any split of the paths into
+    chunks gives the same values, and a cell's only on its absolute index,
+    so adjacent windows concatenate along the time axis to the joint
+    window. No cells give an empty array and draw nothing. One Philox
+    generator serves every stream of the call, and the normals are written
+    straight into the output: a new array, or `out`, a float64 array of the
+    returned shape that the caller holds and that is checked before
+    anything is drawn.
     """
     h, salt = _grid(fine_level, dt)
     if h != dt:
         raise WindowError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")
-    i0, n = _window_cells(h, window, noise_dim)
-    shape = (n, len(paths), noise_dim)
+    if noise_dim < 1:
+        raise WindowError("noise_dim must be >= 1")
+    if n_cells < 0:
+        raise WindowError(f"n_cells must be >= 0, got {n_cells}")
+    shape = (n_cells, len(paths), noise_dim)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out is {out.dtype} {out.shape}; need float64 {shape}")
-    _Streams(seed, salt, h, i0, n).fill(paths, out)
-    return out.transpose(1, 0, 2)
+    if n_cells:
+        _Streams(seed, salt, h, first_cell, n_cells).fill(paths, out)
+    return out

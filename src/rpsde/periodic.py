@@ -4,7 +4,10 @@ The random periodic state at time t is obtained as the L2 limit of runs
 started ever further in the past: simulate from -k*tau with the same noise
 for consecutive k (nested windows, key-deterministic increments) and stop
 when consecutive runs agree to tolerance. Two complementary periodicity
-checks compare paths under the Wiener shift by one period.
+checks compare paths under the Wiener shift by one period. Every window is
+counted in whole cells of the stepsize: the period is steps_per_tau cells,
+-k*tau is cell -k*steps_per_tau, and the Wiener shift by one period is an
+offset of steps_per_tau cells into one time-first draw.
 """
 
 from __future__ import annotations
@@ -70,9 +73,10 @@ def pullback_converge(
     Depth 8 thus costs three draws, (-2*tau, t_eval), (-4*tau, -2*tau) and
     (-8*tau, -4*tau), each opening one stream per path and component. A gap
     needs two depths, and at an accepted depth k >= 2 fewer than twice its
-    cells are drawn, none before -k_max*tau. The cells are held time-major
-    in one buffer, the deepest first, and depth k runs on the last
-    (t_eval + k*tau)/dt of them as a view. A growth allocates the larger
+    cells are drawn, none before -k_max*tau. The cells are held time-first
+    in one buffer, the deepest first, so that the buffer always starts at
+    cell -k_drawn*steps_per_tau, and depth k runs on its last
+    k*steps_per_tau + n_eval rows as a view. A growth allocates the larger
     buffer, moves the held cells to its end, frees the old one and then
     draws the new periods straight into its front, so cells are copied once
     per doubling. Each depth keeps only the final states; on acceptance
@@ -95,8 +99,8 @@ def pullback_converge(
         raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
-    # time-major cells (cells, ensemble, m) of depths 1 to k_drawn. No view of
-    # buf outlives its depth, so growing frees the old buffer.
+    # cells (cells, ensemble, m) of depths 1 to k_drawn. No view of buf
+    # outlives its depth, so growing frees the old buffer.
     buf = np.empty((0, ensemble, problem.noise_dim))
     k_drawn = 0
     prev = None
@@ -108,17 +112,15 @@ def pullback_converge(
             new = len(grown) - len(buf)
             grown[new:] = buf
             buf = grown
-            end = t_eval if k_drawn == 0 else -k_drawn * tau
             ensemble_increments(
-                seed, range(ensemble), (-k_to * tau, end), problem.noise_dim, dt, out=buf[:new]
+                seed, range(ensemble), -k_to * steps_per_tau, new, problem.noise_dim, dt,
+                out=buf[:new],
             )
             k_drawn = k_to
         start = -k * tau
         n_steps = k * steps_per_tau + n_eval
         lo = len(buf) - n_steps
-        _, final, _ = simulate_ensemble(
-            problem, scheme, start, n_steps, x0, buf[lo:].transpose(1, 0, 2), record=False
-        )
+        _, final, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, buf[lo:], record=False)
         gap = float("inf")
         if prev is not None:
             gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
@@ -127,8 +129,7 @@ def pullback_converge(
         if gap <= tolerance:
             n_keep = min(steps_per_tau, n_steps)
             _, path0, _ = simulate_ensemble(
-                problem, scheme, start, n_steps, x0[:1], buf[lo:, :1].transpose(1, 0, 2),
-                record=True,
+                problem, scheme, start, n_steps, x0[:1], buf[lo:, :1], record=True
             )
             return PullbackResult(
                 k_used=k,
@@ -153,7 +154,11 @@ class PeriodicityReport:
     shifted: np.ndarray  # comparison path values aligned to `times`
     sup_gap: float
     passed: bool
-    degenerate: bool = False
+
+
+def _check_threshold(threshold):
+    if not threshold > 0.0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
 
 
 def periodicity_check_shifted(
@@ -173,6 +178,7 @@ def periodicity_check_shifted(
     over the window (after the burn-in) is a pull-back gap and contracts
     geometrically.
     """
+    _check_threshold(threshold)
     tau = problem.period
     dt = scheme.dt
     a, b = window
@@ -189,9 +195,11 @@ def periodicity_check_shifted(
             f"window {window} must satisfy a <= b and end at least one period "
             f"after -k*tau = {start}"
         )
-    # P1 reads the cells of (start - tau, b) from start, P2 one period earlier
-    cells = ensemble_increments(seed, range(1), (start - tau, b), problem.noise_dim, dt)[0]
-    incs = np.stack([cells[shift_cells:], cells[:n_steps]])
+    # P1 reads the cells from start, P2 one period earlier, as one batch of two
+    cells = ensemble_increments(
+        seed, range(1), -(k + 1) * shift_cells, shift_cells + n_steps, problem.noise_dim, dt
+    )
+    incs = np.concatenate([cells[shift_cells:], cells[:n_steps]], axis=1)
     x0 = np.broadcast_to(xi, (2, xi.size))
     times, (p1, p2), _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs)
 
@@ -232,6 +240,7 @@ def periodicity_check_pullback(
     decaying transient. Reports the curve and its discrete period deviation
     max_t |curve(t+tau) - curve(t)| after one period.
     """
+    _check_threshold(threshold)
     tau = problem.period
     dt = scheme.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -241,30 +250,23 @@ def periodicity_check_pullback(
     n_total = grid_steps(horizon, dt, "horizon")
     if n_total % shift_cells:
         raise ValueError("horizon must be a multiple of the period")
-    times = dt * np.arange(n_total + 1)
-    if n_total == 0:
-        return PeriodicityReport(
-            times=times,
-            reference=x0[None, :],
-            shifted=x0[None, :],
-            sup_gap=0.0,
-            passed=True,
-            degenerate=True,
-        )
-    cells = ensemble_increments(seed, range(1), (-horizon, 0.0), problem.noise_dim, dt)[0]
+    # the one path's cells of (-horizon, 0), (n_total, m)
+    cells = ensemble_increments(seed, range(1), -n_total, n_total, problem.noise_dim, dt)[:, 0]
     curve = np.repeat(x0[None, :], n_total + 1, axis=0)
     x = np.broadcast_to(x0, (n_total, x0.size))
     for i in range(n_total):
-        incs = cells[i:][::-1, None]
+        incs = cells[i:][None, ::-1]  # one step of the n_total - i points still in the batch
         _, x, _ = simulate_ensemble(problem, scheme, i * dt, 1, x, incs, record=False)
         curve[i + 1], x = x[0], x[1:]
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
     after = dev[shift_cells:]
-    sup = float((after if after.size else dev).max())
+    sup = float((after if after.size else dev).max(initial=0.0))
+    shifted = np.full_like(curve, np.nan)
+    shifted[:-shift_cells] = curve[shift_cells:]
     return PeriodicityReport(
-        times=times,
+        times=dt * np.arange(n_total + 1),
         reference=curve,
-        shifted=np.concatenate([curve[shift_cells:], np.full((shift_cells, problem.state_dim), np.nan)]),
+        shifted=shifted,
         sup_gap=sup,
         passed=sup <= threshold,
     )

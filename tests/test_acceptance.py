@@ -83,11 +83,11 @@ def test_3_oracle_equivalence():
             x_ora[j + 1] = exact_linear_step(lam, sigma, sch, x_ora[j], dw)
         # one Newton step from every oracle state, as one batch
         _, per_step, _ = simulate_ensemble(
-            prob, sch, 0.0, 1, x_ora[:-1, None], dws[:, None, None], record=False
+            prob, sch, 0.0, 1, x_ora[:-1, None], dws[None, :, None], record=False
         )
         worst_step = max(worst_step, float(np.abs(per_step[:, 0] - x_ora[1:]).max()))
         _, x_num, _ = simulate_ensemble(
-            prob, sch, 0.0, len(dws), x_ora[None, :1], dws[None, :, None], record=False
+            prob, sch, 0.0, len(dws), x_ora[None, :1], dws[:, None, None], record=False
         )
         worst_path = max(worst_path, abs(x_num[0, 0] - x_ora[-1]))
     ok = worst_step <= 1e-10 and worst_path <= 1e-8

@@ -42,12 +42,11 @@ def moment_monitor(problem, scheme, k, ensemble, seed, xi=0.6):
     start = -k * problem.period
     steps_per_tau = grid_steps(problem.period, scheme.dt, "period")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    incs = ensemble_increments(
-        seed, range(ensemble), (start, 0.0), problem.noise_dim, scheme.dt
-    )
+    n = k * steps_per_tau
+    incs = ensemble_increments(seed, range(ensemble), -n, n, problem.noise_dim, scheme.dt)
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
     times, states, _ = simulate_ensemble(
-        problem, scheme, start, k * steps_per_tau, x0, incs, record=True
+        problem, scheme, start, n, x0, incs, record=True
     )
     sq = np.sum(states**2, axis=-1)  # (ensemble, n_times)
     mom = sq.mean(axis=0)
@@ -187,23 +186,24 @@ class TestMsError:
         monkeypatch.setattr(analysis, "_BLOCK_VALUES", ensemble * m * 180)
         windows = []
 
-        def recording(seed, paths, window, *args, **kwargs):
-            windows.append(window)
-            return ensemble_increments(seed, paths, window, *args, **kwargs)
+        def recording(seed, paths, first_cell, n_cells, *args, **kwargs):
+            windows.append((first_cell, n_cells))
+            return ensemble_increments(seed, paths, first_cell, n_cells, *args, **kwargs)
 
         monkeypatch.setattr(analysis, "ensemble_increments", recording)
         rep = ms_error(problem, theta, [3, 4, 6], 8, ensemble, -1.0, 1.0, seed=4, xi=xi)
-        assert windows == [(-1.0, -0.375), (-0.375, 0.25), (0.25, 0.875), (0.875, 1.0)]
+        # (-1, -0.375), (-0.375, 0.25), (0.25, 0.875) and (0.875, 1) in cells of 2^-8
+        assert windows == [(-256, 160), (-96, 160), (64, 160), (224, 32)]
 
         # one full-window draw, tree-folded to each level and run at once
-        fine = ensemble_increments(4, range(ensemble), (-1.0, 1.0), m, 2.0**-8, fine_level=8)
+        fine = ensemble_increments(4, range(ensemble), -256, 512, m, 2.0**-8, fine_level=8)
         x0 = np.broadcast_to(np.array(xi), (ensemble, len(xi)))
         finals = {}
         for lvl in (3, 4, 6, 8):
             incs = tree_fold(fine, 2 ** (8 - lvl))
             scheme = ThetaScheme(theta=theta, dt=2.0**-lvl)
             _, finals[lvl], _ = simulate_ensemble(
-                problem, scheme, -1.0, incs.shape[1], x0, incs, record=False
+                problem, scheme, -1.0, incs.shape[0], x0, incs, record=False
             )
         sq = [np.sum((finals[lvl] - finals[8]) ** 2, axis=-1) for lvl in (3, 4, 6)]
         rms = np.array([math.sqrt(s.mean()) for s in sq])
@@ -233,7 +233,7 @@ class TestMsError:
         for p in range(4):
             grid = generate(1, p, 6, (0.0, 1.0), 1)
             for lvl in finals:
-                incs = grid.step_increments(0.0, 2**lvl, 2.0**-lvl)[None]
+                incs = grid.step_increments(0.0, 2**lvl, 2.0**-lvl)[:, None]
                 scheme = ThetaScheme(theta=1.0, dt=2.0**-lvl)
                 _, x, _ = simulate_ensemble(prob, scheme, 0.0, 2**lvl, [[0.3]], incs, record=False)
                 finals[lvl].append(x[0, 0])
@@ -361,7 +361,7 @@ class TestNumericalContraction:
         sch = ThetaScheme(theta=0.75, dt=0.1)
         test = numerical_contraction_test(prob, sch, [0.6], [-0.4], 3, 25, seed=2)
         assert calls == [60]
-        incs = ensemble_increments(2, range(25), (-6.0, 0.0), 1, 0.1)
+        incs = ensemble_increments(2, range(25), -60, 60, 1, 0.1)
         _, xs, _ = simulate_ensemble(prob, sch, -6.0, 60, np.full((25, 1), 0.6), incs)
         _, ys, _ = simulate_ensemble(prob, sch, -6.0, 60, np.full((25, 1), -0.4), incs)
         gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)

@@ -69,6 +69,15 @@ class TestConfig:
             ("periodicity", ["--set", "model=linear_ou", "--set", "x0=nan"]),
             ("periodicity", ["--set", "window=1"]),
             ("periodicity", ["--set", "window=-4,0,7"]),
+            ("pullback", ["--set", "t_eval=inf"]),
+            ("simulate", ["--set", "horizon=inf"]),
+            ("converge", ["--set", "t_start=-inf"]),
+            ("simulate", ["--set", "horizon=nan"]),
+            ("periodicity", ["--set", "window=nan,0"]),
+            ("simulate", ["--set", "model.lam=nan"]),
+            ("simulate", ["--set", "model.a=nan"]),
+            ("periodicity", ["--set", "threshold=nan"]),
+            ("periodicity", ["--set", "threshold=-1"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
@@ -77,7 +86,10 @@ class TestConfig:
              "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim",
              "pullback-nan-tolerance", "newton-tol-inf", "newton-tol-nan",
              "periodicity-nan-x0-cubic", "periodicity-nan-x0-linear-ou",
-             "window-one-number", "window-three-numbers"],
+             "window-one-number", "window-three-numbers", "pullback-inf-t-eval",
+             "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
+             "window-nan", "model-nan-lam", "model-nan-a", "threshold-nan",
+             "threshold-negative"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -104,6 +116,16 @@ class TestConfig:
             ("pullback", ["--set", "t_eval=-2.5"], "t_eval"),
             ("pullback", ["--set", "t_eval=-2"], "t_eval"),
             ("pullback", ["--set", "model=linear_ou", "--set", "t_eval=-1.5"], "t_eval"),
+            ("pullback", ["--set", "t_eval=inf"], "t_eval must be finite, got inf"),
+            ("simulate", ["--set", "horizon=nan"], "horizon + k*period must be finite, got nan"),
+            ("converge", ["--set", "t_start=-inf"], "t_start must be finite, got -inf"),
+            ("periodicity", ["--set", "window=nan,0"], "window (nan, 0.0) must be finite"),
+            ("simulate", ["--set", "model.lam=nan"], "model.lam must be finite, got nan"),
+            ("simulate", ["--set", "model.a=nan"], "model.a must be finite, got nan"),
+            ("periodicity", ["--set", "threshold=nan"], "threshold must be positive, got nan"),
+            # zero steps from -2, which is not on the grid of 0.8
+            ("simulate", ["--set", "dt=0.8", "--set", "k=1", "--set", "horizon=-2"],
+             "window start must be grid-aligned"),
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -111,7 +133,9 @@ class TestConfig:
              "contraction-eta-dim",
              "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values",
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
-             "pullback-linear-t-eval-before-period"],
+             "pullback-linear-t-eval-before-period", "pullback-inf-t-eval",
+             "simulate-nan-horizon", "converge-minus-inf-t-start", "window-nan", "model-nan-lam",
+             "model-nan-a", "threshold-nan", "simulate-zero-steps-off-grid"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -313,6 +337,30 @@ PINNED = {
             "manifest.txt": "35f2a4ec6245c36109c0f073c0dffb385e6d74fe9c51faaa81896f707fe29767",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "<stderr>": "003e514b993ede15fa29c7645f4f062f5edc6c55c524a1a277d2a6c6a1ba3c5f",
+        },
+    ),
+    # zero-length runs: horizon -10 is the start -k*period, horizon 0 an empty curve
+    "simulate-zero-steps": (
+        ["simulate", "--set", "horizon=-10"],
+        0,
+        {
+            "manifest.txt": "4ef23bcb515e30cb7e1c88b3d0b330d0195e75889b0abeda466eb590827ac601",
+            "trajectories.csv": "66a5ff7d70ee6364996c23a34e387f89aeb657b954462b937b44a356fcec3377",
+            "trajectories.gp": "881027c3bd31147141100a446797dd73557f877a353f5206790956c7d8dfb7b5",
+            "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    "periodicity-zero-horizon": (
+        ["periodicity", "--set", "horizon=0"],
+        0,
+        {
+            "manifest.txt": "3773e5334b79d424c4d8c870aa70481dd5e3a5fbcd3be97c38a6d14ba19fcacd",
+            "periodicity.gp": "4f8bb225f8d69fb8a2881409a093505360a273132185c13b894022733f0e0f3b",
+            "periodicity_pullback.csv": "176357477b09206f11bc356cc5d7502a9b92ae0928578b83a43e35242db5f069",
+            "periodicity_shifted.csv": "28d3770044b3f7b0a47917e91e7c372c3a12069a6e98c080fc889d48c97e16f8",
+            "<stdout>": "a031e1f61826bf3cddb4b31aa621d377f39ef0669ac1ee0d7f9b9105f90f4f88",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),
 }

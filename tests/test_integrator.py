@@ -12,7 +12,7 @@ from rpsde.models import (
     build_linear_model,
     catalog_entry,
 )
-from rpsde.noise import ensemble_increments, generate, generate_uniform
+from rpsde.noise import ensemble_increments, generate, generate_uniform, grid_steps
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
@@ -27,7 +27,7 @@ def exact_linear_step(lam, sigma, scheme, x, dw):
 
 def one_step(prob, sch, t, x, dw):
     """One theta step of the states x (batch, d) under the increments dw (batch, m)."""
-    dw = np.asarray(dw, dtype=float)[:, None]
+    dw = np.asarray(dw, dtype=float)[None]
     return simulate_ensemble(prob, sch, t, 1, x, dw, record=False)[1]
 
 
@@ -246,7 +246,7 @@ class TestSimulatePath:
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         times, states, iters = simulate_ensemble(
-            prob, sch, 0.0, 0, np.array([[0.6]]), np.zeros((1, 0, 1))
+            prob, sch, 0.0, 0, np.array([[0.6]]), np.zeros((0, 1, 1))
         )
         assert times.tolist() == [0.0]
         assert states.shape == (1, 1, 1) and states[0, 0, 0] == 0.6
@@ -260,7 +260,7 @@ class TestSimulatePath:
         n = 1000
         incs = grid.step_increments(0.0, n, sch.dt)
         _, states, _ = simulate_ensemble(
-            prob, sch, 0.0, n, np.array([[1.0]]), incs[None], record=True
+            prob, sch, 0.0, n, np.array([[1.0]]), incs[:, None], record=True
         )
         x = 1.0
         for j in range(n):
@@ -272,7 +272,7 @@ class TestSimulatePath:
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError, match="increments have shape"):
-            simulate_ensemble(prob, sch, 0.0, 2, np.zeros((x_batch, 1)), np.zeros((inc_batch, 2, 1)))
+            simulate_ensemble(prob, sch, 0.0, 2, np.zeros((x_batch, 1)), np.zeros((2, inc_batch, 1)))
 
     def test_deterministic_replay(self):
         prob = build_cubic_model(**BENCH)
@@ -280,8 +280,8 @@ class TestSimulatePath:
         grid = generate_uniform(4, 2, 0.1, (-4.0, 0.0), 1)
         incs = grid.step_increments(-4.0, 40, 0.1)
         x0 = np.array([[0.6]])
-        _, a, a_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[None])
-        _, b, b_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[None])
+        _, a, a_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[:, None])
+        _, b, b_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[:, None])
         assert np.array_equal(a, b)
         assert np.array_equal(a_iters, b_iters)
 
@@ -292,7 +292,7 @@ class TestSimulatePath:
         grid = generate_uniform(12, 0, 0.1, (-10.0, 0.0), 1)
         incs = grid.step_increments(-10.0, 100, 0.1)
         x0 = np.array([[0.6]])
-        _, _, iters = simulate_ensemble(prob, sch, -10.0, 100, x0, incs[None])
+        _, _, iters = simulate_ensemble(prob, sch, -10.0, 100, x0, incs[:, None])
         assert np.median(iters) <= 5
 
 
@@ -318,14 +318,15 @@ class TestEnsembleConsistency:
                 generate_uniform(3, p, dt, (-2.0, -2.0 + n * dt), prob.noise_dim)
                 .step_increments(-2.0, n, dt)
                 for p in range(len(x0))
-            ]
+            ],
+            axis=1,
         )
         x0 = np.array(x0)
         _, batched, batched_iters = simulate_ensemble(prob, sch, -2.0, n, x0, incs, record=True)
         single_iters = []
         for p in range(len(x0)):
             _, single, iters = simulate_ensemble(
-                prob, sch, -2.0, n, x0[p : p + 1], incs[p : p + 1], record=True
+                prob, sch, -2.0, n, x0[p : p + 1], incs[:, p : p + 1], record=True
             )
             assert np.array_equal(batched[p], single[0])
             single_iters.append(iters)
@@ -353,9 +354,10 @@ class TestEnsembleConsistency:
     def test_row_major_increments_give_the_same_bits(self, make, theta):
         prob = make()
         sch = ThetaScheme(theta=theta, dt=0.05)
-        incs = ensemble_increments(8, range(6), (-1.0, 0.0), prob.noise_dim, 0.05)
-        rows = np.ascontiguousarray(incs)
-        assert incs[:, 0].flags.c_contiguous and not rows[:, 0].flags.c_contiguous
+        incs = ensemble_increments(8, range(6), -20, 20, prob.noise_dim, 0.05)
+        # the same values stored path by path, read through a time-first view
+        rows = np.ascontiguousarray(incs.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert incs[0].flags.c_contiguous and not rows[0].flags.c_contiguous
         x0 = np.linspace(-0.6, 0.6, 6 * prob.state_dim).reshape(6, prob.state_dim)
         _, a, a_iters = simulate_ensemble(prob, sch, -1.0, 20, x0, incs)
         _, b, b_iters = simulate_ensemble(prob, sch, -1.0, 20, x0, rows)
@@ -373,8 +375,8 @@ class TestClosedFormStage:
 
     def run(self, prob, sch, n=40, batch=8):
         x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (batch, prob.state_dim))
-        window = (-1.0, -1.0 + n * sch.dt)
-        incs = ensemble_increments(5, range(batch), window, prob.noise_dim, sch.dt)
+        first = grid_steps(-1.0, sch.dt, "start")
+        incs = ensemble_increments(5, range(batch), first, n, prob.noise_dim, sch.dt)
         return simulate_ensemble(prob, sch, -1.0, n, x0, incs)
 
     @pytest.mark.parametrize("theta", [0.75, 1.0])
@@ -432,7 +434,8 @@ class TestGoldenBits:
         prob = make()
         sch = ThetaScheme(theta=theta, dt=dt)
         n = 16
-        incs = ensemble_increments(11, range(len(x0)), (-1.5, -1.5 + n * dt), prob.noise_dim, dt)
+        first = grid_steps(-1.5, dt, "start")
+        incs = ensemble_increments(11, range(len(x0)), first, n, prob.noise_dim, dt)
         _, final, iters = simulate_ensemble(prob, sch, -1.5, n, np.array(x0), incs, record=False)
         assert [float(v).hex() for v in final.ravel()] == hexes
         assert iters.sum() == iter_sum

@@ -5,10 +5,12 @@ A module may import only public names from another rpsde module, and only at
 module level: a private name shared across modules belongs in the module
 that owns it, made public, and a function-level import hides a dependency.
 A time becomes a whole number of cells only in `noise.grid_steps`, so the
-builtin `round` is called nowhere else. Files are written by `cli` alone: only
-`cli` imports csv, and the builtin `open` and `csv.writer` are called only in
-`cli._write_csv`, the one CSV writer. Every public name is used inside the
-package: a name that only the tests call belongs in the tests.
+builtin `round` is called nowhere else. Increments have one layout, time
+first, which `noise._Streams.fill` writes through the package's only
+`transpose`. Files are written by `cli` alone: only `cli` imports csv, and the
+builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
+CSV writer. Every public name is used inside the package: a name that only
+the tests call belongs in the tests.
 """
 
 import ast
@@ -42,6 +44,17 @@ def function_level(tree):
     return inner
 
 
+def nodes_in(tree, qualname):
+    """Ids of the nodes of the module-level function qualname, "f" or "Class.method"."""
+    scope = tree
+    for part in qualname.split("."):
+        scope = next(
+            n for n in scope.body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == part
+        )
+    return {id(n) for n in ast.walk(scope)}
+
+
 def test_modules_found():
     assert {"noise.py", "integrator.py", "periodic.py", "cli.py"} <= {
         m.name for m in MODULES
@@ -65,11 +78,7 @@ def test_no_private_or_function_level_rpsde_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_round_only_in_grid_steps(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = set()
-    if path.name == "noise.py":
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and fn.name == "grid_steps":
-                allowed.update(id(n) for n in ast.walk(fn))
+    allowed = nodes_in(tree, "grid_steps") if path.name == "noise.py" else set()
     calls = [
         node.lineno
         for node in ast.walk(tree)
@@ -81,6 +90,18 @@ def test_round_only_in_grid_steps(path):
     assert not calls, f"{path.name}: round() at lines {calls}; use noise.grid_steps"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_transpose_only_in_streams_fill(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    allowed = nodes_in(tree, "_Streams.fill") if path.name == "noise.py" else set()
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "transpose" and id(node) not in allowed
+    ]
+    assert not lines, f"{path.name}: transpose at lines {lines}; increments are (cells, paths, m)"
+
+
 def calls(tree):
     """(node, called name) for every call in tree, the name as written: "open", "csv.writer"."""
     return [(n, ast.unparse(n.func)) for n in ast.walk(tree) if isinstance(n, ast.Call)]
@@ -89,11 +110,7 @@ def calls(tree):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_files_written_only_by_cli_write_csv(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = set()
-    if path.name == "cli.py":
-        for fn in ast.walk(tree):
-            if isinstance(fn, ast.FunctionDef) and fn.name == "_write_csv":
-                allowed.update(id(n) for n in ast.walk(fn))
+    allowed = nodes_in(tree, "_write_csv") if path.name == "cli.py" else set()
     problems = [
         f"line {node.lineno}: calls {name}"
         for node, name in calls(tree)

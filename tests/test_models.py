@@ -142,6 +142,16 @@ class TestCatalog:
         with pytest.raises(ParameterError, match="accepted: none"):
             catalog_entry("additive_sine", lam=1.0)
 
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("linear_ou", "lam", math.nan), ("cubic_multiplicative", "a", math.nan),
+         ("cubic_multiplicative", "lam", math.inf), ("linear_ou", "sigma", -math.inf)],
+    )
+    def test_non_finite_parameter_named(self, name, key, value):
+        # nan used to fail a later check ("must be symmetric") or the first Newton solve
+        with pytest.raises(ParameterError, match=f"^model.{key} must be finite, got {value}$"):
+            catalog_entry(name, **{key: value})
+
 
 def matrix_problem(a):
     """A problem with linear part a and nothing else."""

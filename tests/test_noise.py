@@ -36,10 +36,8 @@ def coarse_increment(grid, coarse_level, cell_index):
     return grid.step_increments(cell_index * dt, 1, dt)[0]
 
 
-def increments_one_generator_per_stream(seed, paths, window, dt):
-    """Uniform-grid increments with a new Philox built for every stream, m = 1."""
-    i0 = round(window[0] / dt)
-    n = round((window[1] - window[0]) / dt)
+def increments_one_generator_per_stream(seed, paths, i0, n, dt):
+    """Uniform-grid increments of n cells from cell i0, a new Philox built for every stream, m = 1."""
     b0, lane0 = divmod(i0 + (1 << 62), 4)
     salt = 0x5A5A0000 ^ int(np.float64(dt).view(np.uint64)) & 0xFFFFFFFF
     rows = []
@@ -47,7 +45,7 @@ def increments_one_generator_per_stream(seed, paths, window, dt):
         bg = np.random.Philox(key=raw_key(seed, p, 0, salt), counter=[b0, 0, 0, 0])
         raw = bg.random_raw(lane0 + n + 4)[lane0 : lane0 + n]
         rows.append(math.sqrt(dt) * ndtri(((raw >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53))
-    return np.array(rows)[..., None]
+    return np.array(rows).T[..., None]
 
 
 class TestDeterminism:
@@ -132,13 +130,13 @@ class TestCoarsening:
     def test_level_by_level_fold_equals_step_increments(self):
         # two paths of a level-8 grid with two noises, folded to every level
         grids = [generate(17, p, 8, (-1.0, 1.0), 2) for p in range(2)]
-        folded = np.stack([g.increments for g in grids])
+        folded = np.stack([g.increments for g in grids], axis=1)
         for lvl in range(8, -1, -1):
             if lvl < 8:
                 folded = tree_fold(folded, 2)
             for p, g in enumerate(grids):
                 at_once = g.step_increments(-1.0, 2 ** (lvl + 1), 2.0**-lvl)
-                assert np.array_equal(folded[p], at_once)
+                assert np.array_equal(folded[:, p], at_once)
                 assert np.array_equal(tree_fold(g.increments, 2 ** (8 - lvl)), at_once)
 
     def test_coarse_increment_requires_dyadic(self):
@@ -172,6 +170,12 @@ class TestGridSteps:
     def test_off_grid_rejected(self, t, h):
         with pytest.raises(WindowError, match="t must be grid-aligned.*multiple of the stepsize"):
             grid_steps(t, h, "t")
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, t):
+        # inf used to overflow in round() and nan to fail without naming t
+        with pytest.raises(WindowError, match=f"^t must be finite, got {t}$"):
+            grid_steps(t, 0.1, "t")
 
 
 class TestValidation:
@@ -226,38 +230,37 @@ class TestStreamKey:
             ("0x1.8ada57989b5efp-5", "0x1.9048d3d134587p-4", "-0x1.51cf0ef219117p-5"),
             ("0x1.0b9dab9976e58p-3", "0x1.b17319a77710fp-4", "0x1.290f8207fc208p-4"),
         ]
-        incs = ensemble_increments(0, range(4), (-1.0, 0.0), 1, 0.01)[..., 0]
+        incs = ensemble_increments(0, range(4), -100, 100, 1, 0.01)[..., 0]
         for p, (first, second, last) in enumerate(expected):
-            assert [float(v).hex() for v in incs[p, [0, 1, -1]]] == [first, second, last]
+            assert [float(v).hex() for v in incs[[0, 1, -1], p]] == [first, second, last]
 
     def test_rows_equal_one_generator_per_stream(self):
         # 700 streams of 97 cells span two chunks of the shared generator
-        window = (-0.97, 0.0)
-        incs = ensemble_increments(0, range(700), window, 1, 0.01)
-        ref = increments_one_generator_per_stream(0, range(700), window, 0.01)
+        incs = ensemble_increments(0, range(700), -97, 97, 1, 0.01)
+        ref = increments_one_generator_per_stream(0, range(700), -97, 97, 0.01)
         assert np.array_equal(incs, ref)
 
 
 class TestEnsembleIncrements:
     def test_uniform_rows_are_per_path_streams(self):
-        incs = ensemble_increments(5, range(4), (-1.0, 0.5), 2, 0.25)
-        assert incs.shape == (4, 6, 2)
+        incs = ensemble_increments(5, range(4), -4, 6, 2, 0.25)
+        assert incs.shape == (6, 4, 2)
         for p in range(4):
             grid = generate_uniform(5, p, 0.25, (-1.0, 0.5), 2)
-            assert np.array_equal(incs[p], grid.step_increments(-1.0, 6, 0.25))
+            assert np.array_equal(incs[:, p], grid.step_increments(-1.0, 6, 0.25))
 
     def test_dyadic_rows_are_per_path_streams(self):
         # level-6 cells, the block folded to steps of 2^-4 as ms_error folds it
-        incs = tree_fold(ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-6, fine_level=6), 4)
-        assert incs.shape == (3, 16, 1)
+        incs = tree_fold(ensemble_increments(5, range(3), 0, 64, 1, 2.0**-6, fine_level=6), 4)
+        assert incs.shape == (16, 3, 1)
         for p in range(3):
             grid = generate(5, p, 6, (0.0, 1.0), 1)
-            assert np.array_equal(incs[p], grid.step_increments(0.0, 16, 2.0**-4))
+            assert np.array_equal(incs[:, p], grid.step_increments(0.0, 16, 2.0**-4))
 
     def test_chunk_invariance(self):
-        whole = ensemble_increments(9, range(0, 5), (-2.0, 0.0), 1, 0.1)
-        chunk = ensemble_increments(9, range(2, 5), (-2.0, 0.0), 1, 0.1)
-        assert np.array_equal(chunk, whole[2:5])
+        whole = ensemble_increments(9, range(0, 5), -20, 20, 1, 0.1)
+        chunk = ensemble_increments(9, range(2, 5), -20, 20, 1, 0.1)
+        assert np.array_equal(chunk, whole[:, 2:5])
 
     @pytest.mark.parametrize(
         "noise_dim, dt, fine_level, split",
@@ -268,35 +271,39 @@ class TestEnsembleIncrements:
         # dyadic cells are drawn at the cell width and folded to dt as a block
         h = dt if fine_level is None else 2.0**-fine_level
 
-        def draw(window):
-            incs = ensemble_increments(3, range(5), window, noise_dim, h, fine_level)
-            return tree_fold(incs, round(dt / h))
+        def draw(a, b):
+            i0 = grid_steps(a, h, "a")
+            incs = ensemble_increments(3, range(5), i0, grid_steps(b, h, "b") - i0, noise_dim, h,
+                                       fine_level)
+            return tree_fold(incs, grid_steps(dt, h, "dt"))
 
-        window = (-2.0, 1.0)
-        joint, left, right = draw(window), draw((window[0], split)), draw((split, window[1]))
-        assert joint.tobytes() == np.concatenate([left, right], axis=1).tobytes()
+        joint, left, right = draw(-2.0, 1.0), draw(-2.0, split), draw(split, 1.0)
+        assert joint.tobytes() == np.concatenate([left, right]).tobytes()
 
     @pytest.mark.parametrize(
         "noise_dim, dt, fine_level", [(1, 0.01, None), (2, 2.0**-6, 6)], ids=["uniform", "dyadic"]
     )
     def test_time_major_layout(self, noise_dim, dt, fine_level):
-        # the stepping loop reads incs[:, j], one contiguous slab per step
-        incs = ensemble_increments(3, range(7), (-1.0, 1.0), noise_dim, dt, fine_level)
-        assert incs.shape == (7, round(2.0 / dt), noise_dim)
-        assert incs.transpose(1, 0, 2).flags.c_contiguous
+        # the stepping loop reads incs[j], one contiguous slab per step
+        n = grid_steps(2.0, dt, "window")
+        incs = ensemble_increments(3, range(7), -n // 2, n, noise_dim, dt, fine_level)
+        assert incs.shape == (n, 7, noise_dim)
+        assert incs.flags.c_contiguous
         folded = tree_fold(incs, 4)
-        assert folded.transpose(1, 0, 2).flags.c_contiguous
-        # the pairwise order does not depend on the layout
-        assert folded.tobytes() == tree_fold(np.ascontiguousarray(incs), 4).tobytes()
+        assert folded.flags.c_contiguous
+        # the pairwise order does not depend on the layout: the same values
+        # stored path by path fold to the same bits
+        path_major = np.ascontiguousarray(incs.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert folded.tobytes() == tree_fold(path_major, 4).tobytes()
 
     @pytest.mark.parametrize("noise_dim", [1, 2])
     def test_out_holds_the_fresh_bits(self, noise_dim):
-        fresh = ensemble_increments(3, range(5), (-1.0, 0.5), noise_dim, 0.05)
+        fresh = ensemble_increments(3, range(5), -20, 30, noise_dim, 0.05)
         held = np.full((40, 5, noise_dim), np.nan)
-        incs = ensemble_increments(3, range(5), (-1.0, 0.5), noise_dim, 0.05, out=held[10:])
-        assert np.shares_memory(incs, held)
-        assert incs.tobytes() == fresh.tobytes()
-        assert held[10:].transpose(1, 0, 2).tobytes() == fresh.tobytes()
+        out = held[10:]
+        incs = ensemble_increments(3, range(5), -20, 30, noise_dim, 0.05, out=out)
+        assert incs is out
+        assert held[10:].tobytes() == fresh.tobytes()
         assert np.isnan(held[:10]).all()
 
     @pytest.mark.parametrize(
@@ -311,8 +318,22 @@ class TestEnsembleIncrements:
 
         monkeypatch.setattr("rpsde.noise._Streams.fill", no_draw)
         with pytest.raises(ValueError, match=r"need float64 \(30, 5, 1\)"):
-            ensemble_increments(3, range(5), (-1.0, 0.5), 1, 0.05, out=out)
+            ensemble_increments(3, range(5), -20, 30, 1, 0.05, out=out)
+
+    @pytest.mark.parametrize(
+        "fine_level, dt", [(None, 0.05), (6, 2.0**-6)], ids=["uniform", "dyadic"]
+    )
+    def test_no_cells_draw_nothing(self, monkeypatch, fine_level, dt):
+        def no_draw(*args):
+            raise AssertionError("drew noise")
+
+        monkeypatch.setattr("rpsde.noise._Streams.fill", no_draw)
+        for first in (-20, -17, 0, 3):
+            incs = ensemble_increments(3, range(5), first, 0, 2, dt, fine_level)
+            assert incs.shape == (0, 5, 2) and incs.dtype == np.float64
+        with pytest.raises(WindowError, match="n_cells must be >= 0, got -1"):
+            ensemble_increments(3, range(5), 0, -1, 2, dt, fine_level)
 
     def test_dyadic_dt_must_be_the_cell_width(self):
         with pytest.raises(WindowError, match="cell width"):
-            ensemble_increments(5, range(3), (0.0, 1.0), 1, 2.0**-4, fine_level=6)
+            ensemble_increments(5, range(3), 0, 64, 1, 2.0**-4, fine_level=6)

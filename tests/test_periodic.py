@@ -66,7 +66,7 @@ def pullback_curve_by_definition(problem, scheme, x0, horizon, seed):
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     curve = [x0[0]]
     for j in range(1, n + 1):
-        incs = grid.step_increments(-j * dt, j, dt)[None]
+        incs = grid.step_increments(-j * dt, j, dt)[:, None]
         _, final, _ = simulate_ensemble(problem, scheme, 0.0, j, x0, incs, record=False)
         curve.append(final[0])
     return np.array(curve)
@@ -83,7 +83,9 @@ def pullback_by_definition(problem, scheme, t_eval, xi, tolerance, k_max, ensemb
     for k in range(1, k_max + 1):
         start = -k * problem.period
         n_steps = k * steps_per_tau + n_eval
-        incs = ensemble_increments(seed, range(ensemble), (start, t_eval), problem.noise_dim, dt)
+        incs = ensemble_increments(
+            seed, range(ensemble), -k * steps_per_tau, n_steps, problem.noise_dim, dt
+        )
         _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
         final = states[:, -1]
         if prev is not None:
@@ -180,10 +182,11 @@ class TestPullbackConverge:
         """The result (None after PullbackError) and the sorted windows drawn, in cells."""
         windows = []
 
-        def recording(seed, paths, window, noise_dim, dt, fine_level=None, out=None):
+        def recording(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level=None, out=None):
             assert paths == range(30)
-            windows.append(window)
-            return ensemble_increments(seed, paths, window, noise_dim, dt, fine_level, out)
+            windows.append((first_cell, first_cell + n_cells))
+            return ensemble_increments(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level,
+                                       out)
 
         monkeypatch.setattr("rpsde.periodic.ensemble_increments", recording)
         prob = build_linear_model(1.0, 0.3)
@@ -193,7 +196,7 @@ class TestPullbackConverge:
                                     k_max, 30, 1)
         except PullbackError:
             res = None
-        cells = sorted((round(a / dt), round(b / dt)) for a, b in windows)
+        cells = sorted(windows)
         # adjacent and never overlapping, the first ending at t_eval
         assert cells[-1][1] == round(0.35 / dt)
         assert all(prev[1] == nxt[0] for prev, nxt in zip(cells, cells[1:]))
@@ -237,7 +240,7 @@ def shared_noise_run(problem, scheme, xis, k, seed):
     """Every initial value from -k*tau to 0 under the one noise path 0, as `rpsde simulate` runs them."""
     start = -k * problem.period
     n = round(k * problem.period / scheme.dt)
-    incs = ensemble_increments(seed, range(1), (start, 0.0), problem.noise_dim, scheme.dt)
+    incs = ensemble_increments(seed, range(1), -n, n, problem.noise_dim, scheme.dt)
     times, states, _ = simulate_ensemble(problem, scheme, start, n, np.array(xis, dtype=float), incs)
     return times, states
 
@@ -311,10 +314,10 @@ class TestPeriodicityShifted:
         grid = generate_uniform(3, 0, dt, (start - tau, window[1]), prob.noise_dim)
         x0 = np.array([[0.6]])
         _, p1, _ = simulate_ensemble(
-            prob, sch, start, n, x0, grid.step_increments(start, n, dt)[None]
+            prob, sch, start, n, x0, grid.step_increments(start, n, dt)[:, None]
         )
         _, p2, _ = simulate_ensemble(
-            prob, sch, start, n, x0, grid.step_increments(start - tau, n, dt)[None]
+            prob, sch, start, n, x0, grid.step_increments(start - tau, n, dt)[:, None]
         )
         rep = periodicity_check_shifted(prob, sch, k=k, xi=[0.6], window=window, seed=3)
         idx = np.arange(round((window[0] - start) / dt), n + 1)
@@ -337,6 +340,22 @@ class TestPeriodicityShifted:
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError, match=match):
             periodicity_check_shifted(prob, sch, k=5, xi=[0.6], window=window, seed=3)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0])
+@pytest.mark.parametrize("check", ["shifted", "pullback"])
+def test_threshold_must_be_positive(monkeypatch, check, threshold):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew noise before checking the threshold")
+
+    monkeypatch.setattr("rpsde.periodic.ensemble_increments", no_draw)
+    prob = build_cubic_model(**BENCH)
+    sch = ThetaScheme(theta=1.0, dt=0.1)
+    with pytest.raises(ValueError, match=f"^threshold must be positive, got {threshold}$"):
+        if check == "shifted":
+            periodicity_check_shifted(prob, sch, 5, [0.6], (-4.0, 0.0), 3, threshold=threshold)
+        else:
+            periodicity_check_pullback(prob, sch, [-0.2], 4.0, 3, threshold=threshold)
 
 
 class TestPeriodicityPullback:
@@ -382,8 +401,10 @@ class TestPeriodicityPullback:
         prob = build_linear_model(1.0, 0.1)
         sch = ThetaScheme(theta=1.0, dt=0.25)
         rep = periodicity_check_pullback(prob, sch, [0.5], 0.0, seed=0)
-        assert rep.degenerate
+        # the curve is its starting point alone, with nothing to deviate
         assert rep.sup_gap == 0.0
+        assert rep.passed
+        assert rep.times.tolist() == [0.0] and rep.reference.tolist() == [[0.5]]
 
     def test_negative_horizon_rejected(self):
         prob = build_linear_model(1.0, 0.1)
