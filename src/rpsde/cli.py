@@ -2,10 +2,13 @@
 
 Subcommands: simulate, pullback, periodicity, converge, contraction.
 Configuration is a flat key=value file, overridable by command-line flags
-(flags win). Every run writes its outputs, a gnuplot script, and a manifest
-(resolved config + seed + library version) into the output directory; the
-exit code is 0 iff every pass/fail check in the run passed, and 2, with one
-`error:` line, for an unknown key, a bad value or a failed Newton solve.
+(flags win). `_KEYS` gives each subcommand's keys with the reader and the
+default of each; every value is read once, and a malformed one is rejected by
+its key before the output directory is made. Every run writes its outputs, a
+gnuplot script, and a manifest (the command, the library version and the
+config keys as given) into the output directory; the exit code is 0 iff every
+pass/fail check in the run passed, and 2, with one `error:` line, for an
+unknown key, a bad value or a failed Newton solve.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import ms_error, numerical_contraction_test
 from .integrator import NewtonError, ThetaScheme, simulate_ensemble
-from .models import ModelCatalogEntry, catalog_entry
+from .models import catalog_entry
 from .noise import ensemble_increments, grid_steps
 from .periodic import (
     PullbackError,
@@ -51,43 +54,118 @@ def load_config(path) -> dict:
 
 
 def _floats(text):
-    return [float(v) for v in str(text).replace(";", ",").split(",") if v.strip()]
+    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
 
 def _ints(text):
-    return [int(v) for v in str(text).replace(";", ",").split(",") if v.strip()]
+    return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
 
-def _resolve_model(cfg) -> ModelCatalogEntry:
-    name = cfg.get("model", "cubic_multiplicative")
-    params = {
-        key.split(".", 1)[1]: float(value)
-        for key, value in cfg.items()
-        if key.startswith("model.")
-    }
-    return catalog_entry(name, **params)
+def _state(text):
+    values = _floats(text)
+    if not values or not np.isfinite(values).all():
+        raise ValueError
+    return values
 
 
-def _resolve_scheme(cfg) -> ThetaScheme:
-    theta = float(cfg.get("theta", 1.0))
-    if "dt" in cfg:
-        dt = float(cfg["dt"])
-    elif "level" in cfg:
-        dt = 2.0 ** -int(cfg["level"])
-    else:
-        dt = 0.1
-    return ThetaScheme(
-        theta=theta,
-        dt=dt,
-        newton_tol=float(cfg.get("newton_tol", 1e-5)),
-        newton_max_iter=int(cfg.get("newton_max_iter", 50)),
-    )
+def _pair(text):
+    values = tuple(_floats(text))
+    if len(values) != 2:
+        raise ValueError
+    return values
 
 
-def _write_manifest(out: Path, cfg: dict, command: str):
-    lines = [f"command={command}", f"version={__version__}"]
-    lines += [f"{k}={v}" for k, v in sorted(cfg.items())]
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+# what each reader accepts, for the error that names the key
+_EXPECTED = {
+    int: "an integer",
+    float: "a number",
+    _ints: "integers separated by commas",
+    _state: "one or more finite numbers separated by commas",
+    _pair: "two numbers a,b",
+}
+_COMMON = {"model": (str, "cubic_multiplicative"), "seed": (int, 0)}
+_SCHEME = {
+    "theta": (float, 1.0),
+    "dt": (float, 0.1),
+    "newton_tol": (float, 1e-5),
+    "newton_max_iter": (int, 50),
+}
+# key -> (reader, default) of each subcommand, besides _COMMON and model.<param>; a
+# default may be a function of the problem. The settings of pullback, converge and
+# contraction are the keyword arguments of pullback_converge, ms_error and
+# numerical_contraction_test, which take them whole.
+_KEYS = {
+    "simulate": {
+        **_SCHEME,
+        "k": (int, 5),
+        "horizon": (float, 0.0),
+        "initial_values": (_state, (0.6, 0.0, -0.6)),
+    },
+    "pullback": {
+        **_SCHEME,
+        "t_eval": (float, 0.0),
+        "xi": (_state, (0.6,)),
+        "tolerance": (float, 1e-3),
+        "k_max": (int, 20),
+        "ensemble": (int, 100),
+    },
+    "periodicity": {
+        **_SCHEME,
+        "k": (int, 5),
+        "window": (_pair, lambda problem: (-2.0 * problem.period, 0.0)),
+        "xi": (_state, (0.6,)),
+        "x0": (_state, (-0.2,)),
+        "horizon": (float, lambda problem: 5.0 * problem.period),
+        "threshold": (float, 1e-2),
+    },
+    "converge": {
+        "theta": _SCHEME["theta"],
+        "newton_tol": _SCHEME["newton_tol"],
+        "levels": (_ints, (6, 7, 8, 9, 10)),
+        "reference_level": (int, 12),
+        "ensemble": (int, 200),
+        "t_start": (float, -4.0),
+        "t_end": (float, 4.0),
+        "xi": (_state, (0.6,)),
+    },
+    "contraction": {
+        **_SCHEME,
+        "xi": (_state, (0.6,)),
+        "eta": (_state, (-0.6,)),
+        "k": (int, 15),
+        "ensemble": (int, 200),
+    },
+}
+
+
+def _settings(cfg: dict, command: str) -> argparse.Namespace:
+    """The problem, the scheme (for a command with dt) and every other setting of command.
+
+    Each value of cfg is read once; _SCHEME's keys go into the scheme alone.
+    """
+
+    def read(key, reader, default=None):
+        if key not in cfg:
+            return default
+        try:
+            return reader(cfg[key])
+        except ValueError:
+            raise ConfigError(f"{key} must be {_EXPECTED[reader]}, got {cfg[key]!r}") from None
+
+    table = {**_COMMON, **_KEYS[command]}
+    unknown = sorted(k for k in cfg if k not in table and not k.startswith("model."))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {', '.join(unknown)} for {command}; "
+            f"accepted: {', '.join(sorted(table))}, model.<param>"
+        )
+    values = {key: read(key, *entry) for key, entry in table.items()}
+    params = {k.split(".", 1)[1]: read(k, float) for k in cfg if k.startswith("model.")}
+    problem = catalog_entry(values.pop("model"), **params).problem
+    values = {k: v(problem) if callable(v) else v for k, v in values.items()}
+    if "dt" in values:
+        values["scheme"] = ThetaScheme(**{k: values.pop(k) for k in _SCHEME})
+    return argparse.Namespace(problem=problem, **values)
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -108,23 +186,15 @@ def _write_plot_script(out: Path, name: str, lines: list[str]):
     (out / name).write_text("\n".join(header + lines) + "\n")
 
 
-def run_simulate(cfg: dict, out: Path) -> bool:
-    entry = _resolve_model(cfg)
-    problem = entry.problem
-    scheme = _resolve_scheme(cfg)
-    seed = int(cfg.get("seed", 0))
-    k = int(cfg.get("k", 5))
-    horizon = float(cfg.get("horizon", 0.0))
-    xis = _floats(cfg.get("initial_values", "0.6,0,-0.6"))
-    if not xis:
-        raise ConfigError("initial_values must name at least one value")
-    start = -k * problem.period
-    n_steps = grid_steps(horizon - start, scheme.dt, "horizon + k*period")
+def run_simulate(s: argparse.Namespace, out: Path) -> bool:
+    problem, scheme, xis = s.problem, s.scheme, s.initial_values
+    start = -s.k * problem.period
+    n_steps = grid_steps(s.horizon - start, scheme.dt, "horizon + k*period")
     if n_steps < 0:
-        raise ConfigError(f"horizon {horizon} precedes the start -k*period = {start}")
+        raise ConfigError(f"horizon {s.horizon} precedes the start -k*period = {start}")
     first = grid_steps(start, scheme.dt, "window start")
     # every initial value runs under the one noise path 0
-    incs = ensemble_increments(seed, range(1), first, n_steps, problem.noise_dim, scheme.dt)
+    incs = ensemble_increments(s.seed, range(1), first, n_steps, problem.noise_dim, scheme.dt)
     x0s = np.array(xis, dtype=float)[:, None]
     times, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0s, incs)
     rows = np.column_stack([times, states[:, :, 0].T]).tolist()
@@ -143,21 +213,9 @@ def run_simulate(cfg: dict, out: Path) -> bool:
     return True
 
 
-def run_pullback(cfg: dict, out: Path) -> bool:
-    entry = _resolve_model(cfg)
-    scheme = _resolve_scheme(cfg)
-    seed = int(cfg.get("seed", 0))
+def run_pullback(s: argparse.Namespace, out: Path) -> bool:
     try:
-        result = pullback_converge(
-            entry.problem,
-            scheme,
-            t_eval=float(cfg.get("t_eval", 0.0)),
-            xi=_floats(cfg.get("xi", "0.6")),
-            tolerance=float(cfg.get("tolerance", 1e-3)),
-            k_max=int(cfg.get("k_max", 20)),
-            ensemble=int(cfg.get("ensemble", 100)),
-            seed=seed,
-        )
+        result = pullback_converge(**vars(s))
     except PullbackError as exc:
         print(f"pullback: FAILED ({exc})", file=sys.stderr)
         return False
@@ -172,31 +230,12 @@ def run_pullback(cfg: dict, out: Path) -> bool:
     return True
 
 
-def run_periodicity(cfg: dict, out: Path) -> bool:
-    entry = _resolve_model(cfg)
-    problem = entry.problem
-    scheme = _resolve_scheme(cfg)
-    seed = int(cfg.get("seed", 0))
-    k = int(cfg.get("k", 5))
-    window = _floats(cfg.get("window", f"{-2 * problem.period},0"))
-    if len(window) != 2:
-        raise ConfigError(f"window must be two numbers a,b, got {cfg['window']!r}")
+def run_periodicity(s: argparse.Namespace, out: Path) -> bool:
     shifted = periodicity_check_shifted(
-        problem,
-        scheme,
-        k=k,
-        xi=_floats(cfg.get("xi", "0.6")),
-        window=tuple(window),
-        seed=seed,
-        threshold=float(cfg.get("threshold", 1e-2)),
+        s.problem, s.scheme, k=s.k, xi=s.xi, window=s.window, seed=s.seed, threshold=s.threshold
     )
     pullback = periodicity_check_pullback(
-        problem,
-        scheme,
-        x0=_floats(cfg.get("x0", "-0.2")),
-        horizon=float(cfg.get("horizon", 5 * problem.period)),
-        seed=seed,
-        threshold=float(cfg.get("threshold", 1e-2)),
+        s.problem, s.scheme, x0=s.x0, horizon=s.horizon, seed=s.seed, threshold=s.threshold
     )
     cols = [shifted.times, shifted.reference[:, 0], shifted.shifted[:, 0]]
     rows = np.column_stack(cols).tolist()
@@ -224,20 +263,8 @@ def run_periodicity(cfg: dict, out: Path) -> bool:
     return shifted.passed and pullback.passed
 
 
-def run_converge(cfg: dict, out: Path) -> bool:
-    entry = _resolve_model(cfg)
-    report = ms_error(
-        entry.problem,
-        theta=float(cfg.get("theta", 1.0)),
-        levels=_ints(cfg.get("levels", "6,7,8,9,10")),
-        reference_level=int(cfg.get("reference_level", 12)),
-        ensemble=int(cfg.get("ensemble", 200)),
-        t_start=float(cfg.get("t_start", -4.0)),
-        t_end=float(cfg.get("t_end", 4.0)),
-        seed=int(cfg.get("seed", 0)),
-        xi=_floats(cfg.get("xi", "0.6")),
-        newton_tol=float(cfg.get("newton_tol", 1e-5)),
-    )
+def run_converge(s: argparse.Namespace, out: Path) -> bool:
+    report = ms_error(**vars(s))
     # level_diff is rms|X_l - X_prev| against the previous level; empty on the coarsest row
     diffs = ["", *report.level_diffs.tolist()]
     rows = [*zip(report.levels, report.stepsizes, report.rms_errors, report.stderrs, diffs)]
@@ -256,17 +283,8 @@ def run_converge(cfg: dict, out: Path) -> bool:
     return bool(np.isfinite(report.fitted_slope))
 
 
-def run_contraction(cfg: dict, out: Path) -> bool:
-    entry = _resolve_model(cfg)
-    test = numerical_contraction_test(
-        entry.problem,
-        _resolve_scheme(cfg),
-        xi=_floats(cfg.get("xi", "0.6")),
-        eta=_floats(cfg.get("eta", "-0.6")),
-        k=int(cfg.get("k", 15)),
-        ensemble=int(cfg.get("ensemble", 200)),
-        seed=int(cfg.get("seed", 0)),
-    )
+def run_contraction(s: argparse.Namespace, out: Path) -> bool:
+    test = numerical_contraction_test(**vars(s))
     rows = [*zip(test.steps.tolist(), test.gap_series.tolist(), test.envelope.tolist())]
     rows += [["c_delta", test.c_delta, ""], ["exact_rate", test.exact_rate, ""]]
     _write_csv(out / "contraction.csv", ["step", "mean_square_gap", "envelope"], rows)
@@ -294,26 +312,6 @@ _COMMANDS = {
     "contraction": run_contraction,
 }
 
-_SCHEME_KEYS = "theta dt level newton_tol newton_max_iter "
-# config keys each subcommand reads, besides model, model.<param> and seed
-_KEYS = {
-    "simulate": _SCHEME_KEYS + "k horizon initial_values",
-    "pullback": _SCHEME_KEYS + "t_eval xi tolerance k_max ensemble",
-    "periodicity": _SCHEME_KEYS + "k window xi x0 horizon threshold",
-    "converge": "theta newton_tol levels reference_level ensemble t_start t_end xi",
-    "contraction": _SCHEME_KEYS + "xi eta k ensemble",
-}
-
-
-def _check_keys(cfg: dict, command: str):
-    accepted = ["model", "seed", *_KEYS[command].split()]
-    unknown = [k for k in cfg if k not in accepted and not k.startswith("model.")]
-    if unknown:
-        raise ConfigError(
-            f"unknown key {', '.join(sorted(unknown))} for {command}; "
-            f"accepted: {', '.join(sorted(accepted))}, model.<param>"
-        )
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--out", type=str, default=".")
         p.add_argument(
             "--set",
@@ -338,22 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = {}
     try:
-        if args.config:
-            cfg.update(load_config(args.config))
+        cfg = load_config(args.config) if args.config else {}
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             cfg[key.strip()] = value.strip()
         if args.seed is not None:
-            cfg["seed"] = str(args.seed)
-        _check_keys(cfg, args.command)
+            cfg["seed"] = args.seed
+        settings = _settings(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out, cfg, args.command)
-        ok = _COMMANDS[args.command](cfg, out)
+        manifest = [f"command={args.command}", f"version={__version__}"]
+        manifest += [f"{k}={v}" for k, v in sorted(cfg.items())]
+        (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
+        ok = _COMMANDS[args.command](settings, out)
     except (ConfigError, ValueError, OSError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

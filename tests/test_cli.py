@@ -1,17 +1,41 @@
 import csv
 import hashlib
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
+from rpsde import cli
 from rpsde.cli import ConfigError, load_config, main
 from rpsde.integrator import ThetaScheme
 from rpsde.models import catalog_entry
 from rpsde.periodic import pullback_converge
 
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# a value each key's reader rejects: 1.5 for an integer, abc for a number or a list
+_SCHEME_BAD = {"theta": "abc", "dt": "abc", "newton_tol": "abc", "newton_max_iter": "1.5"}
+MALFORMED = {
+    "simulate": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "horizon": "abc",
+                 "initial_values": "abc"},
+    "pullback": {**_SCHEME_BAD, "seed": "1.5", "t_eval": "abc", "xi": "abc",
+                 "tolerance": "abc", "k_max": "1.5", "ensemble": "1.5"},
+    "periodicity": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "window": "abc", "xi": "abc",
+                    "x0": "abc", "horizon": "abc", "threshold": "abc"},
+    "converge": {"theta": "abc", "newton_tol": "abc", "seed": "1.5", "levels": "abc",
+                 "reference_level": "1.5", "ensemble": "1.5", "t_start": "abc",
+                 "t_end": "abc", "xi": "abc"},
+    "contraction": {**_SCHEME_BAD, "seed": "1.5", "xi": "abc", "eta": "abc", "k": "1.5",
+                    "ensemble": "1.5"},
+}
 
 
 class TestConfig:
@@ -78,6 +102,7 @@ class TestConfig:
             ("simulate", ["--set", "model.a=nan"]),
             ("periodicity", ["--set", "threshold=nan"]),
             ("periodicity", ["--set", "threshold=-1"]),
+            ("simulate", ["--set", "level=8"]),  # dt=2^-L replaces the level key
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
@@ -89,7 +114,7 @@ class TestConfig:
              "window-one-number", "window-three-numbers", "pullback-inf-t-eval",
              "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
              "window-nan", "model-nan-lam", "model-nan-a", "threshold-nan",
-             "threshold-negative"],
+             "threshold-negative", "level-removed"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -126,6 +151,10 @@ class TestConfig:
             # zero steps from -2, which is not on the grid of 0.8
             ("simulate", ["--set", "dt=0.8", "--set", "k=1", "--set", "horizon=-2"],
              "window start must be grid-aligned"),
+            ("simulate", ["--set", "initial_values=nan"], "initial_values must be"),
+            ("pullback", ["--set", "model=linear_ou", "--set", "xi=nan"], "xi must be"),
+            ("contraction", ["--set", "eta=inf"], "eta must be"),
+            ("periodicity", ["--set", "x0=nan"], "x0 must be"),
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -135,12 +164,50 @@ class TestConfig:
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
              "pullback-linear-t-eval-before-period", "pullback-inf-t-eval",
              "simulate-nan-horizon", "converge-minus-inf-t-start", "window-nan", "model-nan-lam",
-             "model-nan-a", "threshold-nan", "simulate-zero-steps-off-grid"],
+             "model-nan-a", "threshold-nan", "simulate-zero-steps-off-grid",
+             "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
+             "periodicity-nan-x0"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
         assert main([command, "--out", str(tmp_path), *bad]) == 2
         assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value, via",
+        [
+            (command, key, value, "--set")
+            for command, keys in MALFORMED.items()
+            for key, value in keys.items()
+        ]
+        + [
+            (command, key, value, "--config")
+            for command in MALFORMED
+            for key, value in (("seed", "1.5"), ("model.lam", "abc"))
+        ]
+        + [(command, "seed", "1.5", "--seed") for command in MALFORMED],
+        ids=lambda v: str(v).lstrip("-"),
+    )
+    def test_malformed_value_names_the_key(self, tmp_path, capsys, command, key, value, via):
+        out = tmp_path / "out"
+        if via == "--set":
+            args = ["--set", f"{key}={value}"]
+        elif via == "--seed":
+            args = ["--seed", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+            args = ["--config", str(tmp_path / "run.cfg")]
+        assert main([command, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
+        assert not out.exists()  # a setting is read before anything is written
+
+    @pytest.mark.parametrize("command", MALFORMED)
+    def test_malformed_cases_cover_every_key(self, tmp_path, capsys, command):
+        assert main([command, "--out", str(tmp_path), "--set", "nokey=1"]) == 2
+        accepted = capsys.readouterr().err.split("accepted: ", 1)[1].strip().split(", ")
+        # a model name is checked against the catalog, not read as a number
+        assert sorted(MALFORMED[command]) == sorted(set(accepted) - {"model", "model.<param>"})
 
     def test_flag_overrides_config(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -375,3 +442,12 @@ def test_outputs_pinned(tmp_path, capsys, case):
     for name, text in (("<stdout>", captured.out), ("<stderr>", captured.err)):
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == digests
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)
+def test_script_drivers_pass_keys_the_cli_reads(tmp_path, monkeypatch, script):
+    # every key a driver sets goes through the real reader; no subcommand computes
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda settings, out: True)
+    monkeypatch.setattr(sys, "argv", [script.name, "--out", str(tmp_path)])
+    assert runpy.run_path(str(script))["main"]() == 0

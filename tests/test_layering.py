@@ -9,8 +9,10 @@ builtin `round` is called nowhere else. Increments have one layout, time
 first, which `noise._Streams.fill` writes through the package's only
 `transpose`. Files are written by `cli` alone: only `cli` imports csv, and the
 builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
-CSV writer. Every public name is used inside the package: a name that only
-the tests call belongs in the tests.
+CSV writer. In `cli`, the raw config dict is read only by `main` and
+`_settings`, and no `run_*` function converts a value itself. Every public
+name is used inside the package: a name that only the tests call belongs in
+the tests.
 """
 
 import ast
@@ -124,6 +126,25 @@ def test_files_written_only_by_cli_write_csv(path):
         if "csv" in imported and path.name != "cli.py":
             problems.append(f"line {node.lineno}: imports csv")
     assert not problems, f"{path.name}: " + "; ".join(problems) + "; write through cli._write_csv"
+
+
+def test_raw_config_read_only_by_main_and_settings():
+    # load_config builds the dict, main gathers it and _settings converts every value once
+    tree = ast.parse((SRC / "cli.py").read_text())
+    allowed = set().union(*(nodes_in(tree, f) for f in ("load_config", "main", "_settings")))
+    problems = [
+        f"line {node.lineno}: reads cfg"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "cfg" and id(node) not in allowed
+    ]
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("run_"):
+            problems += [
+                f"line {node.lineno}: {fn.name} calls {name}"
+                for node, name in calls(fn)
+                if name in ("float", "int")
+            ]
+    assert not problems, "cli.py: " + "; ".join(problems) + "; read settings in _settings"
 
 
 def test_one_csv_writer():
