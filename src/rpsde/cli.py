@@ -5,7 +5,7 @@ Configuration is a flat key=value file, overridable by command-line flags
 (flags win). `_KEYS` gives each subcommand's keys with the reader and the
 default of each; every value is read once, and a malformed one is rejected by
 its key before the output directory is made. Every run writes its outputs, a
-gnuplot script, and a manifest (the command, the library version and the
+gnuplot script and, last, a manifest (the command, the library version and the
 config keys as given) into the output directory; the exit code is 0 iff every
 pass/fail check in the run passed, and 2, with one `error:` line, for an
 unknown key, a bad value or a failed Newton solve.
@@ -348,10 +348,11 @@ def main(argv=None) -> int:
         settings = _settings(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        ok = _COMMANDS[args.command](settings, out)
+        # written last, so a run the library rejects leaves no manifest behind
         manifest = [f"command={args.command}", f"version={__version__}"]
         manifest += [f"{k}={v}" for k, v in sorted(cfg.items())]
         (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
-        ok = _COMMANDS[args.command](settings, out)
     except (ConfigError, ValueError, OSError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

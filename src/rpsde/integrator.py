@@ -11,18 +11,23 @@ The implicit stage is solved by damped Newton iteration; dissipativity
 A problem with state_free_drift has a linear stage, solved in closed form
 with 0 iterations; newton_tol and newton_max_iter have no effect there.
 
-simulate_ensemble is the one stepping loop. It is batched: states have
-shape (batch, d), increments come time first, (n_steps, batch, m) as
-noise.ensemble_increments returns them, and every path evolves
-independently, so results per path do not depend on how paths are grouped
-into batches. Every
-operation on the state acts on each row alone: the models' callables are
-elementwise in the path, the linear part sums its products in column order
-instead of calling BLAS, and for d > 1 each path's Newton matrix is solved
-on its own. A path's bits therefore depend only on its own row and on the
-Newton iterations it takes. The Newton loop runs on the whole batch and
-freezes a path once its own residual norm reaches the tolerance, so the
-iterations a path takes do not depend on its batch either.
+simulate_ensemble is the one stepping loop; it calls one theta step,
+_Kernel.step, for every problem. It is batched: states are (batch, d),
+increments come time first, (n_steps, batch, m) as noise.ensemble_increments
+returns them, and every operation on the state acts on each row alone: the
+models' callables are elementwise in the path, the linear part sums its
+products in column order instead of calling BLAS, and for d > 1 each path's
+Newton matrix is solved on its own. The Newton loop freezes a path once its
+own residual norm reaches the tolerance. A path's bits and iterations
+therefore do not depend on how paths are grouped into batches.
+
+At the batch sizes used a step costs numpy calls, not arithmetic, so it
+makes fewer and cheaper ones with the same bits. Constants are 0-d float64
+arrays, which a ufunc takes at about half the cost of a Python float. A
+Newton iteration in which no path had converged and every residual norm fell
+takes its trial whole, without the masked damping and freezing. No
+non-finite state meets the tolerance, so the scan for one runs only in the
+closed-form stage and, in Newton, after a trial not taken whole left a path open.
 """
 
 from __future__ import annotations
@@ -90,129 +95,120 @@ def _linear_part(a, y):
 class _Kernel:
     """The theta step of one problem and scheme, with its constants hoisted.
 
-    For state dimension 1 the linear part is y*a00, the norm is |v| (sqrt(v*v)
-    is |v| whenever v*v neither overflows nor underflows) and the Newton
-    matrix is the scalar 1 + theta*dt*(a00 - J); with one noise the noise
-    term is g[..., 0]*dW. Each gives the bits of the general form. At
-    theta = 1 the explicit drift and linear part carry the weight
-    (1-theta)*dt = 0 and are skipped. A state-free drift gives the stage
-    y = (I + theta*dt*A)^{-1}(rhs + theta*dt*f), applied in column order;
-    f does not read the state, so it is evaluated on one row and broadcast.
+    The pieces that differ by problem are chosen once. For d = 1 the linear
+    part is y*a00, the norm |v| (sqrt(v*v) is |v| unless v*v overflows or
+    underflows) and the Newton matrix 1 + theta*dt*(a00 - J); for m = 1 the
+    noise term is g[..., 0]*dW. Each gives the bits of the general form. Norms
+    are (batch, 1), so a mask of paths broadcasts over the state. At theta = 1
+    the explicit part has the weight 0 and is skipped. A state-free drift gives
+    y = (I + theta*dt*A)^{-1}(rhs + theta*dt*f) in column order, f from one row.
+    The pieces close over locals, never over self or a bound method, so a kernel
+    holds no reference cycle and is freed as soon as its simulate_ensemble returns.
     """
 
     def __init__(self, problem: SdeProblem, scheme: ThetaScheme):
-        self.drift = problem.drift
-        self.jacobian = problem.drift_jacobian
+        self.drift = drift = problem.drift
         self.diffusion = problem.diffusion
         self.period = problem.period
-        self.a = problem.linear_matrix
-        self.scalar = problem.state_dim == 1
-        self.a00 = float(self.a[0, 0])
-        self.eye = np.eye(problem.state_dim)
-        self.one_noise = problem.noise_dim == 1
-        self.theta_dt = scheme.theta * scheme.dt
-        self.explicit_dt = (1.0 - scheme.theta) * scheme.dt
-        self.tol = scheme.newton_tol
-        self.max_iter = scheme.newton_max_iter
+        self.dt = scheme.dt
         self.state_free = problem.state_free_drift
-        if self.state_free and not self.scalar:
-            self.stage_inverse = np.linalg.inv(self.eye + self.theta_dt * self.a)
-
-    def rhs(self, t_j, x, dw):
-        """Explicit part of the step: x + (1-theta)*dt*(-A x + f) + g dW, batched."""
-        t = _reduce_time(t_j, self.period)
-        g = self.diffusion(t, x)
-        if self.one_noise:
-            noise = g[..., 0] * dw
+        a, jacobian = problem.linear_matrix, problem.drift_jacobian
+        a00, eye, one = np.array(a[0, 0]), np.eye(problem.state_dim), np.array(1.0)
+        self.theta_dt = theta_dt = np.array(scheme.theta * scheme.dt)
+        self.tol = np.array(scheme.newton_tol)
+        self.max_iter = scheme.newton_max_iter
+        if problem.state_dim == 1:
+            self.linear = linear = lambda y: y * a00
+            self.norm = np.abs
+            # J^{-1} f, with J = 1 + theta*dt*(a00 - f'(tf, y)) the stage's derivative
+            self.quotient = lambda tf, y, f: f / (one + theta_dt * (a00 - jacobian(tf, y)[..., 0]))
+            den = np.array(1.0 + scheme.theta * scheme.dt * float(a00))
+            self.invert = lambda b: b / den
         else:
-            dw = np.broadcast_to(dw, (x.shape[0], dw.shape[-1]))
-            noise = np.einsum("...ij,...j->...i", g, dw)
-        if self.explicit_dt == 0.0:
-            return x + noise
-        return x + self.explicit_dt * (self.drift(t, x) - self.linear(x)) + noise
+            self.linear = linear = lambda y: _linear_part(a, y)
+            self.norm = lambda v: np.linalg.norm(v, axis=-1, keepdims=True)
+            # J^{-1} f, with J = I + theta*dt*(A - Df(tf, y)); numpy >= 2 reads a
+            # 2-d right-hand side as a stack of matrices
+            self.quotient = lambda tf, y, f: np.linalg.solve(
+                eye + theta_dt * (a - jacobian(tf, y)), f[..., None]
+            )[..., 0]
+            inverse = np.linalg.inv(eye + theta_dt * a)
+            self.invert = lambda b: _linear_part(inverse, b)
+        explicit_dt = np.array((1.0 - scheme.theta) * scheme.dt)
+        self.explicit = lambda t, x: x + explicit_dt * (drift(t, x) - linear(x))
+        if explicit_dt == 0.0:
+            self.explicit = lambda t, x: x
+        if problem.noise_dim == 1:
+            self.noise = lambda g, dw: g[..., 0] * dw
+        else:
+            self.noise = lambda g, dw: np.einsum(
+                "...ij,...j->...i", g, np.broadcast_to(dw, (g.shape[0], dw.shape[-1]))
+            )
 
-    def linear(self, y):
-        return y * self.a00 if self.scalar else _linear_part(self.a, y)
+    def step(self, t_j, x, dw):
+        """States at t_j + dt of the batch x, and the most Newton iterations any path took."""
+        t = _reduce_time(t_j, self.period)
+        rhs = self.explicit(t, x) + self.noise(self.diffusion(t, x), dw)
+        if self.state_free:
+            return self._closed_form(t_j, rhs)
+        return self._newton(t_j, rhs, x)
 
-    def norm(self, v):
-        return np.abs(v[:, 0]) if self.scalar else np.linalg.norm(v, axis=-1)
+    def _closed_form(self, t_j, rhs):
+        tf = _reduce_time(t_j + self.dt, self.period)
+        y = self.invert(rhs + self.theta_dt * self.drift(tf, rhs[:1]))
+        if np.count_nonzero(np.isfinite(y)) < y.size:
+            raise NewtonError(f"non-finite state after step at t={t_j}")
+        return y, 0
 
     def residual(self, tf, y, r):
         return y + self.theta_dt * (self.linear(y) - self.drift(tf, y)) - r
 
-    def newton_step(self, tf, y, f):
-        """-J^{-1} f, with J = I + theta*dt*(A - Df(tf, y)) the stage's Jacobian."""
-        df = self.jacobian(tf, y)
-        if self.scalar:
-            return -f / (1.0 + self.theta_dt * (self.a00 - df[..., 0]))
-        # numpy >= 2 reads a 2-d right-hand side as a stack of matrices
-        jac = self.eye + self.theta_dt * (self.a - df)
-        return np.linalg.solve(jac, -f[..., None])[..., 0]
+    def _newton(self, t_j, r, y):
+        """Batched damped Newton for y + theta*dt*(A y - f(t_j + dt, y)) = r, from the guess y.
 
-    def solve(self, t_next, rhs, guess):
-        """Batched damped Newton for y + theta*dt*(A y - f(t_next, y)) = rhs.
-
-        Returns (y, iterations), where iterations is the most any path took; 0 in closed form.
-        Each iteration runs on the whole batch, and a path whose residual norm
-        is at most tol is frozen: its row keeps its value from then on. A
-        non-finite residual never counts as converged, so it ends in
-        NewtonError.
+        A path whose residual norm is at most tol is frozen: its row keeps its
+        value from then on. The update y - J^{-1} f has the bits of y + (-J^{-1} f);
+        a path whose residual norm did not decrease has its step halved, up to 30 times.
         """
-        tf = _reduce_time(t_next, self.period)
-        if self.state_free:
-            b = rhs + self.theta_dt * self.drift(tf, rhs[:1])
-            if self.scalar:
-                return b / (1.0 + self.theta_dt * self.a00), 0
-            return _linear_part(self.stage_inverse, b), 0
-        y = guess
-        f = self.residual(tf, y, rhs)
+        tf = _reduce_time(t_j + self.dt, self.period)
+        f = self.residual(tf, y, r)
         nrm = self.norm(f)
-        for it in range(self.max_iter + 1):
-            todo = ~(nrm <= self.tol)
-            # count_nonzero costs a fraction of todo.any() on a small batch
-            if not np.count_nonzero(todo):
-                return y, it
+        done = nrm <= self.tol
+        # count_nonzero costs a fraction of done.all() on a small batch
+        n_done = np.count_nonzero(done)
+        it = 0
+        while n_done < done.size:
             if it == self.max_iter:
-                break
-            y, f, nrm = self._damped_update(tf, y, rhs, f, nrm, todo)
-            if np.count_nonzero(np.isfinite(nrm)) < nrm.size:
-                raise NewtonError(
-                    "non-finite state in Newton iteration", float(np.fmax.reduce(nrm[todo]))
-                )
-        worst = float(nrm.max())
-        raise NewtonError(
-            f"Newton failed to reach tolerance {self.tol} in {self.max_iter} "
-            f"iterations (worst residual {worst:g})",
-            worst,
-        )
-
-    def _damped_update(self, tf, y, r, f, nrm, todo):
-        """One Newton iteration on the rows in todo; the other rows keep y, f and nrm.
-
-        A path whose residual norm did not decrease has its step halved, up
-        to 30 times.
-        """
-        dy = self.newton_step(tf, y, f)
-        trial = y + dy
-        ft = self.residual(tf, trial, r)
-        nt = self.norm(ft)
-        worse = (nt >= nrm) & todo
-        if worse.any():
-            alpha = np.ones(y.shape[0])
-            for _ in range(30):
-                alpha[worse] *= 0.5
-                trial[worse] = y[worse] + alpha[worse, None] * dy[worse]
-                ft[worse] = self.residual(tf, trial[worse], r[worse])
-                nt[worse] = self.norm(ft[worse])
-                worse &= nt >= nrm
-                if not worse.any():
-                    break
-        if np.count_nonzero(todo) < todo.size:
-            frozen = ~todo
-            np.copyto(trial, y, where=frozen[:, None])
-            np.copyto(ft, f, where=frozen[:, None])
-            np.copyto(nt, nrm, where=frozen)
-        return trial, ft, nt
+                worst, tol = float(nrm.max()), float(self.tol)
+                msg = f"Newton failed to reach tolerance {tol} in {it} iterations"
+                raise NewtonError(f"{msg} (worst residual {worst:g})", worst)
+            q = self.quotient(tf, y, f)
+            trial = y - q
+            ft = self.residual(tf, trial, r)
+            nt = self.norm(ft)
+            # taken whole when no path had converged and every norm fell, so is finite
+            whole = not n_done and np.count_nonzero(nt < nrm) == nt.size
+            if not whole:
+                worse = ((nt >= nrm) & ~done)[:, 0]
+                # every path still worse after k halvings has the step 2^-k
+                for k in range(1, 31):
+                    if not np.count_nonzero(worse):
+                        break
+                    trial[worse] = y[worse] - 0.5**k * q[worse]
+                    ft[worse] = self.residual(tf, trial[worse], r[worse])
+                    nt[worse] = self.norm(ft[worse])
+                    worse &= (nt >= nrm)[:, 0]
+                np.copyto(trial, y, where=done)
+                np.copyto(ft, f, where=done)
+                np.copyto(nt, nrm, where=done)
+            y, f, nrm, was_done = trial, ft, nt, done
+            it += 1
+            done = nrm <= self.tol
+            n_done = np.count_nonzero(done)
+            if not whole and n_done < done.size and np.count_nonzero(np.isfinite(nrm)) < nrm.size:
+                worst = float(np.fmax.reduce(nrm[~was_done]))
+                raise NewtonError("non-finite state in Newton iteration", worst)
+        return y, it
 
 
 def simulate_ensemble(
@@ -253,11 +249,7 @@ def simulate_ensemble(
         out = np.empty((batch, n_steps + 1, problem.state_dim))
         out[:, 0] = x
     for j in range(n_steps):
-        t_j = t_start + j * dt
-        rhs = kernel.rhs(t_j, x, increments[j])
-        x, iters[j] = kernel.solve(t_j + dt, rhs, x)
-        if np.count_nonzero(np.isfinite(x)) < x.size:
-            raise NewtonError(f"non-finite state after step at t={t_j}")
+        x, iters[j] = kernel.step(t_start + j * dt, x, increments[j])
         if record:
             out[:, j + 1] = x
     return times, (out if record else x), iters

@@ -138,10 +138,11 @@ class _Streams:
                     self.bitgen.state = self.state
                     raw[i, comp] = self.bitgen.random_raw(self.n_raw)
             bits = raw[: len(chunk), :, self.lane0 : self.lane0 + self.n] >> np.uint64(11)
-            # strictly inside (0, 1) so ndtri stays finite
+            # inside (0, 1) so ndtri stays finite: bits = 2^53 - 1 rounds to 1.0 unclamped
             u = bits.astype(np.float64)
             u += 0.5
             u *= 2.0**-53
+            np.minimum(u, 1.0 - 2.0**-53, out=u)
             ndtri(u, out=u)
             np.multiply(self.scale, u, out=out[:, r0 : r0 + len(chunk)].transpose(1, 2, 0))
 

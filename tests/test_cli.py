@@ -174,6 +174,26 @@ class TestConfig:
         assert names in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("contraction", ["--set", "k=0"]),
+            ("contraction", ["--set", "ensemble=0"]),
+            ("converge", ["--set", "levels=6"]),
+            ("periodicity", ["--set", "window=-2,-4"]),
+            ("periodicity", ["--set", "threshold=-1"]),
+            ("periodicity", ["--set", "xi=0.1,0.2"]),
+            ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
+        ],
+        ids=["contraction-zero-k", "contraction-zero-ensemble", "converge-one-level",
+             "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure"],
+    )
+    def test_rejected_inside_the_library_writes_nothing(self, tmp_path, capsys, command, bad):
+        # the library, not _settings, rejects these, after the output directory is made
+        assert main([command, "--out", str(tmp_path), *bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "command, key, value, via",
         [
             (command, key, value, "--set")

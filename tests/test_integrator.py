@@ -439,3 +439,27 @@ class TestGoldenBits:
         _, final, iters = simulate_ensemble(prob, sch, -1.5, n, np.array(x0), incs, record=False)
         assert [float(v).hex() for v in final.ravel()] == hexes
         assert iters.sum() == iter_sum
+
+    @pytest.mark.parametrize(
+        "theta, hexes, iter_sum",
+        [
+            (1.0, ["-0x1.305626ab5730ep-2", "-0x1.bc991908bf178p-4", "0x1.5806a2335806bp-5",
+                   "-0x1.defc72a1b0b73p-5", "-0x1.a2aafc50a8c1fp-3", "-0x1.8f3a6984a27b8p-6"],
+             141),
+            (0.75, ["-0x1.36e8640f82fd0p-2", "-0x1.b595beccea9bap-4", "0x1.8c52c13f5a588p-5",
+                    "-0x1.032b77ae77d0ep-4", "-0x1.a869e4acde1b5p-3", "-0x1.bcff117f74993p-6"],
+             138),
+        ],
+        ids=["theta1", "theta0.75"],
+    )
+    def test_catalog_cubic_batch(self, theta, hexes, iter_sum):
+        # 200 paths from linspace(-3, 3), 64 steps of 2^-7 from t = -1.5; pinned
+        # before the kernel's constants became 0-d arrays
+        prob = catalog_entry("cubic_multiplicative").problem
+        dt, n = 2.0**-7, 64
+        incs = ensemble_increments(11, range(200), grid_steps(-1.5, dt, "start"), n, 1, dt)
+        x0 = np.linspace(-3.0, 3.0, 200)[:, None]
+        sch = ThetaScheme(theta=theta, dt=dt)
+        _, final, iters = simulate_ensemble(prob, sch, -1.5, n, x0, incs, record=False)
+        assert [float(final[i, 0]).hex() for i in (0, 1, 66, 100, 133, 199)] == hexes
+        assert iters.sum() == iter_sum

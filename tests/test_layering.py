@@ -12,7 +12,8 @@ builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
 CSV writer. In `cli`, the raw config dict is read only by `main` and
 `_settings`, and no `run_*` function converts a value itself. Every public
 name is used inside the package: a name that only the tests call belongs in
-the tests.
+the tests. The one loop over time steps is in `integrator.simulate_ensemble`,
+and it calls `_Kernel.step` for every problem.
 """
 
 import ast
@@ -201,3 +202,34 @@ def test_every_public_name_is_used_in_the_package():
     stale = [f"{m}.{n}" for m, n in UNUSED_EXPORTS if n not in public_names(trees[m])]
     assert not wrong, f"public but unused inside rpsde, or used but listed as unused: {wrong}"
     assert not stale, f"listed as unused exports but not public: {stale}"
+
+
+def loops(node):
+    """The for and while loops under node."""
+    return [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))]
+
+
+def test_one_step_loop_and_one_step_method():
+    # a loop over time steps lives only in simulate_ensemble, and it runs the
+    # one _Kernel.step for every problem: no scalar or closed-form fast path
+    # grows a second stepping loop beside it
+    tree = ast.parse((SRC / "integrator.py").read_text())
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update({f"{node.name}.{f.name}": f for f in node.body
+                              if isinstance(f, ast.FunctionDef)})
+    looping = {name: len(loops(fn)) for name, fn in functions.items() if loops(fn)}
+    # the others loop over a matrix's columns, Newton iterations and step halvings
+    assert looping == {"_linear_part": 1, "simulate_ensemble": 1, "_Kernel._newton": 2}
+    (loop,) = loops(functions["simulate_ensemble"])
+    kernel_calls = [
+        (stmt, name) for stmt in loop.body for node, name in calls(stmt)
+        if name.startswith("kernel.")
+    ]
+    assert [name for _, name in kernel_calls] == ["kernel.step"]
+    assert not isinstance(kernel_calls[0][0], ast.If), "kernel.step must run on every step"
+    made = [name for _, name in calls(functions["simulate_ensemble"]) if name == "_Kernel"]
+    assert made == ["_Kernel"]

@@ -94,6 +94,43 @@ class TestCubicModel:
         assert prob.drift(0.0, x0) == pytest.approx(0.0)
         assert prob.diffusion(0.0, x0)[0, 0] == pytest.approx(1.5)
 
+    # float.hex of each callable at the states GOLDEN_X, recorded before the
+    # callables' constants became 0-d arrays; t = 1.5, 1, 0.5 give the phase
+    # factor 1 + sin(pi t) = 0, 1 (rounded up) and 2, and ±1e200 overflow.
+    GOLDEN_X = [0.0, -0.0, 1e-200, -1e-200, 0.6, -3.0, 1e100, -1e100, 1e200, -1e200]
+    GOLDEN = {
+        (1.5, "drift"): "-0x0.0p+0 0x0.0p+0 -0x0.0p+0 0x0.0p+0 -0x0.0p+0 0x0.0p+0 -0x0.0p+0 "
+        "0x0.0p+0 nan nan",
+        (1.5, "drift_jacobian"): "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x0.0p+0 "
+        "-0x0.0p+0 -0x0.0p+0 nan nan",
+        (1.5, "diffusion"): "0x1.8000000000000p+0 0x1.8000000000000p+0 0x1.8000000000000p+0 "
+        "0x1.8000000000000p+0 0x1.ccccccccccccdp+0 0x0.0p+0 0x1.249ad2594c37dp+331 "
+        "-0x1.249ad2594c37dp+331 nan nan",
+        (1.0, "drift"): "-0x0.0p+0 0x0.0p+0 -0x0.0p+0 0x0.0p+0 -0x1.4bc6a7ef9db24p-1 "
+        "0x1.4400000000001p+6 -0x1.1eb2d66005836p+998 0x1.1eb2d66005836p+998 -inf inf",
+        (1.0, "drift_jacobian"): "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x1.9eb851eb851edp+1 "
+        "-0x1.4400000000001p+6 -0x1.783fbf2d24ea6p+667 -0x1.783fbf2d24ea6p+667 -inf -inf",
+        (1.0, "diffusion"): "0x1.8000000000000p+0 0x1.8000000000000p+0 0x1.8000000000000p+0 "
+        "0x1.8000000000000p+0 0x1.d604189374bc7p+0 0x1.ccccccccccccfp-1 "
+        "0x1.0b8e0acac4eb0p+661 0x1.0b8e0acac4eb0p+661 inf inf",
+        (0.5, "drift"): "-0x0.0p+0 0x0.0p+0 -0x0.0p+0 0x0.0p+0 -0x1.4bc6a7ef9db23p+0 "
+        "0x1.4400000000000p+7 -0x1.1eb2d66005835p+999 0x1.1eb2d66005835p+999 -inf inf",
+        (0.5, "drift_jacobian"): "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x0.0p+0 -0x1.9eb851eb851ebp+2 "
+        "-0x1.4400000000000p+7 -0x1.783fbf2d24ea5p+668 -0x1.783fbf2d24ea5p+668 -inf -inf",
+        (0.5, "diffusion"): "0x1.8000000000000p+0 0x1.8000000000000p+0 0x1.8000000000000p+0 "
+        "0x1.8000000000000p+0 0x1.df3b645a1cac1p+0 0x1.ccccccccccccdp+0 "
+        "0x1.0b8e0acac4eafp+662 0x1.0b8e0acac4eafp+662 inf inf",
+    }
+
+    @pytest.mark.parametrize("t, name", sorted(GOLDEN))
+    def test_catalog_callables_golden_bits(self, t, name):
+        fn = getattr(catalog_entry("cubic_multiplicative").problem, name)
+        x = np.array(self.GOLDEN_X)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = fn(t, x)
+        assert v.shape == ((10, 1) if name == "drift" else (10, 1, 1))
+        assert " ".join(float(e).hex() for e in v.ravel()) == self.GOLDEN[t, name]
+
 
 class TestAdditiveModel:
     def test_drift_is_sine_forcing(self):

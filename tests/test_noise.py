@@ -10,6 +10,7 @@ from scipy.special import ndtri
 from rpsde.noise import (
     WindowError,
     _mix64,
+    _Streams,
     _stream_key,
     ensemble_increments,
     generate,
@@ -337,3 +338,20 @@ class TestEnsembleIncrements:
     def test_dyadic_dt_must_be_the_cell_width(self):
         with pytest.raises(WindowError, match="cell width"):
             ensemble_increments(5, range(3), 0, 64, 1, 2.0**-4, fine_level=6)
+
+    def test_largest_word_gives_a_finite_normal(self):
+        class AllOnes:
+            """Stands in for Philox: every raw word is 2^64 - 1, so bits = 2^53 - 1."""
+
+            state = None
+
+            def random_raw(self, n):
+                return np.full(n, 2**64 - 1, dtype=np.uint64)
+
+        streams = _Streams(0, 0, 0.25, 0, 6)
+        streams.bitgen = AllOnes()
+        out = np.empty((6, 2, 1))
+        streams.fill(np.arange(2), out)
+        # (bits + 0.5) * 2^-53 rounds to 1.0 there; the clamp keeps u at 1 - 2^-53
+        assert out.tobytes() == np.full_like(out, 0.5 * ndtri(1.0 - 2.0**-53)).tobytes()
+        assert np.isfinite(out).all()
