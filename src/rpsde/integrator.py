@@ -23,11 +23,11 @@ therefore do not depend on how paths are grouped into batches.
 
 At the batch sizes used a step costs numpy calls, not arithmetic, so it
 makes fewer and cheaper ones with the same bits. Constants are 0-d float64
-arrays, which a ufunc takes at about half the cost of a Python float. A
-Newton iteration in which no path had converged and every residual norm fell
-takes its trial whole, without the masked damping and freezing. No
-non-finite state meets the tolerance, so the scan for one runs only in the
-closed-form stage and, in Newton, after a trial not taken whole left a path open.
+arrays, which a ufunc takes at about half the cost of a Python float. The
+damping runs only on paths whose residual norm did not fall, and the freeze
+only once a path has converged. No non-finite state meets the tolerance, so
+the scan for one runs in the closed-form stage and, in Newton, only after an
+iteration that left a path open.
 """
 
 from __future__ import annotations
@@ -122,8 +122,6 @@ class _Kernel:
             self.norm = np.abs
             # J^{-1} f, with J = 1 + theta*dt*(a00 - f'(tf, y)) the stage's derivative
             self.quotient = lambda tf, y, f: f / (one + theta_dt * (a00 - jacobian(tf, y)[..., 0]))
-            den = np.array(1.0 + scheme.theta * scheme.dt * float(a00))
-            self.invert = lambda b: b / den
         else:
             self.linear = linear = lambda y: _linear_part(a, y)
             self.norm = lambda v: np.linalg.norm(v, axis=-1, keepdims=True)
@@ -132,12 +130,17 @@ class _Kernel:
             self.quotient = lambda tf, y, f: np.linalg.solve(
                 eye + theta_dt * (a - jacobian(tf, y)), f[..., None]
             )[..., 0]
+        if self.state_free and problem.state_dim == 1:
+            den = np.array(1.0 + scheme.theta * scheme.dt * float(a00))
+            self.invert = lambda b: b / den
+        elif self.state_free:
             inverse = np.linalg.inv(eye + theta_dt * a)
             self.invert = lambda b: _linear_part(inverse, b)
         explicit_dt = np.array((1.0 - scheme.theta) * scheme.dt)
-        self.explicit = lambda t, x: x + explicit_dt * (drift(t, x) - linear(x))
         if explicit_dt == 0.0:
             self.explicit = lambda t, x: x
+        else:
+            self.explicit = lambda t, x: x + explicit_dt * (drift(t, x) - linear(x))
         if problem.noise_dim == 1:
             self.noise = lambda g, dw: g[..., 0] * dw
         else:
@@ -186,18 +189,16 @@ class _Kernel:
             trial = y - q
             ft = self.residual(tf, trial, r)
             nt = self.norm(ft)
-            # taken whole when no path had converged and every norm fell, so is finite
-            whole = not n_done and np.count_nonzero(nt < nrm) == nt.size
-            if not whole:
-                worse = ((nt >= nrm) & ~done)[:, 0]
-                # every path still worse after k halvings has the step 2^-k
-                for k in range(1, 31):
-                    if not np.count_nonzero(worse):
-                        break
-                    trial[worse] = y[worse] - 0.5**k * q[worse]
-                    ft[worse] = self.residual(tf, trial[worse], r[worse])
-                    nt[worse] = self.norm(ft[worse])
-                    worse &= (nt >= nrm)[:, 0]
+            worse = ((nt >= nrm) & ~done)[:, 0]
+            # every path still worse after k halvings has the step 2^-k
+            for k in range(1, 31):
+                if not np.count_nonzero(worse):
+                    break
+                trial[worse] = y[worse] - 0.5**k * q[worse]
+                ft[worse] = self.residual(tf, trial[worse], r[worse])
+                nt[worse] = self.norm(ft[worse])
+                worse &= (nt >= nrm)[:, 0]
+            if n_done:
                 np.copyto(trial, y, where=done)
                 np.copyto(ft, f, where=done)
                 np.copyto(nt, nrm, where=done)
@@ -205,7 +206,8 @@ class _Kernel:
             it += 1
             done = nrm <= self.tol
             n_done = np.count_nonzero(done)
-            if not whole and n_done < done.size and np.count_nonzero(np.isfinite(nrm)) < nrm.size:
+            # a non-finite norm never meets tol, so a batch with every path done has none
+            if n_done < done.size and np.count_nonzero(np.isfinite(nrm)) < nrm.size:
                 worst = float(np.fmax.reduce(nrm[~was_done]))
                 raise NewtonError("non-finite state in Newton iteration", worst)
         return y, it
