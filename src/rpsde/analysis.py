@@ -130,8 +130,12 @@ def ms_error(
     repeats = sorted({lvl for lvl in levels if levels.count(lvl) > 1})
     if repeats:
         raise ValueError(f"levels name {', '.join(map(str, repeats))} more than once")
+    if levels[0] < 1:
+        raise ValueError(f"levels must be at least 1, got {levels[0]}")
     if reference_level < levels[-1]:
         raise ValueError("reference_level must be at least the finest coarse level")
+    if reference_level > 30:
+        raise ValueError(f"reference_level must be at most 30, got {reference_level}")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     coarse_dt = 2.0 ** -levels[0]

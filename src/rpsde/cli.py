@@ -163,6 +163,10 @@ def _settings(cfg: dict, command: str) -> argparse.Namespace:
     params = {k.split(".", 1)[1]: read(k, float) for k in cfg if k.startswith("model.")}
     problem = catalog_entry(values.pop("model"), **params).problem
     values = {k: v(problem) if callable(v) else v for k, v in values.items()}
+    for key in ("xi", "x0", "eta"):
+        if key in values and len(values[key]) != problem.state_dim:
+            d = problem.state_dim
+            raise ConfigError(f"{key} has {len(values[key])} values; the model's state_dim is {d}")
     if "dt" in values:
         values["scheme"] = ThetaScheme(**{k: values.pop(k) for k in _SCHEME})
     return argparse.Namespace(problem=problem, **values)

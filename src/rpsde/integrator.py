@@ -8,8 +8,8 @@ One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
 
 The implicit stage is solved by damped Newton iteration; dissipativity
 (L_f < lambda) makes the stage map strongly monotone, so the root is unique.
-A problem with state_free_drift has a linear stage, solved in closed form
-with 0 iterations; newton_tol and newton_max_iter have no effect there.
+A problem with state_free_drift (d = 1) has a linear stage, solved by one
+division with 0 iterations; newton_tol and newton_max_iter have no effect there.
 
 simulate_ensemble is the one stepping loop; it calls one theta step,
 _Kernel.step, for every problem. It is batched: states are (batch, d),
@@ -100,8 +100,8 @@ class _Kernel:
     underflows) and the Newton matrix 1 + theta*dt*(a00 - J); for m = 1 the
     noise term is g[..., 0]*dW. Each gives the bits of the general form. Norms
     are (batch, 1), so a mask of paths broadcasts over the state. At theta = 1
-    the explicit part has the weight 0 and is skipped. A state-free drift gives
-    y = (I + theta*dt*A)^{-1}(rhs + theta*dt*f) in column order, f from one row.
+    the explicit part has the weight 0 and is skipped. A state-free drift (d = 1)
+    gives y = (rhs + theta*dt*f)/(1 + theta*dt*a00), f from one row.
     The pieces close over locals, never over self or a bound method, so a kernel
     holds no reference cycle and is freed as soon as its simulate_ensemble returns.
     """
@@ -113,7 +113,7 @@ class _Kernel:
         self.dt = scheme.dt
         self.state_free = problem.state_free_drift
         a, jacobian = problem.linear_matrix, problem.drift_jacobian
-        a00, eye, one = np.array(a[0, 0]), np.eye(problem.state_dim), np.array(1.0)
+        a00, one = np.array(a[0, 0]), np.array(1.0)
         self.theta_dt = theta_dt = np.array(scheme.theta * scheme.dt)
         self.tol = np.array(scheme.newton_tol)
         self.max_iter = scheme.newton_max_iter
@@ -122,7 +122,9 @@ class _Kernel:
             self.norm = np.abs
             # J^{-1} f, with J = 1 + theta*dt*(a00 - f'(tf, y)) the stage's derivative
             self.quotient = lambda tf, y, f: f / (one + theta_dt * (a00 - jacobian(tf, y)[..., 0]))
+            self.den = np.array(1.0 + scheme.theta * scheme.dt * float(a00))
         else:
+            eye = np.eye(problem.state_dim)
             self.linear = linear = lambda y: _linear_part(a, y)
             self.norm = lambda v: np.linalg.norm(v, axis=-1, keepdims=True)
             # J^{-1} f, with J = I + theta*dt*(A - Df(tf, y)); numpy >= 2 reads a
@@ -130,12 +132,6 @@ class _Kernel:
             self.quotient = lambda tf, y, f: np.linalg.solve(
                 eye + theta_dt * (a - jacobian(tf, y)), f[..., None]
             )[..., 0]
-        if self.state_free and problem.state_dim == 1:
-            den = np.array(1.0 + scheme.theta * scheme.dt * float(a00))
-            self.invert = lambda b: b / den
-        elif self.state_free:
-            inverse = np.linalg.inv(eye + theta_dt * a)
-            self.invert = lambda b: _linear_part(inverse, b)
         explicit_dt = np.array((1.0 - scheme.theta) * scheme.dt)
         if explicit_dt == 0.0:
             self.explicit = lambda t, x: x
@@ -158,7 +154,7 @@ class _Kernel:
 
     def _closed_form(self, t_j, rhs):
         tf = _reduce_time(t_j + self.dt, self.period)
-        y = self.invert(rhs + self.theta_dt * self.drift(tf, rhs[:1]))
+        y = (rhs + self.theta_dt * self.drift(tf, rhs[:1])) / self.den
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise NewtonError(f"non-finite state after step at t={t_j}")
         return y, 0

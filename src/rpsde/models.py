@@ -42,9 +42,10 @@ class SdeProblem:
 
     Immutable after construction; drift/diffusion must be pure functions so
     problems can be shared freely. state_free_drift: f(t, x) does not depend
-    on x, so its Jacobian is 0 and the integrator solves the stage in closed form.
-    state_dim and lambda_min (the smallest eigenvalue of A) are derived from
-    linear_matrix.
+    on x, so its Jacobian is 0 and the integrator solves the stage in closed
+    form; only a scalar problem (state_dim 1) may set it, and a larger one
+    free of the state leaves it False and is solved by Newton. state_dim and
+    lambda_min (the smallest eigenvalue of A) are derived from linear_matrix.
     """
 
     noise_dim: int
@@ -72,6 +73,8 @@ class SdeProblem:
             raise ParameterError(f"linear_matrix must be positive definite (min eig {eigmin})")
         object.__setattr__(self, "state_dim", a.shape[0])
         object.__setattr__(self, "lambda_min", eigmin)
+        if self.state_free_drift and self.state_dim > 1:
+            raise ParameterError(f"state_free_drift needs state_dim 1, got {self.state_dim}")
         if not 0.0 < self.one_sided_lipschitz < self.lambda_min:
             raise ParameterError(
                 f"need 0 < L_f < lambda: L_f={self.one_sided_lipschitz}, lambda={self.lambda_min}"
@@ -143,47 +146,11 @@ def build_cubic_model(
     )
 
 
-# f is state-independent here, so any positive L_f below lambda works; a tiny
-# nominal value keeps the contraction formulas well defined.
-_ADDITIVE_LF = 1e-3
-
-
-def build_additive_model() -> SdeProblem:
-    """Scalar benchmark with additive noise: dX = -10 pi X dt + sin(2 pi t) dt + 0.05 dW."""
-    lam = 10.0 * math.pi
+def _affine_model(lam: float, sigma: float, forcing: Callable[[float], float]) -> SdeProblem:
+    """dX = (-lam X + forcing(t)) dt + sigma dW with period 1, a drift free of the state."""
 
     def drift(t, x):
-        return np.broadcast_to(math.sin(2.0 * math.pi * t), x.shape).copy()
-
-    def drift_jacobian(t, x):
-        return np.zeros(x.shape + (1,))
-
-    def diffusion(t, x):
-        return np.full(x.shape + (1,), 0.05)
-
-    return SdeProblem(
-        noise_dim=1,
-        linear_matrix=np.array([[lam]]),
-        drift=drift,
-        drift_jacobian=drift_jacobian,
-        diffusion=diffusion,
-        period=1.0,
-        one_sided_lipschitz=_ADDITIVE_LF,
-        moment_exponent=21.0,
-        growth_exponent=1.0,
-        state_free_drift=True,
-    )
-
-
-def build_linear_model(lam: float, sigma: float) -> SdeProblem:
-    """Ornstein-Uhlenbeck model: dX = -lam X dt + sigma dW, zero drift nonlinearity."""
-    if lam <= 0.0:
-        raise ParameterError(f"need lam > 0, got {lam}")
-    if sigma < 0.0:
-        raise ParameterError(f"need sigma >= 0, got {sigma}")
-
-    def drift(t, x):
-        return np.zeros_like(x)
+        return np.full(x.shape, forcing(t))
 
     def drift_jacobian(t, x):
         return np.zeros(x.shape + (1,))
@@ -198,11 +165,26 @@ def build_linear_model(lam: float, sigma: float) -> SdeProblem:
         drift_jacobian=drift_jacobian,
         diffusion=diffusion,
         period=1.0,
-        one_sided_lipschitz=min(1e-3, 0.5 * lam),
+        one_sided_lipschitz=min(1e-3, 0.5 * lam),  # f is free of x: any 0 < L_f < lam holds
         moment_exponent=21.0,
         growth_exponent=1.0,
         state_free_drift=True,
     )
+
+
+def build_additive_model() -> SdeProblem:
+    """Scalar benchmark with additive noise: dX = -10 pi X dt + sin(2 pi t) dt + 0.05 dW."""
+    return _affine_model(10.0 * math.pi, 0.05, lambda t: math.sin(2.0 * math.pi * t))
+
+
+def build_linear_model(lam: float, sigma: float) -> SdeProblem:
+    """Ornstein-Uhlenbeck model: dX = -lam X dt + sigma dW, zero drift nonlinearity."""
+    if lam <= 0.0:
+        raise ParameterError(f"need lam > 0, got {lam}")
+    if sigma < 0.0:
+        raise ParameterError(f"need sigma >= 0, got {sigma}")
+    # +0.0 at every t: 0.0 * sin(2 pi t) would give -0.0 where the sine is negative
+    return _affine_model(lam, sigma, lambda t: 0.0)
 
 
 # name -> (builder, default parameters) of each built-in model

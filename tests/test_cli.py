@@ -103,6 +103,8 @@ class TestConfig:
             ("periodicity", ["--set", "threshold=nan"]),
             ("periodicity", ["--set", "threshold=-1"]),
             ("simulate", ["--set", "level=8"]),  # dt=2^-L replaces the level key
+            ("converge", ["--set", "levels=0,1"]),
+            ("converge", ["--set", "reference_level=31"]),
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
@@ -114,7 +116,8 @@ class TestConfig:
              "window-one-number", "window-three-numbers", "pullback-inf-t-eval",
              "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
              "window-nan", "model-nan-lam", "model-nan-a", "threshold-nan",
-             "threshold-negative", "level-removed"],
+             "threshold-negative", "level-removed", "converge-level-zero",
+             "converge-reference-above-30"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -134,9 +137,16 @@ class TestConfig:
             ("converge", ["--set", "levels=6"], "levels must"),
             ("converge", ["--set", "levels=5,5"], "levels must"),
             ("converge", ["--set", "levels=4,4,5"], "levels name 4 more than once"),
-            ("contraction", ["--set", "eta=0.1,0.2"], "state_dim is 1"),
-            ("periodicity", ["--set", "x0=0.1,0.2"], "state_dim is 1"),
-            ("pullback", ["--set", "xi=0.1,0.2"], "state_dim is 1"),
+            ("contraction", ["--set", "eta=0.1,0.2"],
+             "eta has 2 values; the model's state_dim is 1"),
+            ("periodicity", ["--set", "x0=0.1,0.2"], "x0 has 2 values; the model's state_dim is 1"),
+            ("pullback", ["--set", "xi=0.1,0.2"], "xi has 2 values; the model's state_dim is 1"),
+            ("periodicity", ["--set", "xi=0.1,0.2"], "xi has 2 values; the model's state_dim is 1"),
+            ("contraction", ["--set", "xi=0.1,0.2"], "xi has 2 values; the model's state_dim is 1"),
+            ("converge", ["--set", "xi=0.1,0.2"], "xi has 2 values; the model's state_dim is 1"),
+            ("converge", ["--set", "levels=0,1"], "levels must be at least 1, got 0"),
+            ("converge", ["--set", "reference_level=31"],
+             "reference_level must be at most 30, got 31"),
             ("simulate", ["--set", "initial_values="], "initial_values"),
             ("pullback", ["--set", "t_eval=-2.5"], "t_eval"),
             ("pullback", ["--set", "t_eval=-2"], "t_eval"),
@@ -160,7 +170,9 @@ class TestConfig:
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
              "converge-one-level", "converge-repeated-level", "converge-level-twice",
              "contraction-eta-dim",
-             "periodicity-x0-dim", "pullback-xi-dim", "simulate-no-initial-values",
+             "periodicity-x0-dim", "pullback-xi-dim", "periodicity-xi-dim", "contraction-xi-dim",
+             "converge-xi-dim", "converge-level-zero", "converge-reference-above-30",
+             "simulate-no-initial-values",
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
              "pullback-linear-t-eval-before-period", "pullback-inf-t-eval",
              "simulate-nan-horizon", "converge-minus-inf-t-start", "window-nan", "model-nan-lam",
@@ -172,6 +184,7 @@ class TestConfig:
         # these used to reach numpy and fail with its message
         assert main([command, "--out", str(tmp_path), *bad]) == 2
         assert names in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "command, bad",
@@ -188,7 +201,8 @@ class TestConfig:
              "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure"],
     )
     def test_rejected_inside_the_library_writes_nothing(self, tmp_path, capsys, command, bad):
-        # the library, not _settings, rejects these, after the output directory is made
+        # the library rejects these after the output directory is made, except
+        # periodicity-xi-dim, which _settings rejects before it
         assert main([command, "--out", str(tmp_path), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []

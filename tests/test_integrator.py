@@ -36,35 +36,6 @@ def newton_linear_problem(lam, sigma):
     return replace(build_linear_model(lam, sigma), state_free_drift=False)
 
 
-def state_free_problem():
-    """Two states coupled through A, two noises, and a drift f(t) free of the state."""
-    a = np.array([[4.0, 1.0], [1.0, 3.0]])
-    g = np.array([[0.3, 0.1], [-0.1, 0.2]])
-
-    def drift(t, x):
-        f = [math.sin(2.0 * math.pi * t), 0.5 * math.cos(2.0 * math.pi * t)]
-        return np.broadcast_to(f, x.shape).copy()
-
-    def drift_jacobian(t, x):
-        return np.zeros(x.shape + (2,))
-
-    def diffusion(t, x):
-        return np.broadcast_to(g, x.shape + (2,)).copy()
-
-    return SdeProblem(
-        noise_dim=2,
-        linear_matrix=a,
-        drift=drift,
-        drift_jacobian=drift_jacobian,
-        diffusion=diffusion,
-        period=1.0,
-        one_sided_lipschitz=1e-3,
-        moment_exponent=21.0,
-        growth_exponent=1.0,
-        state_free_drift=True,
-    )
-
-
 def cubic_like_problem(lam):
     """Scalar problem with drift -x^3 and negligible linear part, for root tests."""
     return SdeProblem(
@@ -304,10 +275,8 @@ class TestEnsembleConsistency:
             (lambda: build_cubic_model(**BENCH), 1.0, 0.25, [[5.0], [0.6], [-0.3], [-3.0]]),
             (coupled_problem, 0.75, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2], [0.0, 0.0]]),
             (build_additive_model, 0.75, 0.1, [[0.6], [0.0], [-0.6], [0.3]]),
-            (state_free_problem, 1.0, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2], [0.0, 0.0]]),
         ],
-        ids=["cubic-theta0.75", "cubic-theta1", "two-dim-theta0.75",
-             "additive-closed-form", "two-dim-closed-form"],
+        ids=["cubic-theta0.75", "cubic-theta1", "two-dim-theta0.75", "additive-closed-form"],
     )
     def test_batched_equals_single(self, make, theta, dt, x0):
         prob = make()
@@ -347,9 +316,8 @@ class TestEnsembleConsistency:
             (lambda: build_cubic_model(**BENCH), 0.75),
             (coupled_problem, 1.0),
             (build_additive_model, 0.75),
-            (state_free_problem, 1.0),
         ],
-        ids=["cubic", "two-dim", "additive-closed-form", "two-dim-closed-form"],
+        ids=["cubic", "two-dim", "additive-closed-form"],
     )
     def test_row_major_increments_give_the_same_bits(self, make, theta):
         prob = make()
@@ -366,12 +334,8 @@ class TestEnsembleConsistency:
 
 
 class TestClosedFormStage:
-    MODELS = [
-        lambda: catalog_entry("linear_ou").problem,
-        build_additive_model,
-        state_free_problem,
-    ]
-    IDS = ["linear_ou", "additive_sine", "two-dim"]
+    MODELS = [lambda: catalog_entry("linear_ou").problem, build_additive_model]
+    IDS = ["linear_ou", "additive_sine"]
 
     def run(self, prob, sch, n=40, batch=8):
         x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (batch, prob.state_dim))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -121,15 +121,41 @@ class TestCubicModel:
         "0x1.8000000000000p+0 0x1.df3b645a1cac1p+0 0x1.ccccccccccccdp+0 "
         "0x1.0b8e0acac4eafp+662 0x1.0b8e0acac4eafp+662 inf inf",
     }
+    # the affine models' callables are constant in x: (model, t) -> float.hex of
+    # drift, drift_jacobian and diffusion at every GOLDEN_X, recorded before the
+    # two builders became one family
+    AFFINE = {
+        ("additive_sine", 0.0): ("0x0.0p+0", "0x0.0p+0", "0x1.999999999999ap-5"),
+        ("additive_sine", 0.25): ("0x1.0000000000000p+0", "0x0.0p+0", "0x1.999999999999ap-5"),
+        ("additive_sine", 0.75): ("-0x1.0000000000000p+0", "0x0.0p+0", "0x1.999999999999ap-5"),
+        ("additive_sine", 1.5): ("0x1.a79394c9e8a0ap-52", "0x0.0p+0", "0x1.999999999999ap-5"),
+        ("linear_ou", 0.0): ("0x0.0p+0", "0x0.0p+0", "0x1.3333333333333p-2"),
+        ("linear_ou", 0.25): ("0x0.0p+0", "0x0.0p+0", "0x1.3333333333333p-2"),
+        ("linear_ou", 0.75): ("0x0.0p+0", "0x0.0p+0", "0x1.3333333333333p-2"),
+        ("linear_ou", 1.5): ("0x0.0p+0", "0x0.0p+0", "0x1.3333333333333p-2"),
+    }
+    CASES = {("cubic_multiplicative", *key): hexes for key, hexes in GOLDEN.items()}
+    CASES.update(
+        ((model, t, name), " ".join([h] * 10))
+        for (model, t), hexes in AFFINE.items()
+        for name, h in zip(("drift", "drift_jacobian", "diffusion"), hexes)
+    )
 
-    @pytest.mark.parametrize("t, name", sorted(GOLDEN))
-    def test_catalog_callables_golden_bits(self, t, name):
-        fn = getattr(catalog_entry("cubic_multiplicative").problem, name)
+    # the cubic cases keep their ids, "t-name", from before the affine cases joined
+    @pytest.mark.parametrize(
+        "model, t, name",
+        [
+            pytest.param(*key, id="-".join(map(str, key[key[0] == "cubic_multiplicative" :])))
+            for key in sorted(CASES)
+        ],
+    )
+    def test_catalog_callables_golden_bits(self, model, t, name):
+        fn = getattr(catalog_entry(model).problem, name)
         x = np.array(self.GOLDEN_X)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             v = fn(t, x)
         assert v.shape == ((10, 1) if name == "drift" else (10, 1, 1))
-        assert " ".join(float(e).hex() for e in v.ravel()) == self.GOLDEN[t, name]
+        assert " ".join(float(e).hex() for e in v.ravel()) == self.CASES[model, t, name]
 
 
 class TestAdditiveModel:
@@ -220,6 +246,9 @@ class TestProblemInvariants:
         prob = matrix_problem(a)
         assert prob.state_dim == 2
         assert prob.lambda_min == float(np.linalg.eigvalsh(a).min())
+        # only a scalar stage is solved in closed form
+        with pytest.raises(ParameterError, match="^state_free_drift needs state_dim 1, got 2$"):
+            replace(prob, state_free_drift=True)
         # a 1x1 matrix gives its entry exactly
         for name, lam in [
             ("cubic_multiplicative", 5 * math.pi),
