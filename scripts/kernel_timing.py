@@ -73,10 +73,10 @@ def kernel_run(problem, scheme, batch, n_steps, time_major=True):
 
     def run():
         t0 = time.perf_counter()
-        simulate_ensemble(problem, scheme, 0.0, n_steps, x0, incs, record=False)
+        simulate_ensemble(problem, scheme, 0, x0, incs, record=False)
         return time.perf_counter() - t0
 
-    _, _, iters = simulate_ensemble(problem, scheme, 0.0, n_steps, x0, incs, record=False)
+    _, _, iters = simulate_ensemble(problem, scheme, 0, x0, incs, record=False)
     return float(iters.mean()), run
 
 

@@ -82,7 +82,7 @@ def fit_slope(stepsizes, errors) -> tuple[float, float]:
 
 
 # fine values (paths x cells x noise components) that ms_error draws at once:
-# about 8 MB, whatever the reference level, ensemble or window
+# 8 MB, unless one coarsest cell of every path's fine values is more
 _BLOCK_VALUES = 1 << 20
 
 
@@ -114,15 +114,16 @@ def ms_error(
 
     One fine grid at h = 2^-reference_level per Brownian path drives the
     reference run and every coarse run. The window is streamed in blocks of
-    whole coarsest cells, about 2^20 fine values (8 MB) each: a block's
-    cells are drawn once, folded by `tree_fold` level by level down to the
-    coarsest, and every level steps through the block from its states at the
-    block start. Block ends are whole cells of the dyadic grid, so every
-    step time is the one of an unblocked run, and memory is bounded by the
-    block rather than by the window. Errors are pathwise differences at the
-    final time: against the reference, and between consecutive levels
-    (`level_diffs`). A failed Newton solve aborts the experiment; paths are
-    never dropped.
+    whole coarsest cells: a block's cells are drawn once, folded by
+    `tree_fold` level by level down to the coarsest, and every level steps
+    through the block from its states and its integer grid step at the block
+    start, so every step time is the one of an unblocked run. Memory is
+    bounded by the block, not the window: at most max(2^20, q*ensemble*m)
+    fine values of 8 bytes, as a block holds at least one coarsest cell of
+    q = 2^(reference_level - min(levels)) fine cells. Errors are pathwise
+    differences at the final time: against the reference, and between
+    consecutive levels (`level_diffs`). A failed Newton solve aborts the
+    experiment; paths are never dropped.
     """
     levels = sorted(levels)
     if len(set(levels)) < 2:
@@ -159,8 +160,7 @@ def ms_error(
                 incs = tree_fold(incs, 2)
             if lvl in schemes:
                 _, states[lvl], _ = simulate_ensemble(
-                    problem, schemes[lvl], c * h, n >> (ref - lvl), states[lvl], incs,
-                    record=False,
+                    problem, schemes[lvl], c >> (ref - lvl), states[lvl], incs, record=False
                 )
     finals = [states[lvl] for lvl in levels]
     rms, stderrs = _rms_gaps(finals, [states[ref]] * len(levels))
@@ -193,6 +193,10 @@ def _rms_gaps(xs, ys):
     return out
 
 
+# the contraction envelope's C is _SAFETY_FACTOR * E|X_0 - Y_0|^2; the series must reach _FLOOR
+_SAFETY_FACTOR, _FLOOR = 10.0, 1e-12
+
+
 @dataclass
 class ContractionTest:
     steps: np.ndarray
@@ -211,13 +215,11 @@ def numerical_contraction_test(
     k: int,
     ensemble: int,
     seed: int,
-    safety_factor: float = 10.0,
-    floor: float = 1e-12,
 ) -> ContractionTest:
     """Paired-noise two-ensemble run; checks E|X_j - Y_j|^2 <= C * c_delta^j.
 
     The envelope constant C is anchored empirically at j = 0 and inflated by
-    the safety factor; the check stops once the series falls below the floor.
+    _SAFETY_FACTOR; the check stops once the series falls below _FLOOR.
     """
     consts = contraction_constant(
         problem.lambda_min,
@@ -239,19 +241,18 @@ def numerical_contraction_test(
                 f"initial state has shape {(ensemble, v.size)}; the model's state_dim is {d}"
             )
     dt = scheme.dt
-    start = -k * problem.period
-    n_steps = grid_steps(-start, dt, "k*period")
+    n_steps = grid_steps(k * problem.period, dt, "k*period")
     cells = ensemble_increments(seed, range(ensemble), -n_steps, n_steps, problem.noise_dim, dt)
     # X and Y run as one batch of 2*ensemble over the same increments, joined
     # along the path axis; a path's bits do not depend on its batch
     incs = np.concatenate([cells, cells], axis=1)
     x0 = np.repeat(np.stack([xi, eta]), ensemble, axis=0)
-    _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
+    _, states, _ = simulate_ensemble(problem, scheme, -n_steps, x0, incs, record=True)
     xs, ys = states[:ensemble], states[ensemble:]
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j
     j = np.arange(n_steps + 1)
-    envelope = safety_factor * gap[0] * consts.c_delta ** j.astype(float)
-    above_floor = gap > floor
+    envelope = _SAFETY_FACTOR * gap[0] * consts.c_delta ** j.astype(float)
+    above_floor = gap > _FLOOR
     passed = bool(np.all(gap[above_floor] <= envelope[above_floor]))
     # require the series actually to reach the floor (geometric decay)
     passed = passed and bool((~above_floor).any())

@@ -8,7 +8,7 @@ its key before the output directory is made. Every run writes its outputs, a
 gnuplot script and, last, a manifest (the command, the library version and the
 config keys as given) into the output directory; the exit code is 0 iff every
 pass/fail check in the run passed, and 2, with one `error:` line, for an
-unknown key, a bad value or a failed Newton solve.
+unknown key, a bad value, a failed Newton solve or a failed allocation.
 """
 
 from __future__ import annotations
@@ -199,8 +199,9 @@ def run_simulate(s: argparse.Namespace, out: Path) -> bool:
     first = grid_steps(start, scheme.dt, "window start")
     # every initial value runs under the one noise path 0
     incs = ensemble_increments(s.seed, range(1), first, n_steps, problem.noise_dim, scheme.dt)
+    incs = np.broadcast_to(incs, (n_steps, len(xis), problem.noise_dim))
     x0s = np.array(xis, dtype=float)[:, None]
-    times, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0s, incs)
+    times, states, _ = simulate_ensemble(problem, scheme, first, x0s, incs)
     rows = np.column_stack([times, states[:, :, 0].T]).tolist()
     _write_csv(out / "trajectories.csv", ["t"] + [f"xi_{v:.17g}" for v in xis], rows)
     _write_plot_script(
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
         manifest = [f"command={args.command}", f"version={__version__}"]
         manifest += [f"{k}={v}" for k, v in sorted(cfg.items())]
         (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
-    except (ConfigError, ValueError, OSError, NewtonError) as exc:
+    except (ConfigError, ValueError, OSError, NewtonError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

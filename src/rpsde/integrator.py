@@ -12,14 +12,16 @@ A problem with state_free_drift (d = 1) has a linear stage, solved by one
 division with 0 iterations; newton_tol and newton_max_iter have no effect there.
 
 simulate_ensemble is the one stepping loop; it calls one theta step,
-_Kernel.step, for every problem. It is batched: states are (batch, d),
-increments come time first, (n_steps, batch, m) as noise.ensemble_increments
-returns them, and every operation on the state acts on each row alone: the
-models' callables are elementwise in the path, the linear part sums its
-products in column order instead of calling BLAS, and for d > 1 each path's
-Newton matrix is solved on its own. The Newton loop freezes a path once its
-own residual norm reaches the tolerance. A path's bits and iterations
-therefore do not depend on how paths are grouped into batches.
+_Kernel.step, for every problem. Grid time is an integer: a run starts at
+grid step first_step and takes one step per row of its increments. It is
+batched: states are (batch, d), increments come time first, exactly
+(steps, batch, m) as noise.ensemble_increments returns them, and every
+operation on the state acts on each row alone: the models' callables are
+elementwise in the path, the linear part sums its products in column order
+instead of calling BLAS, and for d > 1 each path's Newton matrix is solved
+on its own. The Newton loop freezes a path once its own residual norm
+reaches the tolerance. A path's bits and iterations therefore do not depend
+on how paths are grouped into batches.
 
 At the batch sizes used a step costs numpy calls, not arithmetic, so it
 makes fewer and cheaper ones with the same bits. Constants are 0-d float64
@@ -33,6 +35,7 @@ iteration that left a path open.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,9 +143,7 @@ class _Kernel:
         if problem.noise_dim == 1:
             self.noise = lambda g, dw: g[..., 0] * dw
         else:
-            self.noise = lambda g, dw: np.einsum(
-                "...ij,...j->...i", g, np.broadcast_to(dw, (g.shape[0], dw.shape[-1]))
-            )
+            self.noise = lambda g, dw: np.einsum("...ij,...j->...i", g, dw)
 
     def step(self, t_j, x, dw):
         """States at t_j + dt of the batch x, and the most Newton iterations any path took."""
@@ -212,35 +213,31 @@ class _Kernel:
 def simulate_ensemble(
     problem: SdeProblem,
     scheme: ThetaScheme,
-    t_start: float,
-    n_steps: int,
+    first_step: int,
     x0: np.ndarray,
     increments: np.ndarray,
     record: bool = True,
 ):
-    """Drive a batch of paths through n_steps theta steps.
+    """Drive a batch of paths through one theta step per row of increments.
 
-    x0: (batch, d) initial states; increments: (n_steps, batch, m) Brownian
-    increments, shaped as noise.ensemble_increments returns them (an
-    (n_steps, 1, m) array broadcasts one noise path to all batch members).
-    Step j reads increments[j] once. Returns (times, states, newton_iters)
-    where states is (batch, n_steps+1, d) if record else the final
+    first_step: the integer grid step of the start, so step j runs at
+    first_step*dt + j*dt; x0: (batch, d) initial states; increments:
+    (steps, batch, m) Brownian increments, as noise.ensemble_increments
+    returns them. Step j reads increments[j] once. Returns (times, states,
+    newton_iters) where states is (batch, steps+1, d) if record else the final
     (batch, d), and newton_iters is the per-step maximum iteration count.
     """
+    dt = scheme.dt
+    t_start = operator.index(first_step) * dt
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.state_dim:
         d = problem.state_dim
         raise ValueError(f"initial state has shape {x.shape}; the model's state_dim is {d}")
-    batch = x.shape[0]
-    shape = np.shape(increments)
-    if len(shape) != 3 or shape[1] not in (1, batch) or shape[2] != problem.noise_dim:
-        raise ValueError(
-            f"increments have shape {shape}; need ({n_steps}, 1 or {batch}, {problem.noise_dim})"
-        )
-    if shape[0] != n_steps:
-        raise ValueError("increments do not cover the requested number of steps")
+    batch, m, shape = x.shape[0], problem.noise_dim, np.shape(increments)
+    if len(shape) != 3 or shape[1:] != (batch, m):
+        raise ValueError(f"increments have shape {shape}; need (steps, {batch}, {m})")
+    n_steps = shape[0]
     kernel = _Kernel(problem, scheme)
-    dt = scheme.dt
     times = t_start + dt * np.arange(n_steps + 1)
     iters = np.zeros(n_steps, dtype=np.int64)
     if record:
@@ -251,4 +248,3 @@ def simulate_ensemble(
         if record:
             out[:, j + 1] = x
     return times, (out if record else x), iters
-

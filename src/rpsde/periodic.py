@@ -6,8 +6,9 @@ for consecutive k (nested windows, key-deterministic increments) and stop
 when consecutive runs agree to tolerance. Two complementary periodicity
 checks compare paths under the Wiener shift by one period. Every window is
 counted in whole cells of the stepsize: the period is steps_per_tau cells,
--k*tau is cell -k*steps_per_tau, and the Wiener shift by one period is an
-offset of steps_per_tau cells into one time-first draw.
+-k*tau is cell -k*steps_per_tau, the grid step a run from there starts at,
+and the Wiener shift by one period is an offset of steps_per_tau cells into
+one time-first draw.
 """
 
 from __future__ import annotations
@@ -117,10 +118,10 @@ def pullback_converge(
                 out=buf[:new],
             )
             k_drawn = k_to
-        start = -k * tau
+        first = -k * steps_per_tau
         n_steps = k * steps_per_tau + n_eval
         lo = len(buf) - n_steps
-        _, final, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, buf[lo:], record=False)
+        _, final, _ = simulate_ensemble(problem, scheme, first, x0, buf[lo:], record=False)
         gap = float("inf")
         if prev is not None:
             gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
@@ -128,9 +129,7 @@ def pullback_converge(
         # the first depth has no gap; only an infinite tolerance accepts it
         if gap <= tolerance:
             n_keep = min(steps_per_tau, n_steps)
-            _, path0, _ = simulate_ensemble(
-                problem, scheme, start, n_steps, x0[:1], buf[lo:, :1], record=True
-            )
+            _, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], buf[lo:, :1])
             return PullbackResult(
                 k_used=k,
                 l2_gap=gap,
@@ -201,7 +200,7 @@ def periodicity_check_shifted(
     )
     incs = np.concatenate([cells[shift_cells:], cells[:n_steps]], axis=1)
     x0 = np.broadcast_to(xi, (2, xi.size))
-    times, (p1, p2), _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs)
+    times, (p1, p2), _ = simulate_ensemble(problem, scheme, -k * shift_cells, x0, incs)
 
     # samples with a partner one period earlier
     idx = np.arange(max(i_a, shift_cells), n_steps + 1)
@@ -256,7 +255,7 @@ def periodicity_check_pullback(
     x = np.broadcast_to(x0, (n_total, x0.size))
     for i in range(n_total):
         incs = cells[i:][None, ::-1]  # one step of the n_total - i points still in the batch
-        _, x, _ = simulate_ensemble(problem, scheme, i * dt, 1, x, incs, record=False)
+        _, x, _ = simulate_ensemble(problem, scheme, i, x, incs, record=False)
         curve[i + 1], x = x[0], x[1:]
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
     after = dev[shift_cells:]

@@ -11,11 +11,10 @@ from rpsde.analysis import contraction_constant, ms_error, numerical_contraction
 from rpsde.cli import main as cli_main
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import build_cubic_model, build_additive_model
-from rpsde.noise import generate
+from rpsde.noise import ensemble_increments, tree_fold
 from rpsde.periodic import periodicity_check_pullback, periodicity_check_shifted
 from test_analysis import moment_monitor
 from test_integrator import exact_linear_step, newton_linear_problem
-from test_noise import coarse_increment
 
 CUBIC = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
 LEVELS = [6, 7, 8, 9, 10]
@@ -83,11 +82,11 @@ def test_3_oracle_equivalence():
             x_ora[j + 1] = exact_linear_step(lam, sigma, sch, x_ora[j], dw)
         # one Newton step from every oracle state, as one batch
         _, per_step, _ = simulate_ensemble(
-            prob, sch, 0.0, 1, x_ora[:-1, None], dws[None, :, None], record=False
+            prob, sch, 0, x_ora[:-1, None], dws[None, :, None], record=False
         )
         worst_step = max(worst_step, float(np.abs(per_step[:, 0] - x_ora[1:]).max()))
         _, x_num, _ = simulate_ensemble(
-            prob, sch, 0.0, len(dws), x_ora[None, :1], dws[:, None, None], record=False
+            prob, sch, 0, x_ora[None, :1], dws[:, None, None], record=False
         )
         worst_path = max(worst_path, abs(x_num[0, 0] - x_ora[-1]))
     ok = worst_step <= 1e-10 and worst_path <= 1e-8
@@ -147,10 +146,7 @@ def test_5_periodicity():
 def test_6_contraction_envelope():
     prob = build_cubic_model(**CUBIC)
     sch = ThetaScheme(theta=1.0, dt=0.1)
-    test = numerical_contraction_test(
-        prob, sch, [0.6], [-0.6], k=15, ensemble=200, seed=5,
-        safety_factor=10.0, floor=1e-12,
-    )
+    test = numerical_contraction_test(prob, sch, [0.6], [-0.6], k=15, ensemble=200, seed=5)
     _report(
         "6 contraction envelope",
         test.passed,
@@ -174,21 +170,18 @@ def test_7_property_suites():
             rng.uniform(1e-9, 1.0),
         ).c_delta
         c_ok = c_ok and 0.0 <= c < 1.0
-    # (b) increment variance matches the cell width
-    g = generate(2024, 0, 4, (0.0, 6250.0), 1)
-    var = g.increments[:100_000].var()
+    # (b) increment variance matches the cell width: the level-4 cells of (0, 6250)
+    incs = ensemble_increments(2024, [0], 0, 100_000, 1, 2.0**-4, fine_level=4)[:, 0]
+    var = incs.var()
     v_ok = abs(var - 2.0**-4) <= 0.03 * 2.0**-4
-    # (c) dyadic telescoping is bit-exact at every level
-    g = generate(3, 0, 8, (-1.0, 1.0), 1)
-    t_ok = True
-    for lvl in range(8):
-        lo = -(2**lvl)
-        for i in range(lo, -lo):
-            full = coarse_increment(g, lvl, i)
-            halves = coarse_increment(g, lvl + 1, 2 * i) + coarse_increment(
-                g, lvl + 1, 2 * i + 1
-            )
-            t_ok = t_ok and np.array_equal(full, halves)
+    # (c) dyadic telescoping is bit-exact at every level: on (-1, 1), each cell
+    # of level lvl is the sum of its two cells of level lvl + 1
+    fine = ensemble_increments(3, [0], -256, 512, 1, 2.0**-8, fine_level=8)[:, 0]
+    folded = [tree_fold(fine, 2 ** (8 - lvl)) for lvl in range(9)]
+    t_ok = all(
+        np.array_equal(folded[lvl], folded[lvl + 1][0::2] + folded[lvl + 1][1::2])
+        for lvl in range(8)
+    )
     ok = c_ok and v_ok and t_ok
     _report(
         "7 property suites",

@@ -16,7 +16,7 @@ from rpsde.analysis import (
 )
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import build_additive_model, build_cubic_model, build_linear_model
-from rpsde.noise import ensemble_increments, generate, grid_steps, tree_fold
+from rpsde.noise import ensemble_increments, grid_steps, tree_fold
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
@@ -39,15 +39,12 @@ def moment_monitor(problem, scheme, k, ensemble, seed, xi=0.6):
     """
     if ensemble < 2:
         raise ValueError("ensemble must be >= 2")
-    start = -k * problem.period
     steps_per_tau = grid_steps(problem.period, scheme.dt, "period")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     n = k * steps_per_tau
     incs = ensemble_increments(seed, range(ensemble), -n, n, problem.noise_dim, scheme.dt)
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
-    times, states, _ = simulate_ensemble(
-        problem, scheme, start, n, x0, incs, record=True
-    )
+    times, states, _ = simulate_ensemble(problem, scheme, -n, x0, incs, record=True)
     sq = np.sum(states**2, axis=-1)  # (ensemble, n_times)
     mom = sq.mean(axis=0)
     se = sq.std(axis=0, ddof=1) / math.sqrt(ensemble)
@@ -203,7 +200,7 @@ class TestMsError:
             incs = tree_fold(fine, 2 ** (8 - lvl))
             scheme = ThetaScheme(theta=theta, dt=2.0**-lvl)
             _, finals[lvl], _ = simulate_ensemble(
-                problem, scheme, -1.0, incs.shape[0], x0, incs, record=False
+                problem, scheme, -(2**lvl), x0, incs, record=False
             )
         sq = [np.sum((finals[lvl] - finals[8]) ** 2, axis=-1) for lvl in (3, 4, 6)]
         rms = np.array([math.sqrt(s.mean()) for s in sq])
@@ -231,11 +228,11 @@ class TestMsError:
         # each path run alone on its own grid, level by level
         finals = {lvl: [] for lvl in (2, 3, 5)}
         for p in range(4):
-            grid = generate(1, p, 6, (0.0, 1.0), 1)
+            fine = ensemble_increments(1, [p], 0, 64, 1, 2.0**-6, fine_level=6)
             for lvl in finals:
-                incs = grid.step_increments(0.0, 2**lvl, 2.0**-lvl)[:, None]
+                incs = tree_fold(fine, 2 ** (6 - lvl))
                 scheme = ThetaScheme(theta=1.0, dt=2.0**-lvl)
-                _, x, _ = simulate_ensemble(prob, scheme, 0.0, 2**lvl, [[0.3]], incs, record=False)
+                _, x, _ = simulate_ensemble(prob, scheme, 0, [[0.3]], incs, record=False)
                 finals[lvl].append(x[0, 0])
         for i, (fine, coarse) in enumerate([(3, 2), (5, 3)]):
             sq = (np.array(finals[fine]) - np.array(finals[coarse])) ** 2
@@ -327,14 +324,13 @@ class TestNumericalContraction:
         with pytest.raises(ValueError, match="state_dim is 1"):
             numerical_contraction_test(prob, sch, xi, eta, 2, 10, seed=0)
 
-    def test_deterministic_linear_series(self):
+    def test_deterministic_linear_series(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_FLOOR", 1e-9)
         lam, dt = 1.0, 0.25
         prob = build_linear_model(lam, 0.0)
         # tight Newton tolerance so the exact geometric decay is not frozen
         sch = ThetaScheme(theta=1.0, dt=dt, newton_tol=1e-12)
-        test = numerical_contraction_test(
-            prob, sch, [1.0], [-1.0], 13, 4, seed=0, floor=1e-9
-        )
+        test = numerical_contraction_test(prob, sch, [1.0], [-1.0], 13, 4, seed=0)
         rho = 1.0 / (1.0 + lam * dt)
         expected = 4.0 * rho ** (2 * test.steps.astype(float))
         assert test.gap_series == pytest.approx(expected, rel=1e-9)
@@ -353,16 +349,16 @@ class TestNumericalContraction:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            calls.append((args[2], len(args[4])))
             return simulate_ensemble(*args, **kwargs)
 
         monkeypatch.setattr("rpsde.analysis.simulate_ensemble", counting)
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
         test = numerical_contraction_test(prob, sch, [0.6], [-0.4], 3, 25, seed=2)
-        assert calls == [60]
+        assert calls == [(-60, 60)]
         incs = ensemble_increments(2, range(25), -60, 60, 1, 0.1)
-        _, xs, _ = simulate_ensemble(prob, sch, -6.0, 60, np.full((25, 1), 0.6), incs)
-        _, ys, _ = simulate_ensemble(prob, sch, -6.0, 60, np.full((25, 1), -0.4), incs)
+        _, xs, _ = simulate_ensemble(prob, sch, -60, np.full((25, 1), 0.6), incs)
+        _, ys, _ = simulate_ensemble(prob, sch, -60, np.full((25, 1), -0.4), incs)
         gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)
         assert np.array_equal(test.gap_series, gap)

@@ -1,15 +1,16 @@
 import csv
 import hashlib
+import math
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
 
-from rpsde import cli
+from rpsde import analysis, cli
 from rpsde.cli import ConfigError, load_config, main
 from rpsde.integrator import ThetaScheme
-from rpsde.models import catalog_entry
+from rpsde.models import MODEL_NAMES, catalog_entry
 from rpsde.periodic import pullback_converge
 
 
@@ -196,13 +197,25 @@ class TestConfig:
             ("periodicity", ["--set", "threshold=-1"]),
             ("periodicity", ["--set", "xi=0.1,0.2"]),
             ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
+            ("converge", ["--set", "levels=1,2", "--set", "reference_level=24"]),
         ],
         ids=["contraction-zero-k", "contraction-zero-ensemble", "converge-one-level",
-             "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure"],
+             "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure",
+             "memory-error"],
     )
-    def test_rejected_inside_the_library_writes_nothing(self, tmp_path, capsys, command, bad):
+    def test_rejected_inside_the_library_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, bad
+    ):
         # the library rejects these after the output directory is made, except
         # periodicity-xi-dim, which _settings rejects before it
+        if "reference_level=24" in bad:
+            # one coarsest cell of 200 paths at level 24 is a 12.5 GiB block; the
+            # draw fails as numpy's allocation would, without allocating it
+            def out_of_memory(seed, paths, first_cell, n_cells, noise_dim, *args, **kwargs):
+                gib = n_cells * len(paths) * noise_dim * 8 / 2**30
+                raise MemoryError(f"Unable to allocate {gib:.3g} GiB")
+
+            monkeypatch.setattr(analysis, "ensemble_increments", out_of_memory)
         assert main([command, "--out", str(tmp_path), *bad]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
@@ -485,3 +498,18 @@ def test_script_drivers_pass_keys_the_cli_reads(tmp_path, monkeypatch, script):
         monkeypatch.setitem(cli._COMMANDS, name, lambda settings, out: True)
     monkeypatch.setattr(sys, "argv", [script.name, "--out", str(tmp_path)])
     assert runpy.run_path(str(script))["main"]() == 0
+
+
+def test_kernel_timing_script_runs():
+    # a tiny noise window and four steps at batch 2 of every catalog model, through
+    # the functions the script times, without its rounds or its table
+    script = runpy.run_path(str(SCRIPTS / "kernel_timing.py"))
+    seconds = script["noise_run"](3, -4, 8, 0.25, None)()
+    assert math.isfinite(seconds) and seconds >= 0.0
+    for name in MODEL_NAMES:
+        for theta in (1.0, 0.75):
+            scheme = ThetaScheme(theta=theta, dt=script["DT"])
+            iters, run = script["kernel_run"](catalog_entry(name).problem, scheme, 2, 4)
+            assert math.isfinite(iters) and iters >= 0.0
+            seconds = run()
+            assert math.isfinite(seconds) and seconds >= 0.0

@@ -12,7 +12,7 @@ from rpsde.models import (
     build_linear_model,
     catalog_entry,
 )
-from rpsde.noise import ensemble_increments, generate, generate_uniform, grid_steps
+from rpsde.noise import ensemble_increments, grid_steps
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
@@ -25,10 +25,10 @@ def exact_linear_step(lam, sigma, scheme, x, dw):
     )
 
 
-def one_step(prob, sch, t, x, dw):
-    """One theta step of the states x (batch, d) under the increments dw (batch, m)."""
+def one_step(prob, sch, step, x, dw):
+    """One theta step from grid step `step` of the states x (batch, d) under dw (batch, m)."""
     dw = np.asarray(dw, dtype=float)[None]
-    return simulate_ensemble(prob, sch, t, 1, x, dw, record=False)[1]
+    return simulate_ensemble(prob, sch, step, x, dw, record=False)[1]
 
 
 def newton_linear_problem(lam, sigma):
@@ -103,27 +103,27 @@ class TestImplicitStep:
         # theta=1, dt=0.5, A=1, f=0, rhs=1 -> y = 1/(1+0.5) = 2/3
         prob = build_linear_model(1.0, 0.0)
         sch = ThetaScheme(theta=1.0, dt=0.5)
-        y = one_step(prob, sch, 0.0, np.array([[1.0]]), np.zeros((1, 1)))[0]
+        y = one_step(prob, sch, 0, np.array([[1.0]]), np.zeros((1, 1)))[0]
         assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_cubic_root(self):
         # y + 0.1 y^3 = 1.1 has root y = 1; linear part negligible
         prob = cubic_like_problem(1e-9)
         sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-12)
-        y = one_step(prob, sch, 0.0, np.array([[1.1]]), np.zeros((1, 1)))[0]
+        y = one_step(prob, sch, 0, np.array([[1.1]]), np.zeros((1, 1)))[0]
         assert y[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_zero_fixed_point(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
-        y = one_step(prob, sch, 0.0, np.zeros((1, 1)), np.zeros((1, 1)))[0]
+        y = one_step(prob, sch, 0, np.zeros((1, 1)), np.zeros((1, 1)))[0]
         assert y[0] == 0.0
 
     def test_nonfinite_rhs_rejected(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(NewtonError):
-            one_step(prob, sch, 0.0, np.array([[np.nan]]), np.zeros((1, 1)))
+            one_step(prob, sch, 0, np.array([[np.nan]]), np.zeros((1, 1)))
 
     @pytest.mark.parametrize("theta", [1.0, 0.75])
     def test_nan_residual_rejected(self, theta):
@@ -131,13 +131,13 @@ class TestImplicitStep:
         prob = replace(build_linear_model(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
         sch = ThetaScheme(theta=theta, dt=0.1)
         with pytest.raises(NewtonError):
-            one_step(prob, sch, 0.0, np.array([[0.5]]), np.zeros((1, 1)))
+            one_step(prob, sch, 0, np.array([[0.5]]), np.zeros((1, 1)))
 
     def test_nonconvergence_error_carries_residual(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-14, newton_max_iter=1)
         with pytest.raises(NewtonError) as exc:
-            one_step(prob, sch, 0.0, np.array([[5.0]]), np.zeros((1, 1)))
+            one_step(prob, sch, 0, np.array([[5.0]]), np.zeros((1, 1)))
         assert exc.value.residual is not None
 
     def test_frozen_row_keeps_out_of_the_residual(self):
@@ -147,7 +147,7 @@ class TestImplicitStep:
         residuals = []
         for x in ([[5.0]], [[0.0], [5.0]]):
             with pytest.raises(NewtonError) as exc:
-                one_step(prob, sch, 0.0, np.array(x), np.zeros((len(x), 1)))
+                one_step(prob, sch, 0, np.array(x), np.zeros((len(x), 1)))
             residuals.append(exc.value.residual)
         assert residuals[0] is not None and residuals[1] == residuals[0]
 
@@ -155,7 +155,7 @@ class TestImplicitStep:
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NewtonError):
-            one_step(prob, sch, 0.0, np.array([[0.0], [1e200]]), np.zeros((2, 1)))
+            one_step(prob, sch, 0, np.array([[0.0], [1e200]]), np.zeros((2, 1)))
 
 
 class TestStep:
@@ -163,23 +163,23 @@ class TestStep:
         # theta=1, f=0, g=0: x' = x/(1+lam*dt); lam=1, dt=0.5, x=2 -> 4/3
         prob = build_linear_model(1.0, 0.0)
         sch = ThetaScheme(theta=1.0, dt=0.5)
-        x = one_step(prob, sch, 0.0, np.array([[2.0]]), np.array([[0.0]]))[0]
+        x = one_step(prob, sch, 0, np.array([[2.0]]), np.array([[0.0]]))[0]
         assert x[0] == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_equilibrium_preserved(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
-        x = one_step(prob, sch, 0.3, np.zeros((1, 1)), np.zeros((1, 1)))[0]
+        x = one_step(prob, sch, 3, np.zeros((1, 1)), np.zeros((1, 1)))[0]
         # f(t,0) = 0 but g(t,0) = b, so only the dW=0 part keeps x near 0
         assert abs(x[0]) < 1e-10
 
     def test_additive_scheme_is_affine(self):
         prob = build_additive_model()
         sch = ThetaScheme(theta=0.75, dt=0.125)
-        t = 0.25
+        step = 2  # t = 0.25
 
         def s(x, dw):
-            return one_step(prob, sch, t, np.array([[x]]), np.array([[dw]]))[0, 0]
+            return one_step(prob, sch, step, np.array([[x]]), np.array([[dw]]))[0, 0]
 
         base = s(0.0, 0.0)
         lhs = s(0.3 + -0.7, 0.2 + 0.05) - base
@@ -208,7 +208,7 @@ class TestExactLinearStep:
             prob = newton_linear_problem(lam, sigma)
             sch = ThetaScheme(theta=theta, dt=dt)
             exact = exact_linear_step(lam, sigma, sch, x, dw)
-            num = one_step(prob, sch, 0.0, np.array([[x]]), np.array([[dw]]))[0, 0]
+            num = one_step(prob, sch, 0, np.array([[x]]), np.array([[dw]]))[0, 0]
             assert num == pytest.approx(exact, abs=1e-10)
 
 
@@ -216,9 +216,8 @@ class TestSimulatePath:
     def test_empty_iteration(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
-        times, states, iters = simulate_ensemble(
-            prob, sch, 0.0, 0, np.array([[0.6]]), np.zeros((0, 1, 1))
-        )
+        x0, incs = np.array([[0.6]]), np.zeros((0, 1, 1))
+        times, states, iters = simulate_ensemble(prob, sch, 0, x0, incs)
         assert times.tolist() == [0.0]
         assert states.shape == (1, 1, 1) and states[0, 0, 0] == 0.6
         assert iters.size == 0
@@ -227,32 +226,38 @@ class TestSimulatePath:
         lam, sigma = 2.0, 0.3
         prob = newton_linear_problem(lam, sigma)
         sch = ThetaScheme(theta=0.8, dt=2.0**-6)
-        grid = generate(9, 0, 6, (0.0, 16.0), 1)
         n = 1000
-        incs = grid.step_increments(0.0, n, sch.dt)
-        _, states, _ = simulate_ensemble(
-            prob, sch, 0.0, n, np.array([[1.0]]), incs[:, None], record=True
-        )
+        incs = ensemble_increments(9, [0], 0, n, 1, sch.dt, fine_level=6)
+        _, states, _ = simulate_ensemble(prob, sch, 0, np.array([[1.0]]), incs, record=True)
+        incs = incs[:, 0]
         x = 1.0
         for j in range(n):
             x = exact_linear_step(lam, sigma, sch, x, incs[j, 0])
         assert states[0, -1, 0] == pytest.approx(x, abs=1e-12)
 
-    @pytest.mark.parametrize("x_batch, inc_batch", [(1, 3), (2, 3)])
+    # (3, 1): one noise path is no longer broadcast to a batch of 3
+    @pytest.mark.parametrize("x_batch, inc_batch", [(1, 3), (2, 3), (3, 1)])
     def test_increment_batch_mismatch_rejected(self, x_batch, inc_batch):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError, match="increments have shape"):
-            simulate_ensemble(prob, sch, 0.0, 2, np.zeros((x_batch, 1)), np.zeros((2, inc_batch, 1)))
+            simulate_ensemble(prob, sch, 0, np.zeros((x_batch, 1)), np.zeros((2, inc_batch, 1)))
+
+    @pytest.mark.parametrize("first_step", [0.0, -1.5, np.float64(2.0)])
+    def test_float_first_step_rejected(self, first_step):
+        # grid time is an integer step; a float start is refused, not rounded
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        with pytest.raises(TypeError):
+            simulate_ensemble(prob, sch, first_step, np.zeros((1, 1)), np.zeros((2, 1, 1)))
 
     def test_deterministic_replay(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
-        grid = generate_uniform(4, 2, 0.1, (-4.0, 0.0), 1)
-        incs = grid.step_increments(-4.0, 40, 0.1)
+        incs = ensemble_increments(4, [2], -40, 40, 1, 0.1)
         x0 = np.array([[0.6]])
-        _, a, a_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[:, None])
-        _, b, b_iters = simulate_ensemble(prob, sch, -4.0, 40, x0, incs[:, None])
+        _, a, a_iters = simulate_ensemble(prob, sch, -40, x0, incs)
+        _, b, b_iters = simulate_ensemble(prob, sch, -40, x0, incs)
         assert np.array_equal(a, b)
         assert np.array_equal(a_iters, b_iters)
 
@@ -260,10 +265,9 @@ class TestSimulatePath:
         # residual tolerance 1e-5; median iteration count <= 5 at dt = 0.1
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
-        grid = generate_uniform(12, 0, 0.1, (-10.0, 0.0), 1)
-        incs = grid.step_increments(-10.0, 100, 0.1)
+        incs = ensemble_increments(12, [0], -100, 100, 1, 0.1)
         x0 = np.array([[0.6]])
-        _, _, iters = simulate_ensemble(prob, sch, -10.0, 100, x0, incs[:, None])
+        _, _, iters = simulate_ensemble(prob, sch, -100, x0, incs)
         assert np.median(iters) <= 5
 
 
@@ -282,20 +286,20 @@ class TestEnsembleConsistency:
         prob = make()
         sch = ThetaScheme(theta=theta, dt=dt)
         n = 20
+        first = grid_steps(-2.0, dt, "start")
         incs = np.stack(
             [
-                generate_uniform(3, p, dt, (-2.0, -2.0 + n * dt), prob.noise_dim)
-                .step_increments(-2.0, n, dt)
+                ensemble_increments(3, [p], first, n, prob.noise_dim, dt)[:, 0]
                 for p in range(len(x0))
             ],
             axis=1,
         )
         x0 = np.array(x0)
-        _, batched, batched_iters = simulate_ensemble(prob, sch, -2.0, n, x0, incs, record=True)
+        _, batched, batched_iters = simulate_ensemble(prob, sch, first, x0, incs, record=True)
         single_iters = []
         for p in range(len(x0)):
             _, single, iters = simulate_ensemble(
-                prob, sch, -2.0, n, x0[p : p + 1], incs[:, p : p + 1], record=True
+                prob, sch, first, x0[p : p + 1], incs[:, p : p + 1], record=True
             )
             assert np.array_equal(batched[p], single[0])
             single_iters.append(iters)
@@ -327,8 +331,8 @@ class TestEnsembleConsistency:
         rows = np.ascontiguousarray(incs.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert incs[0].flags.c_contiguous and not rows[0].flags.c_contiguous
         x0 = np.linspace(-0.6, 0.6, 6 * prob.state_dim).reshape(6, prob.state_dim)
-        _, a, a_iters = simulate_ensemble(prob, sch, -1.0, 20, x0, incs)
-        _, b, b_iters = simulate_ensemble(prob, sch, -1.0, 20, x0, rows)
+        _, a, a_iters = simulate_ensemble(prob, sch, -20, x0, incs)
+        _, b, b_iters = simulate_ensemble(prob, sch, -20, x0, rows)
         assert a.tobytes() == b.tobytes()
         assert np.array_equal(a_iters, b_iters)
 
@@ -341,7 +345,7 @@ class TestClosedFormStage:
         x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (batch, prob.state_dim))
         first = grid_steps(-1.0, sch.dt, "start")
         incs = ensemble_increments(5, range(batch), first, n, prob.noise_dim, sch.dt)
-        return simulate_ensemble(prob, sch, -1.0, n, x0, incs)
+        return simulate_ensemble(prob, sch, first, x0, incs)
 
     @pytest.mark.parametrize("theta", [0.75, 1.0])
     @pytest.mark.parametrize("make", MODELS, ids=IDS)
@@ -400,7 +404,7 @@ class TestGoldenBits:
         n = 16
         first = grid_steps(-1.5, dt, "start")
         incs = ensemble_increments(11, range(len(x0)), first, n, prob.noise_dim, dt)
-        _, final, iters = simulate_ensemble(prob, sch, -1.5, n, np.array(x0), incs, record=False)
+        _, final, iters = simulate_ensemble(prob, sch, first, np.array(x0), incs, record=False)
         assert [float(v).hex() for v in final.ravel()] == hexes
         assert iters.sum() == iter_sum
 
@@ -421,9 +425,10 @@ class TestGoldenBits:
         # before the kernel's constants became 0-d arrays
         prob = catalog_entry("cubic_multiplicative").problem
         dt, n = 2.0**-7, 64
-        incs = ensemble_increments(11, range(200), grid_steps(-1.5, dt, "start"), n, 1, dt)
+        first = grid_steps(-1.5, dt, "start")
+        incs = ensemble_increments(11, range(200), first, n, 1, dt)
         x0 = np.linspace(-3.0, 3.0, 200)[:, None]
         sch = ThetaScheme(theta=theta, dt=dt)
-        _, final, iters = simulate_ensemble(prob, sch, -1.5, n, x0, incs, record=False)
+        _, final, iters = simulate_ensemble(prob, sch, first, x0, incs, record=False)
         assert [float(final[i, 0]).hex() for i in (0, 1, 66, 100, 133, 199)] == hexes
         assert iters.sum() == iter_sum

@@ -7,7 +7,7 @@ import pytest
 
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import SdeProblem, build_cubic_model, build_linear_model, catalog_entry
-from rpsde.noise import ensemble_increments, generate_uniform
+from rpsde.noise import ensemble_increments
 from rpsde.periodic import (
     PullbackError,
     periodicity_check_pullback,
@@ -62,12 +62,11 @@ def pullback_curve_by_definition(problem, scheme, x0, horizon, seed):
     """Curve point j on its own: j steps from x0 at time 0 under the noise shifted by -j*dt."""
     dt = scheme.dt
     n = round(horizon / dt)
-    grid = generate_uniform(seed, 0, dt, (-horizon, horizon), problem.noise_dim)
+    cells = ensemble_increments(seed, [0], -n, n, problem.noise_dim, dt)  # (-horizon, 0)
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     curve = [x0[0]]
     for j in range(1, n + 1):
-        incs = grid.step_increments(-j * dt, j, dt)[:, None]
-        _, final, _ = simulate_ensemble(problem, scheme, 0.0, j, x0, incs, record=False)
+        _, final, _ = simulate_ensemble(problem, scheme, 0, x0, cells[n - j :], record=False)
         curve.append(final[0])
     return np.array(curve)
 
@@ -81,12 +80,10 @@ def pullback_by_definition(problem, scheme, t_eval, xi, tolerance, k_max, ensemb
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
     prev, gaps = None, []
     for k in range(1, k_max + 1):
-        start = -k * problem.period
+        first = -k * steps_per_tau
         n_steps = k * steps_per_tau + n_eval
-        incs = ensemble_increments(
-            seed, range(ensemble), -k * steps_per_tau, n_steps, problem.noise_dim, dt
-        )
-        _, states, _ = simulate_ensemble(problem, scheme, start, n_steps, x0, incs, record=True)
+        incs = ensemble_increments(seed, range(ensemble), first, n_steps, problem.noise_dim, dt)
+        _, states, _ = simulate_ensemble(problem, scheme, first, x0, incs, record=True)
         final = states[:, -1]
         if prev is not None:
             gaps.append(float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1)))))
@@ -238,10 +235,10 @@ class TestPullbackConverge:
 
 def shared_noise_run(problem, scheme, xis, k, seed):
     """Every initial value from -k*tau to 0 under the one noise path 0, as `rpsde simulate` runs them."""
-    start = -k * problem.period
     n = round(k * problem.period / scheme.dt)
     incs = ensemble_increments(seed, range(1), -n, n, problem.noise_dim, scheme.dt)
-    times, states, _ = simulate_ensemble(problem, scheme, start, n, np.array(xis, dtype=float), incs)
+    incs = np.broadcast_to(incs, (n, len(xis), problem.noise_dim))
+    times, states, _ = simulate_ensemble(problem, scheme, -n, np.array(xis, dtype=float), incs)
     return times, states
 
 
@@ -310,18 +307,14 @@ class TestPeriodicityShifted:
         sch = ThetaScheme(theta=theta, dt=0.1)
         k, window, tau, dt = 5, (-6.0, -1.0), prob.period, 0.1
         start = -k * tau
+        first, shift = round(start / dt), round(tau / dt)
         n = round((window[1] - start) / dt)
-        grid = generate_uniform(3, 0, dt, (start - tau, window[1]), prob.noise_dim)
+        cells = ensemble_increments(3, [0], first - shift, shift + n, prob.noise_dim, dt)
         x0 = np.array([[0.6]])
-        _, p1, _ = simulate_ensemble(
-            prob, sch, start, n, x0, grid.step_increments(start, n, dt)[:, None]
-        )
-        _, p2, _ = simulate_ensemble(
-            prob, sch, start, n, x0, grid.step_increments(start - tau, n, dt)[:, None]
-        )
+        _, p1, _ = simulate_ensemble(prob, sch, first, x0, cells[shift:])
+        _, p2, _ = simulate_ensemble(prob, sch, first, x0, cells[:n])
         rep = periodicity_check_shifted(prob, sch, k=k, xi=[0.6], window=window, seed=3)
         idx = np.arange(round((window[0] - start) / dt), n + 1)
-        shift = round(tau / dt)
         assert np.array_equal(rep.reference, p1[0, idx - shift])
         assert np.array_equal(rep.shifted, p2[0, idx])
 
@@ -430,13 +423,13 @@ class TestPeriodicityPullback:
     def test_one_sweep_of_n_steps(self, monkeypatch):
         calls = []
 
-        def counting(problem, scheme, t_start, n_steps, x0, increments, record=True):
-            calls.append((t_start, n_steps))
-            return simulate_ensemble(problem, scheme, t_start, n_steps, x0, increments, record)
+        def counting(problem, scheme, first_step, x0, increments, record=True):
+            calls.append((first_step, len(increments)))
+            return simulate_ensemble(problem, scheme, first_step, x0, increments, record)
 
         monkeypatch.setattr("rpsde.periodic.simulate_ensemble", counting)
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         periodicity_check_pullback(prob, sch, [-0.2], 4.0, seed=3)
-        # one step per grid index, at the same time floats as a 40-step run
-        assert calls == [(i * 0.1, 1) for i in range(40)]
+        # one step per grid index, from grid step i as in a 40-step run
+        assert calls == [(i, 1) for i in range(40)]
