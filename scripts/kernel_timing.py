@@ -10,8 +10,8 @@ nanoseconds per cell, which splits the cost of a stream's setup from that of
 its cells. The kernel rows time simulate_ensemble (record=False, dt 2^-7)
 over a fixed number of steps for each model, theta in {1, 0.75} and batch
 size 1, 200 and 10^4; they give microseconds per step and nanoseconds per
-path-step, with the mean Newton iterations per step (0 where the model's
-stage is solved in closed form). Noise and initial states come from numpy's
+path-step, with the mean Newton iterations per step (0 where the model
+solves its own stage). Noise and initial states come from numpy's
 default_rng outside the timed region, so only the stepping kernel is
 measured. The increments are (steps, batch, m), as ensemble_increments
 returns them, so the slab a step reads is contiguous; one last row times

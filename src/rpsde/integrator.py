@@ -1,4 +1,4 @@
-"""Stochastic theta stepping with a Newton-solved or closed-form implicit stage.
+"""Stochastic theta stepping with a Newton-solved or model-solved implicit stage.
 
 One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
 
@@ -6,10 +6,10 @@ One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
                   + (1-theta)*dt*(-A X_j + f(t_j, X_j))
                   + g(t_j, X_j) dW_j
 
-The implicit stage is solved by damped Newton iteration; dissipativity
-(L_f < lambda) makes the stage map strongly monotone, so the root is unique.
-A problem with state_free_drift (d = 1) has a linear stage, solved by one
-division with 0 iterations; newton_tol and newton_max_iter have no effect there.
+A model that supplies SdeProblem.stage solves the implicit stage itself,
+with 0 iterations; newton_tol and newton_max_iter have no effect there.
+Otherwise damped Newton iteration solves it; dissipativity (L_f < lambda)
+makes the stage map strongly monotone, so the root is unique.
 
 simulate_ensemble is the one stepping loop; it calls one theta step,
 _Kernel.step, for every problem. Grid time is an integer: a run starts at
@@ -28,7 +28,7 @@ makes fewer and cheaper ones with the same bits. Constants are 0-d float64
 arrays, which a ufunc takes at about half the cost of a Python float. The
 damping runs only on paths whose residual norm did not fall, and the freeze
 only once a path has converged. No non-finite state meets the tolerance, so
-the scan for one runs in the closed-form stage and, in Newton, only after an
+the scan for one runs after the model's stage and, in Newton, only after an
 iteration that left a path open.
 """
 
@@ -98,15 +98,16 @@ def _linear_part(a, y):
 class _Kernel:
     """The theta step of one problem and scheme, with its constants hoisted.
 
-    The pieces that differ by problem are chosen once. For d = 1 the linear
-    part is y*a00, the norm |v| (sqrt(v*v) is |v| unless v*v overflows or
-    underflows) and the Newton matrix 1 + theta*dt*(a00 - J); for m = 1 the
-    noise term is g[..., 0]*dW. Each gives the bits of the general form. Norms
-    are (batch, 1), so a mask of paths broadcasts over the state. At theta = 1
-    the explicit part has the weight 0 and is skipped. A state-free drift (d = 1)
-    gives y = (rhs + theta*dt*f)/(1 + theta*dt*a00), f from one row.
-    The pieces close over locals, never over self or a bound method, so a kernel
-    holds no reference cycle and is freed as soon as its simulate_ensemble returns.
+    The stage is the model's own, if it supplies one, or else damped Newton;
+    the kernel holds no formula of any model. The pieces that differ by
+    problem are chosen once. For d = 1 the linear part is y*a00, the norm |v|
+    (sqrt(v*v) is |v| unless v*v overflows or underflows) and the Newton
+    matrix 1 + theta*dt*(a00 - J); for m = 1 the noise term is g[..., 0]*dW.
+    Each gives the bits of the general form. Norms are (batch, 1), so a mask
+    of paths broadcasts over the state. At theta = 1 the explicit part has the
+    weight 0 and is skipped. The pieces close over locals, never over self or
+    a bound method, so a kernel holds no reference cycle and is freed as soon
+    as its simulate_ensemble returns.
     """
 
     def __init__(self, problem: SdeProblem, scheme: ThetaScheme):
@@ -114,7 +115,7 @@ class _Kernel:
         self.diffusion = problem.diffusion
         self.period = problem.period
         self.dt = scheme.dt
-        self.state_free = problem.state_free_drift
+        self.stage = problem.stage
         a, jacobian = problem.linear_matrix, problem.drift_jacobian
         a00, one = np.array(a[0, 0]), np.array(1.0)
         self.theta_dt = theta_dt = np.array(scheme.theta * scheme.dt)
@@ -125,7 +126,6 @@ class _Kernel:
             self.norm = np.abs
             # J^{-1} f, with J = 1 + theta*dt*(a00 - f'(tf, y)) the stage's derivative
             self.quotient = lambda tf, y, f: f / (one + theta_dt * (a00 - jacobian(tf, y)[..., 0]))
-            self.den = np.array(1.0 + scheme.theta * scheme.dt * float(a00))
         else:
             eye = np.eye(problem.state_dim)
             self.linear = linear = lambda y: _linear_part(a, y)
@@ -149,13 +149,10 @@ class _Kernel:
         """States at t_j + dt of the batch x, and the most Newton iterations any path took."""
         t = _reduce_time(t_j, self.period)
         rhs = self.explicit(t, x) + self.noise(self.diffusion(t, x), dw)
-        if self.state_free:
-            return self._closed_form(t_j, rhs)
-        return self._newton(t_j, rhs, x)
-
-    def _closed_form(self, t_j, rhs):
         tf = _reduce_time(t_j + self.dt, self.period)
-        y = (rhs + self.theta_dt * self.drift(tf, rhs[:1])) / self.den
+        if self.stage is None:
+            return self._newton(tf, rhs, x)
+        y = self.stage(tf, self.theta_dt, rhs)
         if np.count_nonzero(np.isfinite(y)) < y.size:
             raise NewtonError(f"non-finite state after step at t={t_j}")
         return y, 0
@@ -163,14 +160,13 @@ class _Kernel:
     def residual(self, tf, y, r):
         return y + self.theta_dt * (self.linear(y) - self.drift(tf, y)) - r
 
-    def _newton(self, t_j, r, y):
-        """Batched damped Newton for y + theta*dt*(A y - f(t_j + dt, y)) = r, from the guess y.
+    def _newton(self, tf, r, y):
+        """Batched damped Newton for y + theta*dt*(A y - f(tf, y)) = r, from the guess y.
 
         A path whose residual norm is at most tol is frozen: its row keeps its
         value from then on. The update y - J^{-1} f has the bits of y + (-J^{-1} f);
         a path whose residual norm did not decrease has its step halved, up to 30 times.
         """
-        tf = _reduce_time(t_j + self.dt, self.period)
         f = self.residual(tf, y, r)
         nrm = self.norm(f)
         done = nrm <= self.tol

@@ -41,11 +41,11 @@ class SdeProblem:
     """One dissipative semi-linear SDE instance.
 
     Immutable after construction; drift/diffusion must be pure functions so
-    problems can be shared freely. state_free_drift: f(t, x) does not depend
-    on x, so its Jacobian is 0 and the integrator solves the stage in closed
-    form; only a scalar problem (state_dim 1) may set it, and a larger one
-    free of the state leaves it False and is solved by Newton. state_dim and
-    lambda_min (the smallest eigenvalue of A) are derived from linear_matrix.
+    problems can be shared freely. stage(t, c, r), if given, is the model's
+    own solve of the implicit stage: the y with y + c*(A y - f(t, y)) = r for
+    every row of r; without it the integrator solves the stage by damped
+    Newton. state_dim and lambda_min (the smallest eigenvalue of A) are
+    derived from linear_matrix.
     """
 
     noise_dim: int
@@ -57,7 +57,7 @@ class SdeProblem:
     one_sided_lipschitz: float
     moment_exponent: float
     growth_exponent: float
-    state_free_drift: bool = False
+    stage: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None
     state_dim: int = field(init=False)
     lambda_min: float = field(init=False)
 
@@ -73,8 +73,6 @@ class SdeProblem:
             raise ParameterError(f"linear_matrix must be positive definite (min eig {eigmin})")
         object.__setattr__(self, "state_dim", a.shape[0])
         object.__setattr__(self, "lambda_min", eigmin)
-        if self.state_free_drift and self.state_dim > 1:
-            raise ParameterError(f"state_free_drift needs state_dim 1, got {self.state_dim}")
         if not 0.0 < self.one_sided_lipschitz < self.lambda_min:
             raise ParameterError(
                 f"need 0 < L_f < lambda: L_f={self.one_sided_lipschitz}, lambda={self.lambda_min}"
@@ -168,7 +166,8 @@ def _affine_model(lam: float, sigma: float, forcing: Callable[[float], float]) -
         one_sided_lipschitz=min(1e-3, 0.5 * lam),  # f is free of x: any 0 < L_f < lam holds
         moment_exponent=21.0,
         growth_exponent=1.0,
-        state_free_drift=True,
+        # the stage is linear in y: one division
+        stage=lambda t, c, r: (r + c * forcing(t)) / (1.0 + c * lam),
     )
 
 

@@ -83,7 +83,7 @@ def _stream_key(seed: int, path_index, component: int, mode_salt: int) -> np.nda
     (about half the streams) lose their low 11 bits. Every increment is
     defined by these words, so those rows go through the same conversion.
     """
-    k0 = _mix64(seed & _MASK64)
+    k0 = _mix64(seed)
     paths = np.asarray(path_index, dtype=np.int64).astype(np.uint64)
     k1 = _mix64(_mix64(paths) ^ np.uint64(k0 ^ _mix64(component + 0x1000) ^ _mix64(mode_salt)))
     keys = np.stack([np.full_like(k1, k0), k1], axis=-1)
@@ -280,8 +280,10 @@ def ensemble_increments(
     generator serves every stream of the call, and the normals are written
     straight into the output: a new array, or `out`, a float64 array of the
     returned shape that the caller holds and that is checked before
-    anything is drawn.
+    anything is drawn, as is the seed, which must lie in [0, 2^64).
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     h, salt = _grid(fine_level, dt)
     if h != dt:
         raise WindowError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")

@@ -177,6 +177,8 @@ def periodicity_check_shifted(
     over the window (after the burn-in) is a pull-back gap and contracts
     geometrically.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     _check_threshold(threshold)
     tau = problem.period
     dt = scheme.dt

@@ -71,7 +71,7 @@ def test_3_oracle_equivalence():
         dt = rng.uniform(0.001, 0.5)
         lam = rng.uniform(0.1, 10.0)
         sigma = rng.uniform(0.0, 1.0)
-        # without the state-free flag, so Newton solves the linear stage
+        # without the model's own stage, so Newton solves the linear stage
         prob = newton_linear_problem(lam, sigma)
         # tight tolerance: the linear solve must not stop at the first guess
         sch = ThetaScheme(theta=theta, dt=dt, newton_tol=1e-13)

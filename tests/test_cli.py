@@ -166,6 +166,10 @@ class TestConfig:
             ("pullback", ["--set", "model=linear_ou", "--set", "xi=nan"], "xi must be"),
             ("contraction", ["--set", "eta=inf"], "eta must be"),
             ("periodicity", ["--set", "x0=nan"], "x0 must be"),
+            ("simulate", ["--seed", "-1"], "error: seed must be in [0, 2^64), got -1\n"),
+            # k is checked before the window that it places
+            ("periodicity", ["--set", "k=0"], "error: k must be >= 1, got 0\n"),
+            ("periodicity", ["--set", "k=-1"], "error: k must be >= 1, got -1\n"),
         ],
         ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
              "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -179,7 +183,8 @@ class TestConfig:
              "simulate-nan-horizon", "converge-minus-inf-t-start", "window-nan", "model-nan-lam",
              "model-nan-a", "threshold-nan", "simulate-zero-steps-off-grid",
              "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
-             "periodicity-nan-x0"],
+             "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
+             "periodicity-negative-k"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -198,10 +203,14 @@ class TestConfig:
             ("periodicity", ["--set", "xi=0.1,0.2"]),
             ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
             ("converge", ["--set", "levels=1,2", "--set", "reference_level=24"]),
+            # a seed outside [0, 2^64) once aliased another modulo 2^64
+            ("simulate", ["--seed", "-1"]),
+            ("simulate", ["--seed", "18446744073709551616"]),
+            ("periodicity", ["--set", "k=0"]),
         ],
         ids=["contraction-zero-k", "contraction-zero-ensemble", "converge-one-level",
              "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure",
-             "memory-error"],
+             "memory-error", "seed-negative", "seed-2-64", "periodicity-zero-k"],
     )
     def test_rejected_inside_the_library_writes_nothing(
         self, tmp_path, capsys, monkeypatch, command, bad
@@ -426,6 +435,18 @@ PINNED = {
             "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
             "manifest.txt": "5a0508df9dd932bc0095bb6f72893dcefd1370e4959f7f16f67a9fc8b0b3c4cd",
             "<stdout>": "bc9c8952234685109db7cd905d4d4dc72d3e59e9f6829947134fe910eba74192",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    # an affine model at theta < 1: its explicit half-step and its own stage
+    "contraction-linear-theta0.75": (
+        ["contraction", "--set", "model=linear_ou", "--set", "theta=0.75"],
+        0,
+        {
+            "contraction.csv": "658b8c9d4f7d77360a3e2d22043ca8252ba066438164b23aff55eeaecc336cec",
+            "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
+            "manifest.txt": "f1fcb2a1821f42b4c613ebd2089e31f88c2cc51a573c5eb26c5db470fd310f3f",
+            "<stdout>": "9d749eb1df6b5dcfc25f681403587d8af83620d4cd2969aeed29d83369f630ad",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),

@@ -32,8 +32,30 @@ def one_step(prob, sch, step, x, dw):
 
 
 def newton_linear_problem(lam, sigma):
-    """build_linear_model without the state-free flag, so Newton solves its stage."""
-    return replace(build_linear_model(lam, sigma), state_free_drift=False)
+    """build_linear_model without its own stage, so Newton solves the stage."""
+    return replace(build_linear_model(lam, sigma), stage=None)
+
+
+def diagonal_pair_problem():
+    """A d = 2 problem: diagonal A, a drift free of the state, and its own stage."""
+    diag = np.array([2.0, 5.0])
+
+    def forcing(t):
+        return np.array([math.sin(2.0 * math.pi * t), 0.5 * math.cos(2.0 * math.pi * t)])
+
+    return SdeProblem(
+        noise_dim=2,
+        linear_matrix=np.diag(diag),
+        drift=lambda t, x: np.zeros(x.shape) + forcing(t),
+        drift_jacobian=lambda t, x: np.zeros(x.shape + (2,)),
+        diffusion=lambda t, x: np.zeros(x.shape + (2,)) + np.diag([0.3, 0.1]),
+        period=1.0,
+        one_sided_lipschitz=1e-3,
+        moment_exponent=21.0,
+        growth_exponent=1.0,
+        # each component's stage is its own division
+        stage=lambda t, c, r: (r + c * forcing(t)) / (1.0 + c * diag),
+    )
 
 
 def cubic_like_problem(lam):
@@ -128,10 +150,17 @@ class TestImplicitStep:
     @pytest.mark.parametrize("theta", [1.0, 0.75])
     def test_nan_residual_rejected(self, theta):
         # a NaN residual used to compare as converged and return x unchanged
-        prob = replace(build_linear_model(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
+        prob = replace(newton_linear_problem(1.0, 0.3), drift=lambda t, x: np.full_like(x, np.nan))
         sch = ThetaScheme(theta=theta, dt=0.1)
         with pytest.raises(NewtonError):
             one_step(prob, sch, 0, np.array([[0.5]]), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("theta", [1.0, 0.75])
+    def test_nonfinite_model_stage_rejected(self, theta):
+        prob = replace(build_linear_model(1.0, 0.3), stage=lambda t, c, r: np.full_like(r, np.nan))
+        sch = ThetaScheme(theta=theta, dt=0.1)
+        with pytest.raises(NewtonError, match="^non-finite state after step at t=0.0$"):
+            one_step(prob, sch, 0, np.array([[0.5], [0.1]]), np.zeros((2, 1)))
 
     def test_nonconvergence_error_carries_residual(self):
         prob = build_cubic_model(**BENCH)
@@ -304,8 +333,8 @@ class TestEnsembleConsistency:
             assert np.array_equal(batched[p], single[0])
             single_iters.append(iters)
         single_iters = np.array(single_iters)
-        if prob.state_free_drift:
-            # the closed-form stage takes no Newton iteration
+        if prob.stage is not None:
+            # the model's own stage takes no Newton iteration
             assert not single_iters.any()
         else:
             # paths converge at different iterations, so the batch ran Newton
@@ -338,8 +367,9 @@ class TestEnsembleConsistency:
 
 
 class TestClosedFormStage:
-    MODELS = [lambda: catalog_entry("linear_ou").problem, build_additive_model]
-    IDS = ["linear_ou", "additive_sine"]
+    MODELS = [lambda: catalog_entry("linear_ou").problem, build_additive_model,
+              diagonal_pair_problem]
+    IDS = ["linear_ou", "additive_sine", "diagonal-pair"]
 
     def run(self, prob, sch, n=40, batch=8):
         x0 = np.random.default_rng(1).uniform(-1.0, 1.0, (batch, prob.state_dim))
@@ -351,22 +381,22 @@ class TestClosedFormStage:
     @pytest.mark.parametrize("make", MODELS, ids=IDS)
     def test_equals_newton(self, make, theta):
         prob = make()
-        assert prob.state_free_drift
+        assert prob.stage is not None
         sch = ThetaScheme(theta=theta, dt=0.05, newton_tol=1e-13)
         _, closed, iters = self.run(prob, sch)
-        _, newton, newton_iters = self.run(replace(prob, state_free_drift=False), sch)
+        _, newton, newton_iters = self.run(replace(prob, stage=None), sch)
         assert not iters.any() and newton_iters.all()
         np.testing.assert_allclose(closed, newton, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("make", MODELS, ids=IDS)
     def test_no_jacobian_and_no_newton_settings(self, make):
         def jacobian(t, x):
-            raise AssertionError("the closed-form stage called the Jacobian")
+            raise AssertionError("the model's stage called the Jacobian")
 
         prob = replace(make(), drift_jacobian=jacobian)
         _, states, iters = self.run(prob, ThetaScheme(theta=0.75, dt=0.05))
         assert iters.shape == (40,) and not iters.any()
-        # newton_tol and newton_max_iter have no effect on the closed form
+        # newton_tol and newton_max_iter have no effect on the model's stage
         sch = ThetaScheme(theta=0.75, dt=0.05, newton_tol=1e-300, newton_max_iter=1)
         assert np.array_equal(self.run(prob, sch)[1], states)
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -246,9 +246,6 @@ class TestProblemInvariants:
         prob = matrix_problem(a)
         assert prob.state_dim == 2
         assert prob.lambda_min == float(np.linalg.eigvalsh(a).min())
-        # only a scalar stage is solved in closed form
-        with pytest.raises(ParameterError, match="^state_free_drift needs state_dim 1, got 2$"):
-            replace(prob, state_free_drift=True)
         # a 1x1 matrix gives its entry exactly
         for name, lam in [
             ("cubic_multiplicative", 5 * math.pi),
