@@ -192,6 +192,8 @@ def _write_plot_script(out: Path, name: str, lines: list[str]):
 
 def run_simulate(s: argparse.Namespace, out: Path) -> bool:
     problem, scheme, xis = s.problem, s.scheme, s.initial_values
+    if s.k < 0:
+        raise ConfigError(f"k must be >= 0, got {s.k}")
     start = -s.k * problem.period
     n_steps = grid_steps(s.horizon - start, scheme.dt, "horizon + k*period")
     if n_steps < 0:

@@ -71,8 +71,10 @@ class ThetaScheme:
             raise ValueError(f"theta must be in (1/2, 1], got {self.theta}")
         if not 0.0 < self.dt < 1.0:
             raise ValueError(f"dt must be in (0, 1), got {self.dt}")
-        if not 0.0 < self.newton_tol < math.inf or self.newton_max_iter < 1:
-            raise ValueError("invalid Newton settings")
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be in (0, inf), got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
 
 def _reduce_time(t: float, period: float) -> float:

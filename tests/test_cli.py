@@ -2,7 +2,6 @@ import csv
 import hashlib
 import math
 import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -129,7 +128,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "command, bad, names",
         [
-            ("simulate", ["--set", "k=-1"], "-k*period"),
+            # k is checked before the start -k*period that it places
+            ("simulate", ["--set", "k=-1"], "error: k must be >= 0, got -1\n"),
+            ("simulate", ["--set", "k=-1", "--set", "horizon=5"],
+             "error: k must be >= 0, got -1\n"),
             ("contraction", ["--set", "k=0"], "k and ensemble must be"),
             ("contraction", ["--set", "ensemble=0"], "k and ensemble must be"),
             ("pullback", ["--set", "ensemble=0"], "ensemble must be"),
@@ -170,9 +172,13 @@ class TestConfig:
             # k is checked before the window that it places
             ("periodicity", ["--set", "k=0"], "error: k must be >= 1, got 0\n"),
             ("periodicity", ["--set", "k=-1"], "error: k must be >= 1, got -1\n"),
+            ("simulate", ["--set", "newton_max_iter=0"],
+             "error: newton_max_iter must be >= 1, got 0\n"),
+            ("converge", ["--set", "newton_tol=0"],
+             "error: newton_tol must be in (0, inf), got 0.0\n"),
         ],
-        ids=["simulate-negative-k", "contraction-zero-k", "contraction-zero-ensemble",
-             "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
+        ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
+             "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
              "converge-one-level", "converge-repeated-level", "converge-level-twice",
              "contraction-eta-dim",
              "periodicity-x0-dim", "pullback-xi-dim", "periodicity-xi-dim", "contraction-xi-dim",
@@ -184,7 +190,8 @@ class TestConfig:
              "model-nan-a", "threshold-nan", "simulate-zero-steps-off-grid",
              "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
              "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
-             "periodicity-negative-k"],
+             "periodicity-negative-k", "simulate-zero-newton-max-iter",
+             "converge-zero-newton-tol"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -207,10 +214,13 @@ class TestConfig:
             ("simulate", ["--seed", "-1"]),
             ("simulate", ["--seed", "18446744073709551616"]),
             ("periodicity", ["--set", "k=0"]),
+            # a negative depth once wrote a pull-back that starts after time 0
+            ("simulate", ["--set", "k=-1", "--set", "horizon=5"]),
         ],
         ids=["contraction-zero-k", "contraction-zero-ensemble", "converge-one-level",
              "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure",
-             "memory-error", "seed-negative", "seed-2-64", "periodicity-zero-k"],
+             "memory-error", "seed-negative", "seed-2-64", "periodicity-zero-k",
+             "simulate-negative-k-horizon-5"],
     )
     def test_rejected_inside_the_library_writes_nothing(
         self, tmp_path, capsys, monkeypatch, command, bad
@@ -512,13 +522,84 @@ def test_outputs_pinned(tmp_path, capsys, case):
     assert got == digests
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS.glob("run_*.py")), ids=lambda p: p.name)
-def test_script_drivers_pass_keys_the_cli_reads(tmp_path, monkeypatch, script):
-    # every key a driver sets goes through the real reader; no subcommand computes
+def reproduce_main():
+    return runpy.run_path(str(SCRIPTS / "reproduce.py"))["main"]
+
+
+# (subcommand, output subdirectory) of every run of scripts/reproduce.py, in table order
+REPRODUCE_RUNS = [
+    ("simulate", "initial_values"),
+    ("periodicity", "periodicity"),
+    ("converge", "convergence/cubic_multiplicative_theta0.75"),
+    ("converge", "convergence/cubic_multiplicative_theta1"),
+    ("converge", "convergence/additive_sine_theta0.75"),
+    ("converge", "convergence/additive_sine_theta1"),
+    ("contraction", "contraction"),
+]
+
+
+def test_reproduce_runs_the_table(tmp_path, monkeypatch):
+    # every run's keys go through the real reader; no subcommand computes
+    calls, codes = [], {}
+
+    def stub(name):
+        def run(settings, out):
+            calls.append((name, out))
+            if codes.get(name) == 2:
+                raise ValueError("stubbed")
+            return codes.get(name, 0) == 0
+
+        return run
+
     for name in cli._COMMANDS:
-        monkeypatch.setitem(cli._COMMANDS, name, lambda settings, out: True)
-    monkeypatch.setattr(sys, "argv", [script.name, "--out", str(tmp_path)])
-    assert runpy.run_path(str(script))["main"]() == 0
+        monkeypatch.setitem(cli._COMMANDS, name, stub(name))
+    assert reproduce_main()(["--out", str(tmp_path)]) == 0
+    assert calls == [(name, tmp_path / subdir) for name, subdir in REPRODUCE_RUNS]
+    # the exit code is the largest of the runs', not their bitwise or (3)
+    codes.update(converge=1, contraction=2)
+    assert reproduce_main()(["--out", str(tmp_path)]) == 2
+
+
+# sha256 of the files that the run_*.py drivers, which reproduce.py replaced, wrote
+# at their defaults
+REPRODUCE_DIGESTS = {
+    "initial_values/manifest.txt": "94eb933671df962812232e5b70a21192b0efa29337f565b9dc041136c7394320",
+    "initial_values/trajectories.csv": "f45d90c75eed054b0a9e60a79a17f351fcb6a0d4a5962a55e32879da30364377",
+    "initial_values/trajectories.gp": "881027c3bd31147141100a446797dd73557f877a353f5206790956c7d8dfb7b5",
+    "periodicity/manifest.txt": "6ab34d927c0cde38da73d0d3d1fb5385f94efaf761f0cbff636b0bce628f5e04",
+    "periodicity/periodicity.gp": "4f8bb225f8d69fb8a2881409a093505360a273132185c13b894022733f0e0f3b",
+    "periodicity/periodicity_pullback.csv": "2f1530812d7ea198e19a95c1b8609011caa28348604cd8174e930e7959ba65f8",
+    "periodicity/periodicity_shifted.csv": "76b9037958455ce07039e4115cca838d0f266a04d5ea3f19ec61190ec642e310",
+    "contraction/contraction.csv": "850424dfb0b87cd3f5e10b8b863910ebcb9016e664b18d9ea1433f31d2c0591d",
+    "contraction/contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
+    "contraction/manifest.txt": "304498f3baf366f4230eb17e74f0647a985601362d9d2ebff627e748d1d45d50",
+}
+
+
+def test_reproduce_outputs_pinned(tmp_path, capsys):
+    # convergence takes seconds a run; test_reproduce_runs_the_table covers its table
+    args = ["--out", str(tmp_path), "contraction", "initial_values", "periodicity"]
+    assert reproduce_main()(args) == 0
+    got = {
+        f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in tmp_path.rglob("*")
+        if f.is_file()
+    }
+    assert got == REPRODUCE_DIGESTS
+    # table order, whatever the order of the names
+    assert capsys.readouterr().out == (
+        "periodicity: shifted gap=2.78e-17 (pass), pullback deviation=9.62e-10 (pass)\n"
+        "contraction: c_delta=0.875969 (pass)\n"
+    )
+
+
+def test_reproduce_unknown_experiment_runs_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda argv: pytest.fail(f"ran {argv}"))
+    with pytest.raises(SystemExit) as exc:
+        reproduce_main()(["--out", str(tmp_path), "periodicity", "convergance"])
+    assert exc.value.code == 2
+    assert "unknown experiment convergance" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kernel_timing_script_runs():

@@ -113,8 +113,13 @@ class TestThetaScheme:
     @pytest.mark.parametrize("tol", [0.0, -1e-5, math.inf, math.nan])
     def test_newton_tol_range(self, tol):
         # inf would accept every guess as the root, nan would accept none
-        with pytest.raises(ValueError, match="invalid Newton settings"):
+        with pytest.raises(ValueError, match=r"^newton_tol must be in \(0, inf\), got "):
             ThetaScheme(theta=1.0, dt=0.1, newton_tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_newton_max_iter_range(self, max_iter):
+        with pytest.raises(ValueError, match=f"^newton_max_iter must be >= 1, got {max_iter}$"):
+            ThetaScheme(theta=1.0, dt=0.1, newton_max_iter=max_iter)
 
 
 class TestImplicitStep:

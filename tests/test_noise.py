@@ -29,12 +29,20 @@ def raw_key(seed, path_index, component, mode_salt):
     return [k0, _mix64(k0 ^ _mix64(path_index) ^ _mix64(component + 0x1000) ^ _mix64(mode_salt))]
 
 
-def coarse_increment(grid, coarse_level, cell_index):
-    """Brownian increment over the dyadic cell [i*2^-c, (i+1)*2^-c], as exact fine sums."""
-    if grid.fine_level is None:
-        raise WindowError("coarse_increment requires a dyadic grid")
-    dt = 2.0**-coarse_level
-    return grid.step_increments(cell_index * dt, 1, dt)[0]
+def path_increments(seed, path, first_cell, n_cells, m, h, level=None):
+    """One path's (n_cells, m) increments from absolute cell first_cell: its column of a draw."""
+    return ensemble_increments(seed, [path], first_cell, n_cells, m, h, level)[:, 0]
+
+
+def coarse_increment(fine, first_cell, fine_level, coarse_level, cell_index):
+    """Brownian increment over the dyadic cell [i*2^-c, (i+1)*2^-c], as exact fine sums.
+
+    fine holds one path's cells of width 2^-fine_level from absolute cell first_cell.
+    """
+    q = 2 ** (fine_level - coarse_level)
+    j0 = cell_index * q - first_cell
+    assert 0 <= j0 <= len(fine) - q, "cell outside the drawn window"
+    return tree_fold(fine[j0 : j0 + q], q)[0]
 
 
 def increments_one_generator_per_stream(seed, paths, i0, n, dt):
@@ -51,38 +59,37 @@ def increments_one_generator_per_stream(seed, paths, i0, n, dt):
 
 class TestDeterminism:
     def test_window_extension_preserves_increments(self):
-        g1 = generate(123, 0, 5, (-2.0, 0.0), 1)
-        g2 = generate(123, 0, 5, (-4.0, 0.0), 1)
-        n = g1.n_cells
-        assert np.array_equal(g1.increments, g2.increments[-n:])
+        # the windows (-2, 0) and (-4, 0) at level 5
+        g1 = path_increments(123, 0, -64, 64, 1, 2.0**-5, 5)
+        g2 = path_increments(123, 0, -128, 128, 1, 2.0**-5, 5)
+        assert np.array_equal(g1, g2[-64:])
 
     def test_regeneration_is_bit_identical(self):
-        a = generate(7, 3, 6, (-1.0, 1.0), 2)
-        b = generate(7, 3, 6, (-1.0, 1.0), 2)
-        assert np.array_equal(a.increments, b.increments)
+        a = path_increments(7, 3, -64, 128, 2, 2.0**-6, 6)
+        b = path_increments(7, 3, -64, 128, 2, 2.0**-6, 6)
+        assert np.array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        base = generate(7, 0, 6, (0.0, 1.0), 1)
-        assert not np.array_equal(base.increments, generate(8, 0, 6, (0.0, 1.0), 1).increments)
-        assert not np.array_equal(base.increments, generate(7, 1, 6, (0.0, 1.0), 1).increments)
+        base = path_increments(7, 0, 0, 64, 1, 2.0**-6, 6)
+        assert not np.array_equal(base, path_increments(8, 0, 0, 64, 1, 2.0**-6, 6))
+        assert not np.array_equal(base, path_increments(7, 1, 0, 64, 1, 2.0**-6, 6))
 
     def test_uniform_mode_window_extension(self):
-        g1 = generate_uniform(5, 0, 0.1, (-2.0, 0.0), 1)
-        g2 = generate_uniform(5, 0, 0.1, (-10.0, 0.0), 1)
-        assert np.array_equal(g1.increments, g2.increments[-g1.n_cells :])
+        # the windows (-2, 0) and (-10, 0) on the uniform grid 0.1
+        g1 = path_increments(5, 0, -20, 20, 1, 0.1)
+        g2 = path_increments(5, 0, -100, 100, 1, 0.1)
+        assert np.array_equal(g1, g2[-20:])
 
 
 class TestStatistics:
     def test_increment_variance_level4(self):
         # 1e5 fine cells at level 4: sample variance within 3% of 2^-4
-        g = generate(2024, 0, 4, (0.0, 6250.0), 1)
-        assert g.n_cells == 100_000
-        var = g.increments.var()
+        g = path_increments(2024, 0, 0, 100_000, 1, 2.0**-4, 4)
+        var = g.var()
         assert abs(var - 2.0**-4) <= 0.03 * 2.0**-4
 
     def test_moment_check(self):
-        g = generate(99, 0, 8, (0.0, 64.0), 1)
-        x = g.increments[:, 0]
+        x = path_increments(99, 0, 0, 16_384, 1, 2.0**-8, 8)[:, 0]
         n = x.size
         assert n >= 10_000
         cell = 2.0**-8
@@ -92,63 +99,52 @@ class TestStatistics:
         assert abs(x.var() - cell) <= 4 * stderr_var
 
     def test_component_independence(self):
-        g = generate(77, 0, 4, (0.0, 6250.0), 2)
-        c = np.corrcoef(g.increments[:, 0], g.increments[:, 1])[0, 1]
+        g = path_increments(77, 0, 0, 100_000, 2, 2.0**-4, 4)
+        c = np.corrcoef(g[:, 0], g[:, 1])[0, 1]
         assert abs(c) <= 0.01
 
     def test_path_index_independence(self):
-        a = generate(11, 0, 6, (0.0, 160.0), 1).increments[:10_000, 0]
-        b = generate(11, 1, 6, (0.0, 160.0), 1).increments[:10_000, 0]
+        a = path_increments(11, 0, 0, 10_240, 1, 2.0**-6, 6)[:10_000, 0]
+        b = path_increments(11, 1, 0, 10_240, 1, 2.0**-6, 6)[:10_000, 0]
         assert abs(np.corrcoef(a, b)[0, 1]) <= 0.02
 
 
 class TestCoarsening:
     def test_half_cells_sum_to_full_cell(self):
-        g = generate(3, 0, 6, (-1.0, 1.0), 1)
+        g = path_increments(3, 0, -64, 128, 1, 2.0**-6, 6)
         for i in range(-16, 16):
-            full = coarse_increment(g, 5, i)
-            halves = coarse_increment(g, 6, 2 * i) + coarse_increment(g, 6, 2 * i + 1)
-            assert np.array_equal(full, halves)
+            full = coarse_increment(g, -64, 6, 5, i)
+            left, right = (coarse_increment(g, -64, 6, 6, j) for j in (2 * i, 2 * i + 1))
+            assert np.array_equal(full, left + right)
 
     def test_identity_at_fine_level(self):
-        g = generate(3, 0, 6, (0.0, 1.0), 1)
+        g = path_increments(3, 0, 0, 64, 1, 2.0**-6, 6)
         for i in range(0, 64, 7):
-            assert np.array_equal(coarse_increment(g, 6, i), g.increments[i])
+            assert np.array_equal(coarse_increment(g, 0, 6, 6, i), g[i])
 
     def test_full_window_sum(self):
-        g = generate(3, 0, 8, (-2.0, 2.0), 1)
-        total = g.step_increments(-2.0, 1, 4.0)[0]
+        g = path_increments(3, 0, -512, 1024, 1, 2.0**-8, 8)
+        total = tree_fold(g, 1024)[0]
         # summation order differs between the tree fold and np.sum
-        assert total == pytest.approx(g.increments.sum(), rel=1e-12)
+        assert total == pytest.approx(g.sum(), rel=1e-12)
 
     def test_telescoping_all_levels(self):
-        g = generate(17, 0, 8, (0.0, 1.0), 1)
+        g = path_increments(17, 0, 0, 256, 1, 2.0**-8, 8)
         for c in range(0, 8):
-            coarse = g.step_increments(0.0, 2**c, 2.0**-c)
-            finer = g.step_increments(0.0, 2 ** (c + 1), 2.0 ** -(c + 1))
+            coarse = tree_fold(g, 2 ** (8 - c))
+            finer = tree_fold(g, 2 ** (7 - c))
             assert np.array_equal(coarse, finer.reshape(2**c, 2, 1).sum(axis=1))
 
     def test_level_by_level_fold_equals_step_increments(self):
-        # two paths of a level-8 grid with two noises, folded to every level
-        grids = [generate(17, p, 8, (-1.0, 1.0), 2) for p in range(2)]
-        folded = np.stack([g.increments for g in grids], axis=1)
+        # two paths of a level-8 grid with two noises on (-1, 1), drawn as one block and
+        # folded to every level, against each path's own draw folded to it at once
+        folded = ensemble_increments(17, range(2), -256, 512, 2, 2.0**-8, 8)
+        paths = [path_increments(17, p, -256, 512, 2, 2.0**-8, 8) for p in range(2)]
         for lvl in range(8, -1, -1):
             if lvl < 8:
                 folded = tree_fold(folded, 2)
-            for p, g in enumerate(grids):
-                at_once = g.step_increments(-1.0, 2 ** (lvl + 1), 2.0**-lvl)
-                assert np.array_equal(folded[:, p], at_once)
-                assert np.array_equal(tree_fold(g.increments, 2 ** (8 - lvl)), at_once)
-
-    def test_coarse_increment_requires_dyadic(self):
-        g = generate_uniform(3, 0, 0.1, (0.0, 1.0), 1)
-        with pytest.raises(WindowError):
-            coarse_increment(g, 3, 0)
-
-    def test_out_of_window(self):
-        g = generate(3, 0, 4, (0.0, 1.0), 1)
-        with pytest.raises(WindowError):
-            coarse_increment(g, 4, -1)
+            for p, g in enumerate(paths):
+                assert np.array_equal(folded[:, p], tree_fold(g, 2 ** (8 - lvl)))
 
 
 class TestGridSteps:
@@ -180,17 +176,10 @@ class TestGridSteps:
 
 
 class TestValidation:
-    def test_misaligned_window(self):
-        with pytest.raises(WindowError):
-            generate(0, 0, 2, (0.1, 1.0), 1)
-
     def test_level_bound(self):
-        with pytest.raises(WindowError):
-            generate(0, 0, 31, (0.0, 1.0), 1)
-
-    def test_empty_window(self):
-        with pytest.raises(WindowError):
-            generate(0, 0, 4, (1.0, 1.0), 1)
+        # the window (0, 1) at level 31, rejected before anything is allocated
+        with pytest.raises(WindowError, match=r"fine_level must be in \[0, 30\], got 31"):
+            path_increments(0, 0, 0, 2**31, 1, 2.0**-31, 31)
 
 
 class TestStreamKey:
@@ -243,21 +232,6 @@ class TestStreamKey:
 
 
 class TestEnsembleIncrements:
-    def test_uniform_rows_are_per_path_streams(self):
-        incs = ensemble_increments(5, range(4), -4, 6, 2, 0.25)
-        assert incs.shape == (6, 4, 2)
-        for p in range(4):
-            grid = generate_uniform(5, p, 0.25, (-1.0, 0.5), 2)
-            assert np.array_equal(incs[:, p], grid.step_increments(-1.0, 6, 0.25))
-
-    def test_dyadic_rows_are_per_path_streams(self):
-        # level-6 cells, the block folded to steps of 2^-4 as ms_error folds it
-        incs = tree_fold(ensemble_increments(5, range(3), 0, 64, 1, 2.0**-6, fine_level=6), 4)
-        assert incs.shape == (16, 3, 1)
-        for p in range(3):
-            grid = generate(5, p, 6, (0.0, 1.0), 1)
-            assert np.array_equal(incs[:, p], grid.step_increments(0.0, 16, 2.0**-4))
-
     def test_chunk_invariance(self):
         whole = ensemble_increments(9, range(0, 5), -20, 20, 1, 0.1)
         chunk = ensemble_increments(9, range(2, 5), -20, 20, 1, 0.1)
@@ -355,3 +329,41 @@ class TestEnsembleIncrements:
         # (bits + 0.5) * 2^-53 rounds to 1.0 there; the clamp keeps u at 1 - 2^-53
         assert out.tobytes() == np.full_like(out, 0.5 * ndtri(1.0 - 2.0**-53)).tobytes()
         assert np.isfinite(out).all()
+
+
+class TestSideDoors:
+    """`generate`, `generate_uniform` and `WienerGrid`: one path over a window given in time."""
+
+    def test_uniform_rows_are_per_path_streams(self):
+        incs = ensemble_increments(5, range(4), -4, 6, 2, 0.25)
+        assert incs.shape == (6, 4, 2)
+        for p in range(4):
+            grid = generate_uniform(5, p, 0.25, (-1.0, 0.5), 2)
+            assert np.array_equal(incs[:, p], grid.step_increments(-1.0, 6, 0.25))
+
+    def test_dyadic_rows_are_per_path_streams(self):
+        # level-6 cells, the block folded to steps of 2^-4 as ms_error folds it
+        incs = tree_fold(ensemble_increments(5, range(3), 0, 64, 1, 2.0**-6, fine_level=6), 4)
+        assert incs.shape == (16, 3, 1)
+        for p in range(3):
+            grid = generate(5, p, 6, (0.0, 1.0), 1)
+            assert np.array_equal(incs[:, p], grid.step_increments(0.0, 16, 2.0**-4))
+
+    def test_coarse_step_requires_dyadic_grid(self):
+        # a dyadic step 2^-3 is no whole number of uniform cells of 0.1
+        g = generate_uniform(3, 0, 0.1, (0.0, 1.0), 1)
+        with pytest.raises(WindowError, match="dt must be grid-aligned"):
+            g.step_increments(0.0, 1, 2.0**-3)
+
+    def test_out_of_window(self):
+        g = generate(3, 0, 4, (0.0, 1.0), 1)
+        with pytest.raises(WindowError, match="outside window"):
+            g.step_increments(-(2.0**-4), 1, 2.0**-4)
+
+    def test_misaligned_window(self):
+        with pytest.raises(WindowError):
+            generate(0, 0, 2, (0.1, 1.0), 1)
+
+    def test_empty_window(self):
+        with pytest.raises(WindowError):
+            generate(0, 0, 4, (1.0, 1.0), 1)
