@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-cell cost of ensemble_increments and per-step cost of simulate_ensemble.
+"""Per-cell cost of ensemble_increments, per-step cost of simulate_ensemble, and
+the memory of one ms_error call.
 
 The noise rows time noise.ensemble_increments for four shapes: 10^4 paths of
 100, 200 and 400 cells at uniform dt 0.01, the draws of one, two and four
@@ -19,7 +20,13 @@ linear_ou at batch 10^4 on the same values stored path by path and read
 through a time-first view, whose per-step slab is a strided gather, for
 comparison.
 
-Every row runs once per round, in turn, for ROUNDS rounds, so a phase of
+The estimator row runs, once and after the timing rounds, the ms_error call
+of tests/test_analysis.py::test_memory_bounded_by_block (linear_ou, levels 9
+and 10 against a level-12 reference, 200 paths over (-4, 4)) under
+tracemalloc, and prints its traced peak in MB and its wall time, which
+includes the tracing's overhead.
+
+Every timed row runs once per round, in turn, for ROUNDS rounds, so a phase of
 load on the host falls on all rows alike rather than on the few that a
 row-by-row loop would be running; each row prints the median of its rounds
 and, in brackets, their quartiles.
@@ -31,9 +38,11 @@ import argparse
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
+from rpsde.analysis import ms_error
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import MODEL_NAMES, catalog_entry
 from rpsde.noise import ensemble_increments
@@ -80,6 +89,20 @@ def kernel_run(problem, scheme, batch, n_steps, time_major=True):
     return float(iters.mean()), run
 
 
+def estimator_memory(t_start=-4.0, t_end=4.0):
+    """Traced peak in MB and wall seconds of the ms_error call over (t_start, t_end)."""
+    problem = catalog_entry("linear_ou").problem
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        ms_error(problem, 1.0, [9, 10], 12, 200, t_start, t_end, seed=0)
+        seconds = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1e6, seconds
+
+
 def quartiles(seconds, scale):
     """Median and quartiles of the rounds' times, times scale."""
     return scale * np.percentile(seconds, [50, 25, 75])
@@ -123,6 +146,10 @@ def main():
         spread = f"[{q1:.1f}, {q3:.1f}]"
         print(f"{label:<22}{scheme.theta:>6}{batch:>7}{n_steps:>6}{med:>10.1f}  {spread:<16}"
               f"{1e3 * med / batch:>12.1f}{iters:>7.2f}")
+    peak_mb, seconds = estimator_memory()
+    print()
+    print(f"{'estimator, run once':<22}{'peak MB':>9}{'s':>7}")
+    print(f"{'ms_error linear_ou':<22}{peak_mb:>9.2f}{seconds:>7.2f}")
     return 0
 
 

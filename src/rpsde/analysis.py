@@ -82,8 +82,11 @@ def fit_slope(stepsizes, errors) -> tuple[float, float]:
 
 
 # fine values (paths x cells x noise components) that ms_error draws at once:
-# 8 MB, unless one coarsest cell of every path's fine values is more
-_BLOCK_VALUES = 1 << 20
+# 1 MB, unless one coarsest cell of every path's fine values is more. The
+# working set it bounds is that block, its first fold held beside it (half as
+# large again) and the three chunk arrays of `noise._Streams.fill` (2^16
+# words each, or one path's cells where that is more): 3 MB at a 1 MB block.
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass
@@ -118,12 +121,15 @@ def ms_error(
     `tree_fold` level by level down to the coarsest, and every level steps
     through the block from its states and its integer grid step at the block
     start, so every step time is the one of an unblocked run. Memory is
-    bounded by the block, not the window: at most max(2^20, q*ensemble*m)
-    fine values of 8 bytes, as a block holds at least one coarsest cell of
-    q = 2^(reference_level - min(levels)) fine cells. Errors are pathwise
-    differences at the final time: against the reference, and between
-    consecutive levels (`level_diffs`). A failed Newton solve aborts the
-    experiment; paths are never dropped.
+    bounded by the block, not the window: a block is at most
+    max(2^17, q*ensemble*m) fine values of 8 bytes, as it holds at least one
+    coarsest cell of q = 2^(reference_level - min(levels)) fine cells, and
+    the working set is that block, its first fold (half as large again) and
+    the noise draw's three chunk arrays (2^16 words each, or one path's
+    cells where that is more). Errors are pathwise differences at the final
+    time: against the reference, and between consecutive levels
+    (`level_diffs`). A failed Newton solve aborts the experiment; paths are
+    never dropped.
     """
     levels = sorted(levels)
     if len(set(levels)) < 2:

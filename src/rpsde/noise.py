@@ -53,11 +53,17 @@ class WindowError(ValueError):
 def grid_steps(t: float, h: float, name: str) -> int:
     """The whole number of cells of width h in t; `name` says what t is.
 
-    t must be finite and lie on the grid to within 1e-9 * max(1, |t|).
+    t must be finite, lie on the grid to within 1e-9 * max(1, |t|) and span
+    fewer than 2^62 cells, the range of `_POSITION_OFFSET`.
     """
     if not math.isfinite(t):
         raise WindowError(f"{name} must be finite, got {t}")
-    n = round(t / h)
+    steps = t / h
+    if not abs(steps) < _POSITION_OFFSET:
+        raise WindowError(
+            f"{name} = {t} spans {steps:.3g} steps of {h}; a run takes fewer than 2^62"
+        )
+    n = round(steps)
     if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
         raise WindowError(
             f"{name} must be grid-aligned: {t} is not a multiple of the stepsize {h}"

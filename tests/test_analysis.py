@@ -15,7 +15,12 @@ from rpsde.analysis import (
     numerical_contraction_test,
 )
 from rpsde.integrator import ThetaScheme, simulate_ensemble
-from rpsde.models import build_additive_model, build_cubic_model, build_linear_model
+from rpsde.models import (
+    build_additive_model,
+    build_cubic_model,
+    build_linear_model,
+    catalog_entry,
+)
 from rpsde.noise import ensemble_increments, grid_steps, tree_fold
 from test_periodic import coupled_problem
 
@@ -222,6 +227,18 @@ class TestMsError:
             tracemalloc.stop()
         assert peak < 20e6
 
+    def test_working_set_of_one_block(self):
+        # the same call: a 1 MB block of 640 cells, its 0.5 MB first fold and the
+        # noise draw's three 0.5 MB chunk arrays
+        prob = build_linear_model(1.0, 0.3)
+        tracemalloc.start()
+        try:
+            ms_error(prob, 1.0, [9, 10], 12, 200, -4.0, 4.0, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_level_diffs_by_hand(self):
         prob = build_cubic_model(**BENCH)
         rep = ms_error(prob, 1.0, [2, 3, 5], 6, 4, 0.0, 1.0, seed=1, xi=[0.3])
@@ -336,6 +353,21 @@ class TestNumericalContraction:
         assert test.gap_series == pytest.approx(expected, rel=1e-9)
         # rho^2 <= first c_delta branch, so the envelope dominates
         assert test.passed
+
+    @pytest.mark.parametrize("lam", [1.0, 20.0, 200.0])
+    @pytest.mark.parametrize("theta", [0.51, 0.75, 1.0])
+    @pytest.mark.parametrize("dt", [0.05, 0.5])
+    def test_linear_gap_series_is_exact(self, lam, theta, dt):
+        # additive noise cancels in X - Y, so E|X_j - Y_j|^2 = |xi - eta|^2 R^(2j)
+        # with R = (1 - (1 - theta) lam dt) / (1 + theta lam dt)
+        prob = catalog_entry("linear_ou", lam=lam).problem
+        sch = ThetaScheme(theta=theta, dt=dt)
+        test = numerical_contraction_test(prob, sch, [0.6], [-0.6], 4, 50, seed=0)
+        r = (1.0 - (1.0 - theta) * lam * dt) / (1.0 + theta * lam * dt)
+        oracle = 1.44 * r ** (2.0 * test.steps)
+        above = oracle > 1e-8
+        assert above[:2].all()
+        assert test.gap_series[above] == pytest.approx(oracle[above], rel=1e-12)
 
     def test_cubic_benchmark_setup(self):
         prob = build_cubic_model(**BENCH)

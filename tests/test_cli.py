@@ -176,6 +176,18 @@ class TestConfig:
              "error: newton_max_iter must be >= 1, got 0\n"),
             ("converge", ["--set", "newton_tol=0"],
              "error: newton_tol must be in (0, inf), got 0.0\n"),
+            # step counts that once overflowed round(), np.empty or the block loop
+            ("simulate", ["--set", "dt=1e-300", "--set", "horizon=1e300"],
+             "error: horizon + k*period = 1e+300 spans inf steps of 1e-300; "
+             "a run takes fewer than 2^62\n"),
+            ("pullback", ["--set", "t_eval=1e300"],
+             "error: t_eval = 1e+300 spans 1e+301 steps of 0.1; a run takes fewer than 2^62\n"),
+            ("simulate", ["--set", "dt=1e-300", "--set", "k=1"],
+             "error: horizon + k*period = 2.0 spans 2e+300 steps of 1e-300; "
+             "a run takes fewer than 2^62\n"),
+            ("converge", ["--set", "t_end=1e300"],
+             "error: t_end = 1e+300 spans 6.4e+301 steps of 0.015625; "
+             "a run takes fewer than 2^62\n"),
         ],
         ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
              "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -191,12 +203,23 @@ class TestConfig:
              "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
              "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
              "periodicity-negative-k", "simulate-zero-newton-max-iter",
-             "converge-zero-newton-tol"],
+             "converge-zero-newton-tol", "simulate-infinite-steps", "pullback-huge-t-eval",
+             "simulate-tiny-dt", "converge-huge-t-end"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
         assert main([command, "--out", str(tmp_path), *bad]) == 2
         assert names in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_t_end_draws_no_noise(self, tmp_path, capsys, monkeypatch):
+        # the block loop would run about 10^300 blocks; the count is rejected first
+        def no_draw(*args, **kwargs):
+            raise AssertionError("ms_error drew noise before checking its window")
+
+        monkeypatch.setattr(analysis, "ensemble_increments", no_draw)
+        assert main(["converge", "--out", str(tmp_path), "--set", "t_end=1e300"]) == 2
+        assert "t_end = 1e+300" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -473,6 +496,20 @@ PINNED = {
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),
+    # three blocks of 6,400, 6,400 and 3,584 fine cells at the 2^17-value block
+    "converge-additive-blocks": (
+        ["converge", "--set", "model=additive_sine", "--set", "levels=4,5,6",
+         "--set", "reference_level=12", "--set", "ensemble=20", "--set", "t_start=0",
+         "--set", "t_end=4"],
+        0,
+        {
+            "convergence.csv": "f4c5d467e04070b01e4a58abfd3237b60f160d988198fe66a35417d5d656fdbd",
+            "convergence.gp": "cd8158bddd670aa538045a28cc50e192e4503e2c41f9b037b0b0d255a6140443",
+            "manifest.txt": "a99fc4dc7de56f177bda33aeae1419a098c774873cf5cce25c37e7c75241e9ab",
+            "<stdout>": "b5c5dbf7973fdc4a8b92410dc40ff6bd9966000000e439bcea22ca38141daee1",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
     "pullback-failure": (
         ["pullback", "--set", "model=linear_ou", "--set", "model.lam=0.01",
          "--set", "model.sigma=0", "--set", "dt=0.25", "--set", "ensemble=4",
@@ -615,3 +652,7 @@ def test_kernel_timing_script_runs():
             assert math.isfinite(iters) and iters >= 0.0
             seconds = run()
             assert math.isfinite(seconds) and seconds >= 0.0
+    # the estimator row's call over one coarsest cell, (0, 2^-9), not (-4, 4)
+    peak_mb, seconds = script["estimator_memory"](0.0, 2.0**-9)
+    assert 0.0 < peak_mb < 4.0
+    assert math.isfinite(seconds) and seconds >= 0.0
