@@ -15,10 +15,7 @@ path-step, with the mean Newton iterations per step (0 where the model
 solves its own stage). Noise and initial states come from numpy's
 default_rng outside the timed region, so only the stepping kernel is
 measured. The increments are (steps, batch, m), as ensemble_increments
-returns them, so the slab a step reads is contiguous; one last row times
-linear_ou at batch 10^4 on the same values stored path by path and read
-through a time-first view, whose per-step slab is a strided gather, for
-comparison.
+returns them, so the slab a step reads is contiguous.
 
 The estimator row runs, once and after the timing rounds, the ms_error call
 of tests/test_analysis.py::test_memory_bounded_by_block (linear_ou, levels 9
@@ -72,13 +69,11 @@ def noise_run(paths, first_cell, n_cells, dt, fine_level):
     return run
 
 
-def kernel_run(problem, scheme, batch, n_steps, time_major=True):
+def kernel_run(problem, scheme, batch, n_steps):
     """Mean Newton iterations per step, and a function that times one run of the batch."""
     rng = np.random.default_rng(0)
     x0 = rng.uniform(-0.6, 0.6, (batch, problem.state_dim))
     incs = math.sqrt(scheme.dt) * rng.standard_normal((n_steps, batch, problem.noise_dim))
-    if not time_major:
-        incs = np.ascontiguousarray(incs.transpose(1, 0, 2)).transpose(1, 0, 2)
 
     def run():
         t0 = time.perf_counter()
@@ -119,11 +114,6 @@ def main():
             for batch, n_steps in SIZES:
                 kernel.append((name, scheme, batch, n_steps,
                                *kernel_run(problem, scheme, batch, n_steps)))
-    batch, n_steps = SIZES[-1]
-    scheme = ThetaScheme(theta=1.0, dt=DT)
-    kernel.append(("linear_ou, path-major", scheme, batch, n_steps,
-                   *kernel_run(catalog_entry("linear_ou").problem, scheme, batch, n_steps,
-                               time_major=False)))
 
     runs = [run for _, run in noise] + [row[-1] for row in kernel]
     seconds = [[] for _ in runs]

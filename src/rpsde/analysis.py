@@ -95,7 +95,6 @@ class ConvergenceReport:
     rms_errors: np.ndarray
     stderrs: np.ndarray
     level_diffs: np.ndarray  # rms|X_l - X_prev| for each level after the coarsest
-    level_diff_stderrs: np.ndarray
     fitted_slope: float
     intercept: float
     levels: list = field(default_factory=list)
@@ -170,7 +169,7 @@ def ms_error(
                 )
     finals = [states[lvl] for lvl in levels]
     rms, stderrs = _rms_gaps(finals, [states[ref]] * len(levels))
-    diffs, diff_stderrs = _rms_gaps(finals[1:], finals[:-1])
+    diffs = _rms_gaps(finals[1:], finals[:-1])[0]
     stepsizes = np.array([2.0**-lvl for lvl in levels])
     if (rms > 0.0).all():
         slope, intercept = fit_slope(stepsizes, rms)
@@ -181,7 +180,6 @@ def ms_error(
         rms_errors=rms,
         stderrs=stderrs,
         level_diffs=diffs,
-        level_diff_stderrs=diff_stderrs,
         fitted_slope=slope,
         intercept=intercept,
         levels=list(levels),

@@ -1,14 +1,14 @@
 """Command-line front end for the random-periodic-solution experiments.
 
 Subcommands: simulate, pullback, periodicity, converge, contraction.
-Configuration is a flat key=value file, overridable by command-line flags
-(flags win). `_KEYS` gives each subcommand's keys with the reader and the
-default of each; every value is read once, and a malformed one is rejected by
-its key before the output directory is made. Every run writes its outputs, a
-gnuplot script and, last, a manifest (the command, the library version and the
-config keys as given) into the output directory; the exit code is 0 iff every
-pass/fail check in the run passed, and 2, with one `error:` line, for an
-unknown key, a bad value, a failed Newton solve or a failed allocation.
+Settings come from repeatable --set KEY=VALUE flags and --seed (--seed wins).
+`_KEYS` gives each subcommand's keys with the reader and the default of each;
+every value is read once, and a malformed one is rejected by its key before
+the output directory is made. Every run writes its outputs, a gnuplot script
+and, last, a manifest (the command, the library version and the keys as given)
+into the output directory; the exit code is 0 iff every pass/fail check in
+the run passed, and 2, with one `error:` line, for an unknown key, a bad
+value, a failed Newton solve or a failed allocation.
 """
 
 from __future__ import annotations
@@ -37,20 +37,6 @@ __all__ = ["main"]
 
 class ConfigError(ValueError):
     pass
-
-
-def load_config(path) -> dict:
-    """Flat key=value text; '#' starts a comment; later keys win."""
-    cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
 
 
 def _floats(text):
@@ -116,7 +102,6 @@ _KEYS = {
         "xi": (_state, (0.6,)),
         "x0": (_state, (-0.2,)),
         "horizon": (float, lambda problem: 5.0 * problem.period),
-        "threshold": (float, 1e-2),
     },
     "converge": {
         "theta": _SCHEME["theta"],
@@ -239,10 +224,10 @@ def run_pullback(s: argparse.Namespace, out: Path) -> bool:
 
 def run_periodicity(s: argparse.Namespace, out: Path) -> bool:
     shifted = periodicity_check_shifted(
-        s.problem, s.scheme, k=s.k, xi=s.xi, window=s.window, seed=s.seed, threshold=s.threshold
+        s.problem, s.scheme, k=s.k, xi=s.xi, window=s.window, seed=s.seed
     )
     pullback = periodicity_check_pullback(
-        s.problem, s.scheme, x0=s.x0, horizon=s.horizon, seed=s.seed, threshold=s.threshold
+        s.problem, s.scheme, x0=s.x0, horizon=s.horizon, seed=s.seed
     )
     cols = [shifted.times, shifted.reference[:, 0], shifted.shifted[:, 0]]
     rows = np.column_stack(cols).tolist()
@@ -328,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.add_argument("--seed", default=None)
         p.add_argument("--out", type=str, default=".")
         p.add_argument(
@@ -336,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             default=[],
             metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
+            help="set a key (repeatable)",
         )
     return parser
 
@@ -344,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else {}
+        cfg = {}
         for item in args.set:
             if "=" not in item:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

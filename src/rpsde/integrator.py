@@ -52,10 +52,6 @@ __all__ = [
 class NewtonError(RuntimeError):
     """Implicit stage failed to converge or produced non-finite values."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 @dataclass(frozen=True)
 class ThetaScheme:
@@ -179,7 +175,7 @@ class _Kernel:
             if it == self.max_iter:
                 worst, tol = float(nrm.max()), float(self.tol)
                 msg = f"Newton failed to reach tolerance {tol} in {it} iterations"
-                raise NewtonError(f"{msg} (worst residual {worst:g})", worst)
+                raise NewtonError(f"{msg} (worst residual {worst:g})")
             q = self.quotient(tf, y, f)
             trial = y - q
             ft = self.residual(tf, trial, r)
@@ -197,14 +193,13 @@ class _Kernel:
                 np.copyto(trial, y, where=done)
                 np.copyto(ft, f, where=done)
                 np.copyto(nt, nrm, where=done)
-            y, f, nrm, was_done = trial, ft, nt, done
+            y, f, nrm = trial, ft, nt
             it += 1
             done = nrm <= self.tol
             n_done = np.count_nonzero(done)
             # a non-finite norm never meets tol, so a batch with every path done has none
             if n_done < done.size and np.count_nonzero(np.isfinite(nrm)) < nrm.size:
-                worst = float(np.fmax.reduce(nrm[~was_done]))
-                raise NewtonError("non-finite state in Newton iteration", worst)
+                raise NewtonError("non-finite state in Newton iteration")
         return y, it
 
 

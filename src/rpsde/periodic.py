@@ -33,14 +33,12 @@ __all__ = [
 # pass/fail suprema exclude the first two periods after the start; pull-back
 # trajectories coincide only after a short transient
 BURN_IN_PERIODS = 2
+# both periodicity checks pass iff their supremum is at most THRESHOLD
+THRESHOLD = 1e-2
 
 
 class PullbackError(RuntimeError):
     """Pull-back iteration exhausted k_max without meeting the tolerance."""
-
-    def __init__(self, message, last_gap):
-        super().__init__(message)
-        self.last_gap = last_gap
 
 
 @dataclass
@@ -141,8 +139,7 @@ def pullback_converge(
         prev = final
     raise PullbackError(
         f"pull-back gap {gap_history[-1] if gap_history else float('nan'):g} "
-        f"above tolerance {tolerance:g} after k_max={k_max}",
-        gap_history[-1] if gap_history else float("nan"),
+        f"above tolerance {tolerance:g} after k_max={k_max}"
     )
 
 
@@ -150,14 +147,9 @@ def pullback_converge(
 class PeriodicityReport:
     times: np.ndarray
     reference: np.ndarray  # path values aligned to `times`
-    shifted: np.ndarray  # comparison path values aligned to `times`
     sup_gap: float
-    passed: bool
-
-
-def _check_threshold(threshold):
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    passed: bool  # sup_gap <= THRESHOLD
+    shifted: np.ndarray | None = None  # the shifted check's comparison path, aligned to `times`
 
 
 def periodicity_check_shifted(
@@ -167,7 +159,6 @@ def periodicity_check_shifted(
     xi,
     window: tuple[float, float],
     seed: int,
-    threshold: float = 1e-2,
 ) -> PeriodicityReport:
     """Check the identity X*(t, shifted-by-(-tau) noise) = X*(t - tau, noise).
 
@@ -179,7 +170,6 @@ def periodicity_check_shifted(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_threshold(threshold)
     tau = problem.period
     dt = scheme.dt
     a, b = window
@@ -214,9 +204,9 @@ def periodicity_check_shifted(
     return PeriodicityReport(
         times=times[idx],
         reference=p1_vals,
-        shifted=p2_vals,
         sup_gap=sup,
-        passed=sup <= threshold,
+        passed=sup <= THRESHOLD,
+        shifted=p2_vals,
     )
 
 
@@ -226,7 +216,6 @@ def periodicity_check_pullback(
     x0,
     horizon: float,
     seed: int,
-    threshold: float = 1e-2,
 ) -> PeriodicityReport:
     """Sample the pull-back curve t -> X(t, noise shifted by -t) on [0, horizon].
 
@@ -241,7 +230,6 @@ def periodicity_check_pullback(
     decaying transient. Reports the curve and its discrete period deviation
     max_t |curve(t+tau) - curve(t)| after one period.
     """
-    _check_threshold(threshold)
     tau = problem.period
     dt = scheme.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -262,12 +250,6 @@ def periodicity_check_pullback(
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
     after = dev[shift_cells:]
     sup = float((after if after.size else dev).max(initial=0.0))
-    shifted = np.full_like(curve, np.nan)
-    shifted[:-shift_cells] = curve[shift_cells:]
     return PeriodicityReport(
-        times=dt * np.arange(n_total + 1),
-        reference=curve,
-        shifted=shifted,
-        sup_gap=sup,
-        passed=sup <= threshold,
+        times=dt * np.arange(n_total + 1), reference=curve, sup_gap=sup, passed=sup <= THRESHOLD
     )

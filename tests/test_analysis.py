@@ -254,9 +254,7 @@ class TestMsError:
         for i, (fine, coarse) in enumerate([(3, 2), (5, 3)]):
             sq = (np.array(finals[fine]) - np.array(finals[coarse])) ** 2
             assert rep.level_diffs[i] == math.sqrt(sq.mean())
-            se = sq.std(ddof=1) / 2.0 / (2.0 * math.sqrt(sq.mean()))
-            assert rep.level_diff_stderrs[i] == pytest.approx(se, rel=1e-12)
-        assert rep.level_diffs.shape == rep.level_diff_stderrs.shape == (2,)
+        assert rep.level_diffs.shape == (2,)
 
     @pytest.mark.parametrize("levels", [[], [6], [5, 5]])
     def test_two_distinct_levels_needed_before_any_draw(self, monkeypatch, levels):

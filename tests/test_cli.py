@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rpsde import analysis, cli
-from rpsde.cli import ConfigError, load_config, main
+from rpsde.cli import main
 from rpsde.integrator import ThetaScheme
 from rpsde.models import MODEL_NAMES, catalog_entry
 from rpsde.periodic import pullback_converge
@@ -29,7 +29,7 @@ MALFORMED = {
     "pullback": {**_SCHEME_BAD, "seed": "1.5", "t_eval": "abc", "xi": "abc",
                  "tolerance": "abc", "k_max": "1.5", "ensemble": "1.5"},
     "periodicity": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "window": "abc", "xi": "abc",
-                    "x0": "abc", "horizon": "abc", "threshold": "abc"},
+                    "x0": "abc", "horizon": "abc"},
     "converge": {"theta": "abc", "newton_tol": "abc", "seed": "1.5", "levels": "abc",
                  "reference_level": "1.5", "ensemble": "1.5", "t_start": "abc",
                  "t_end": "abc", "xi": "abc"},
@@ -39,28 +39,6 @@ MALFORMED = {
 
 
 class TestConfig:
-    def test_parsing(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text(
-            "# comment line\n"
-            "theta = 0.75\n"
-            "\n"
-            "dt=0.1  # trailing comment\n"
-            "theta=1.0\n"
-        )
-        cfg = load_config(f)
-        assert cfg == {"theta": "1.0", "dt": "0.1"}  # later keys win
-
-    def test_missing_equals(self, tmp_path):
-        f = tmp_path / "bad.cfg"
-        f.write_text("theta 0.75\n")
-        with pytest.raises(ConfigError):
-            load_config(f)
-
-    def test_missing_file_exit_code(self, tmp_path):
-        rc = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
-        assert rc == 2
-
     def test_bad_set_exit_code(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path), "--set", "oops"])
         assert rc == 2
@@ -100,6 +78,7 @@ class TestConfig:
             ("periodicity", ["--set", "window=nan,0"]),
             ("simulate", ["--set", "model.lam=nan"]),
             ("simulate", ["--set", "model.a=nan"]),
+            # the periodicity gate is the constant periodic.THRESHOLD, not a key
             ("periodicity", ["--set", "threshold=nan"]),
             ("periodicity", ["--set", "threshold=-1"]),
             ("simulate", ["--set", "level=8"]),  # dt=2^-L replaces the level key
@@ -115,8 +94,8 @@ class TestConfig:
              "periodicity-nan-x0-cubic", "periodicity-nan-x0-linear-ou",
              "window-one-number", "window-three-numbers", "pullback-inf-t-eval",
              "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
-             "window-nan", "model-nan-lam", "model-nan-a", "threshold-nan",
-             "threshold-negative", "level-removed", "converge-level-zero",
+             "window-nan", "model-nan-lam", "model-nan-a", "unknown-key-threshold-nan",
+             "unknown-key-threshold-negative", "level-removed", "converge-level-zero",
              "converge-reference-above-30"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
@@ -160,7 +139,6 @@ class TestConfig:
             ("periodicity", ["--set", "window=nan,0"], "window (nan, 0.0) must be finite"),
             ("simulate", ["--set", "model.lam=nan"], "model.lam must be finite, got nan"),
             ("simulate", ["--set", "model.a=nan"], "model.a must be finite, got nan"),
-            ("periodicity", ["--set", "threshold=nan"], "threshold must be positive, got nan"),
             # zero steps from -2, which is not on the grid of 0.8
             ("simulate", ["--set", "dt=0.8", "--set", "k=1", "--set", "horizon=-2"],
              "window start must be grid-aligned"),
@@ -199,7 +177,7 @@ class TestConfig:
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
              "pullback-linear-t-eval-before-period", "pullback-inf-t-eval",
              "simulate-nan-horizon", "converge-minus-inf-t-start", "window-nan", "model-nan-lam",
-             "model-nan-a", "threshold-nan", "simulate-zero-steps-off-grid",
+             "model-nan-a", "simulate-zero-steps-off-grid",
              "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
              "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
              "periodicity-negative-k", "simulate-zero-newton-max-iter",
@@ -229,7 +207,6 @@ class TestConfig:
             ("contraction", ["--set", "ensemble=0"]),
             ("converge", ["--set", "levels=6"]),
             ("periodicity", ["--set", "window=-2,-4"]),
-            ("periodicity", ["--set", "threshold=-1"]),
             ("periodicity", ["--set", "xi=0.1,0.2"]),
             ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
             ("converge", ["--set", "levels=1,2", "--set", "reference_level=24"]),
@@ -241,7 +218,7 @@ class TestConfig:
             ("simulate", ["--set", "k=-1", "--set", "horizon=5"]),
         ],
         ids=["contraction-zero-k", "contraction-zero-ensemble", "converge-one-level",
-             "window-reversed", "threshold-negative", "periodicity-xi-dim", "newton-failure",
+             "window-reversed", "periodicity-xi-dim", "newton-failure",
              "memory-error", "seed-negative", "seed-2-64", "periodicity-zero-k",
              "simulate-negative-k-horizon-5"],
     )
@@ -269,23 +246,12 @@ class TestConfig:
             for command, keys in MALFORMED.items()
             for key, value in keys.items()
         ]
-        + [
-            (command, key, value, "--config")
-            for command in MALFORMED
-            for key, value in (("seed", "1.5"), ("model.lam", "abc"))
-        ]
         + [(command, "seed", "1.5", "--seed") for command in MALFORMED],
         ids=lambda v: str(v).lstrip("-"),
     )
     def test_malformed_value_names_the_key(self, tmp_path, capsys, command, key, value, via):
         out = tmp_path / "out"
-        if via == "--set":
-            args = ["--set", f"{key}={value}"]
-        elif via == "--seed":
-            args = ["--seed", value]
-        else:
-            (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
-            args = ["--config", str(tmp_path / "run.cfg")]
+        args = ["--set", f"{key}={value}"] if via == "--set" else ["--seed", value]
         assert main([command, "--out", str(out), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
@@ -299,16 +265,15 @@ class TestConfig:
         assert sorted(MALFORMED[command]) == sorted(set(accepted) - {"model", "model.<param>"})
 
     def test_flag_overrides_config(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text("model=additive_sine\nk=1\nseed=7\n")
+        # --seed wins over a seed given with --set
         out = tmp_path / "out"
         rc = main(
-            ["simulate", "--config", str(f), "--out", str(out), "--seed", "3",
-             "--set", "k=2"]
+            ["simulate", "--set", "model=additive_sine", "--set", "seed=7", "--out", str(out),
+             "--seed", "3", "--set", "k=2"]
         )
         assert rc == 0
-        manifest = (out / "manifest.txt").read_text()
-        assert "seed=3" in manifest
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert "seed=3" in manifest and "seed=7" not in manifest
         assert "k=2" in manifest
         assert "command=simulate" in manifest
 
@@ -480,6 +445,20 @@ PINNED = {
             "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
             "manifest.txt": "f1fcb2a1821f42b4c613ebd2089e31f88c2cc51a573c5eb26c5db470fd310f3f",
             "<stdout>": "9d749eb1df6b5dcfc25f681403587d8af83620d4cd2969aeed29d83369f630ad",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    # the cubic model at theta < 1: Newton's stage after an explicit half-step
+    "converge-cubic-theta0.75-small": (
+        ["converge", "--set", "theta=0.75", "--set", "levels=5,6,7",
+         "--set", "reference_level=9", "--set", "ensemble=20", "--set", "t_start=0",
+         "--set", "t_end=1"],
+        0,
+        {
+            "convergence.csv": "aa3458d4910c17bcf0922f86153c2f2fd9f40807e3926f1d80c1f0135b2ad04e",
+            "convergence.gp": "cd8158bddd670aa538045a28cc50e192e4503e2c41f9b037b0b0d255a6140443",
+            "manifest.txt": "3d5e73d8e3581728b67f1dea04c5beef6314f492324835cb2b0073fbdb43d360",
+            "<stdout>": "6b7b2d6d79759531658cff98a989df22c0c24024c8b4ed5c3606005d15f3f358",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),

@@ -11,9 +11,10 @@ first, which `noise._Streams.fill` writes through the package's only
 builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
 CSV writer. In `cli`, the raw config dict is read only by `main` and
 `_settings`, and no `run_*` function converts a value itself. Every public
-name is used inside the package: a name that only the tests call belongs in
-the tests. The one loop over time steps is in `integrator.simulate_ensemble`,
-and it calls `_Kernel.step` for every problem.
+name is used inside the package, and every field of a result type is read
+there: a name that only the tests call belongs in the tests. The one loop
+over time steps is in `integrator.simulate_ensemble`, and it calls
+`_Kernel.step` for every problem.
 """
 
 import ast
@@ -130,9 +131,9 @@ def test_files_written_only_by_cli_write_csv(path):
 
 
 def test_raw_config_read_only_by_main_and_settings():
-    # load_config builds the dict, main gathers it and _settings converts every value once
+    # main gathers the dict from --set and --seed and _settings converts every value once
     tree = ast.parse((SRC / "cli.py").read_text())
-    allowed = set().union(*(nodes_in(tree, f) for f in ("load_config", "main", "_settings")))
+    allowed = set().union(*(nodes_in(tree, f) for f in ("main", "_settings")))
     problems = [
         f"line {node.lineno}: reads cfg"
         for node in ast.walk(tree)
@@ -202,6 +203,39 @@ def test_every_public_name_is_used_in_the_package():
     stale = [f"{m}.{n}" for m, n in UNUSED_EXPORTS if n not in public_names(trees[m])]
     assert not wrong, f"public but unused inside rpsde, or used but listed as unused: {wrong}"
     assert not stale, f"listed as unused exports but not public: {stale}"
+
+
+# the result types whose every field some part of the package reads
+REPORTS = ("ConvergenceReport", "ContractionTest", "ContractionConstants", "PullbackResult",
+           "PeriodicityReport")
+# fields the package itself does not read, with the reason they stay
+UNREAD_FIELDS = {
+    ("PullbackResult", "final_ensemble"): "test_periodic compares the whole ensemble at "
+    "t_eval with the definition",
+}
+
+
+def test_every_report_field_is_read_in_the_package():
+    trees = [ast.parse(m.read_text(), filename=str(m)) for m in MODULES]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {
+        (cls.name, stmt.target.id)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in REPORTS
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+    }
+    assert {name for name, _ in fields} == set(REPORTS)
+    wrong = sorted(f"{c}.{f}" for c, f in fields if (f in read) == ((c, f) in UNREAD_FIELDS))
+    stale = sorted(f"{c}.{f}" for c, f in UNREAD_FIELDS if (c, f) not in fields)
+    assert not wrong, f"fields only the tests read, or read but listed as unread: {wrong}"
+    assert not stale, f"listed as unread fields but not fields: {stale}"
 
 
 def loops(node):
