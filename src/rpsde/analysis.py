@@ -19,7 +19,6 @@ from .models import SdeProblem
 from .noise import ensemble_increments, grid_steps, tree_fold
 
 __all__ = [
-    "ContractionConstants",
     "ConvergenceReport",
     "ContractionTest",
     "contraction_constant",
@@ -29,22 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContractionConstants:
-    """Per-step contraction rates: numerical scheme (c_delta) and exact solution."""
-
-    c_delta: float
-    exact_rate: float
-
-
 def contraction_constant(
     lam: float, l_f: float, theta: float, pstar: float, dt: float
-) -> ContractionConstants:
-    """Geometric rate bounding the mean-square gap between numerical solutions.
+) -> float:
+    """c_delta, the geometric rate bounding the mean-square gap between numerical solutions.
 
     c_delta is the largest of three branches; it lies in [0, 1) whenever
-    theta in (1/2, 1], 0 < L_f < lambda, p* > 2, dt in (0, 1]. The exact
-    solution contracts at rate exp(2 (L_f - lambda) dt) per step.
+    theta in (1/2, 1], 0 < L_f < lambda, p* > 2, dt in (0, 1].
     """
     if not 0.0 < l_f < lam:
         raise ValueError(f"need 0 < L_f < lambda: L_f={l_f}, lambda={lam}")
@@ -60,10 +50,7 @@ def contraction_constant(
         1.0 - (pstar - 2.0) / (2.0 * (pstar - 1.0) * theta),
         1.0 - (2.0 * theta - 1.0) / theta**2,
     )
-    return ContractionConstants(
-        c_delta=max(branches),
-        exact_rate=math.exp(2.0 * (l_f - lam) * dt),
-    )
+    return max(branches)
 
 
 def fit_slope(stepsizes, errors) -> tuple[float, float]:
@@ -207,7 +194,7 @@ class ContractionTest:
     gap_series: np.ndarray  # E|X_j - Y_j|^2
     envelope: np.ndarray  # C * c_delta^j anchored at j = 0
     c_delta: float
-    exact_rate: float  # the exact solution's per-step rate, beside c_delta
+    exact_rate: float  # exp(2 (L_f - lambda) dt), the exact solution's per-step rate
     passed: bool
 
 
@@ -225,7 +212,7 @@ def numerical_contraction_test(
     The envelope constant C is anchored empirically at j = 0 and inflated by
     _SAFETY_FACTOR; the check stops once the series falls below _FLOOR.
     """
-    consts = contraction_constant(
+    c_delta = contraction_constant(
         problem.lambda_min,
         problem.one_sided_lipschitz,
         scheme.theta,
@@ -255,7 +242,7 @@ def numerical_contraction_test(
     xs, ys = states[:ensemble], states[ensemble:]
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j
     j = np.arange(n_steps + 1)
-    envelope = _SAFETY_FACTOR * gap[0] * consts.c_delta ** j.astype(float)
+    envelope = _SAFETY_FACTOR * gap[0] * c_delta ** j.astype(float)
     above_floor = gap > _FLOOR
     passed = bool(np.all(gap[above_floor] <= envelope[above_floor]))
     # require the series actually to reach the floor (geometric decay)
@@ -264,8 +251,8 @@ def numerical_contraction_test(
         steps=j,
         gap_series=gap,
         envelope=envelope,
-        c_delta=consts.c_delta,
-        exact_rate=consts.exact_rate,
+        c_delta=c_delta,
+        exact_rate=math.exp(2.0 * (problem.one_sided_lipschitz - problem.lambda_min) * dt),
         passed=passed,
     )
 

@@ -35,16 +35,12 @@ from .periodic import (
 __all__ = ["main"]
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _floats(text):
-    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 def _ints(text):
-    return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def _state(text):
@@ -135,12 +131,12 @@ def _settings(cfg: dict, command: str) -> argparse.Namespace:
         try:
             return reader(cfg[key])
         except ValueError:
-            raise ConfigError(f"{key} must be {_EXPECTED[reader]}, got {cfg[key]!r}") from None
+            raise ValueError(f"{key} must be {_EXPECTED[reader]}, got {cfg[key]!r}") from None
 
     table = {**_COMMON, **_KEYS[command]}
     unknown = sorted(k for k in cfg if k not in table and not k.startswith("model."))
     if unknown:
-        raise ConfigError(
+        raise ValueError(
             f"unknown key {', '.join(unknown)} for {command}; "
             f"accepted: {', '.join(sorted(table))}, model.<param>"
         )
@@ -151,7 +147,7 @@ def _settings(cfg: dict, command: str) -> argparse.Namespace:
     for key in ("xi", "x0", "eta"):
         if key in values and len(values[key]) != problem.state_dim:
             d = problem.state_dim
-            raise ConfigError(f"{key} has {len(values[key])} values; the model's state_dim is {d}")
+            raise ValueError(f"{key} has {len(values[key])} values; the model's state_dim is {d}")
     if "dt" in values:
         values["scheme"] = ThetaScheme(**{k: values.pop(k) for k in _SCHEME})
     return argparse.Namespace(problem=problem, **values)
@@ -178,11 +174,11 @@ def _write_plot_script(out: Path, name: str, lines: list[str]):
 def run_simulate(s: argparse.Namespace, out: Path) -> bool:
     problem, scheme, xis = s.problem, s.scheme, s.initial_values
     if s.k < 0:
-        raise ConfigError(f"k must be >= 0, got {s.k}")
+        raise ValueError(f"k must be >= 0, got {s.k}")
     start = -s.k * problem.period
     n_steps = grid_steps(s.horizon - start, scheme.dt, "horizon + k*period")
     if n_steps < 0:
-        raise ConfigError(f"horizon {s.horizon} precedes the start -k*period = {start}")
+        raise ValueError(f"horizon {s.horizon} precedes the start -k*period = {start}")
     first = grid_steps(start, scheme.dt, "window start")
     # every initial value runs under the one noise path 0
     incs = ensemble_increments(s.seed, range(1), first, n_steps, problem.noise_dim, scheme.dt)
@@ -331,7 +327,7 @@ def main(argv=None) -> int:
         cfg = {}
         for item in args.set:
             if "=" not in item:
-                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+                raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
             key, value = item.split("=", 1)
             cfg[key.strip()] = value.strip()
         if args.seed is not None:
@@ -344,7 +340,7 @@ def main(argv=None) -> int:
         manifest = [f"command={args.command}", f"version={__version__}"]
         manifest += [f"{k}={v}" for k, v in sorted(cfg.items())]
         (out / "manifest.txt").write_text("\n".join(manifest) + "\n")
-    except (ConfigError, ValueError, OSError, NewtonError, MemoryError) as exc:
+    except (ValueError, OSError, NewtonError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -73,14 +73,6 @@ class ThetaScheme:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
 
-def _reduce_time(t: float, period: float) -> float:
-    """Map t to [0, period) exactly periodically; avoids precision loss at large |t|."""
-    r = math.fmod(t, period)
-    if r < 0.0:
-        r += period
-    return r
-
-
 def _linear_part(a, y):
     """y @ a.T with the products summed in column order.
 
@@ -145,9 +137,10 @@ class _Kernel:
 
     def step(self, t_j, x, dw):
         """States at t_j + dt of the batch x, and the most Newton iterations any path took."""
-        t = _reduce_time(t_j, self.period)
+        # the fold into [0, period) is exact, so the phase stays periodic at large |t|
+        t = t_j % self.period
         rhs = self.explicit(t, x) + self.noise(self.diffusion(t, x), dw)
-        tf = _reduce_time(t_j + self.dt, self.period)
+        tf = (t_j + self.dt) % self.period
         if self.stage is None:
             return self._newton(tf, rhs, x)
         y = self.stage(tf, self.theta_dt, rhs)

@@ -24,16 +24,12 @@ import numpy as np
 __all__ = [
     "SdeProblem",
     "ModelCatalogEntry",
-    "ParameterError",
     "build_cubic_model",
     "build_additive_model",
     "build_linear_model",
     "catalog_entry",
     "MODEL_NAMES",
 ]
-
-class ParameterError(ValueError):
-    """A model parameter violates one of the standing assumptions."""
 
 
 @dataclass(frozen=True)
@@ -65,24 +61,24 @@ class SdeProblem:
         # a copy, so freezing it below leaves the caller's array writeable
         a = np.array(self.linear_matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterError(f"linear_matrix must be square, got shape {a.shape}")
+            raise ValueError(f"linear_matrix must be square, got shape {a.shape}")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-            raise ParameterError("linear_matrix must be symmetric")
+            raise ValueError("linear_matrix must be symmetric")
         eigmin = float(np.linalg.eigvalsh(a).min())
         if eigmin <= 0.0:
-            raise ParameterError(f"linear_matrix must be positive definite (min eig {eigmin})")
+            raise ValueError(f"linear_matrix must be positive definite (min eig {eigmin})")
         object.__setattr__(self, "state_dim", a.shape[0])
         object.__setattr__(self, "lambda_min", eigmin)
         if not 0.0 < self.one_sided_lipschitz < self.lambda_min:
-            raise ParameterError(
+            raise ValueError(
                 f"need 0 < L_f < lambda: L_f={self.one_sided_lipschitz}, lambda={self.lambda_min}"
             )
         if self.period <= 0.0:
-            raise ParameterError("period must be positive")
+            raise ValueError("period must be positive")
         if self.growth_exponent < 1.0:
-            raise ParameterError("growth exponent must be >= 1")
+            raise ValueError("growth exponent must be >= 1")
         if self.moment_exponent <= (self.state_dim + 4) * self.growth_exponent:
-            raise ParameterError(
+            raise ValueError(
                 "moment exponent must exceed (d+4)*gamma: "
                 f"p*={self.moment_exponent}, bound={(self.state_dim + 4) * self.growth_exponent}"
             )
@@ -105,17 +101,17 @@ def build_cubic_model(
          + (b + c X + dcoef X^2 (1+sin(pi t))) dW,   period 2.
     """
     if lam <= 0.0:
-        raise ParameterError(f"need lam > 0, got {lam}")
+        raise ValueError(f"need lam > 0, got {lam}")
     if a <= 0.0:
-        raise ParameterError(f"need a > 0, got {a}")
+        raise ValueError(f"need a > 0, got {a}")
     if 12.0 * dcoef**2 * (pstar - 1.0) > a:
-        raise ParameterError(
+        raise ValueError(
             f"need 12*d^2*(p*-1) <= a: 12*{dcoef}^2*{pstar - 1} = "
             f"{12.0 * dcoef**2 * (pstar - 1.0)} > {a}"
         )
     l_f = 3.0 * c**2 * (pstar - 1.0)
     if l_f >= lam:
-        raise ParameterError(
+        raise ValueError(
             f"need 3*c^2*(p*-1) < lam: {l_f} >= {lam}"
         )
 
@@ -179,9 +175,9 @@ def build_additive_model() -> SdeProblem:
 def build_linear_model(lam: float, sigma: float) -> SdeProblem:
     """Ornstein-Uhlenbeck model: dX = -lam X dt + sigma dW, zero drift nonlinearity."""
     if lam <= 0.0:
-        raise ParameterError(f"need lam > 0, got {lam}")
+        raise ValueError(f"need lam > 0, got {lam}")
     if sigma < 0.0:
-        raise ParameterError(f"need sigma >= 0, got {sigma}")
+        raise ValueError(f"need sigma >= 0, got {sigma}")
     # +0.0 at every t: 0.0 * sin(2 pi t) would give -0.0 where the sine is negative
     return _affine_model(lam, sigma, lambda t: 0.0)
 
@@ -201,15 +197,15 @@ MODEL_NAMES = tuple(_CATALOG)
 def catalog_entry(name: str, **params) -> ModelCatalogEntry:
     """Look up a built-in model by name with optional parameter overrides."""
     if name not in _CATALOG:
-        raise ParameterError(f"unknown model name {name!r}; choose from {MODEL_NAMES}")
+        raise ValueError(f"unknown model name {name!r}; choose from {MODEL_NAMES}")
     build, defaults = _CATALOG[name]
     unknown = sorted(set(params) - set(defaults))
     if unknown:
-        raise ParameterError(
+        raise ValueError(
             f"{name} has no parameter {', '.join(unknown)}; "
             f"accepted: {', '.join(defaults) or 'none'}"
         )
     for key, value in params.items():
         if not math.isfinite(value):
-            raise ParameterError(f"model.{key} must be finite, got {value}")
+            raise ValueError(f"model.{key} must be finite, got {value}")
     return ModelCatalogEntry(name, build(**{**defaults, **params}))

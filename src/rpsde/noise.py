@@ -32,7 +32,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "WienerGrid",
-    "WindowError",
     "grid_steps",
     "generate",
     "generate_uniform",
@@ -46,10 +45,6 @@ _POSITION_OFFSET = 1 << 62
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-class WindowError(ValueError):
-    """Requested cells are misaligned or fall outside the generated window."""
-
-
 def grid_steps(t: float, h: float, name: str) -> int:
     """The whole number of cells of width h in t; `name` says what t is.
 
@@ -57,15 +52,15 @@ def grid_steps(t: float, h: float, name: str) -> int:
     fewer than 2^62 cells, the range of `_POSITION_OFFSET`.
     """
     if not math.isfinite(t):
-        raise WindowError(f"{name} must be finite, got {t}")
+        raise ValueError(f"{name} must be finite, got {t}")
     steps = t / h
     if not abs(steps) < _POSITION_OFFSET:
-        raise WindowError(
+        raise ValueError(
             f"{name} = {t} spans {steps:.3g} steps of {h}; a run takes fewer than 2^62"
         )
     n = round(steps)
     if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
-        raise WindowError(
+        raise ValueError(
             f"{name} must be grid-aligned: {t} is not a multiple of the stepsize {h}"
         )
     return n
@@ -115,7 +110,7 @@ class _Streams:
     def __init__(self, seed, mode_salt, h, i0, n):
         p0 = i0 + _POSITION_OFFSET
         if p0 < 0:
-            raise WindowError("cell index below supported range")
+            raise ValueError("cell index below supported range")
         b0, self.lane0 = divmod(p0, 4)
         self.n_raw = 4 * ((p0 + n - b0 * 4 + 3) // 4)
         self.n = n
@@ -157,11 +152,11 @@ def _grid(fine_level, dt):
     """Cell width and stream salt: the dyadic grid 2^-fine_level, else the uniform grid dt."""
     if fine_level is None:
         if dt <= 0.0:
-            raise WindowError("dt must be positive")
+            raise ValueError("dt must be positive")
         # distinct streams for distinct grid resolutions
         return dt, 0x5A5A0000 ^ struct.unpack("<Q", struct.pack("<d", dt))[0] & 0xFFFFFFFF
     if not (0 <= fine_level <= 30):
-        raise WindowError(f"fine_level must be in [0, 30], got {fine_level}")
+        raise ValueError(f"fine_level must be in [0, 30], got {fine_level}")
     return 2.0**-fine_level, fine_level
 
 
@@ -194,11 +189,11 @@ class WienerGrid:
         h = self.cell_width
         q = grid_steps(dt, h, "dt")
         if q < 1:
-            raise WindowError(f"dt {dt} is below the cell width {h}")
+            raise ValueError(f"dt {dt} is below the cell width {h}")
         j0 = grid_steps(t_start, h, "t_start") - self.first_cell
         j1 = j0 + n_steps * q
         if j0 < 0 or j1 > self.n_cells:
-            raise WindowError(
+            raise ValueError(
                 f"cells [{t_start}, {t_start + n_steps * dt}] outside window "
                 f"[{self.first_cell * h}, {(self.first_cell + self.n_cells) * h}]"
             )
@@ -249,7 +244,7 @@ def _generate(seed, path_index, fine_level, dt, window, noise_dim):
     i0 = grid_steps(window[0], h, "window start")
     n = grid_steps(window[1], h, "window end") - i0
     if n <= 0:
-        raise WindowError(f"window {window} must have positive length")
+        raise ValueError(f"window {window} must have positive length")
     incs = ensemble_increments(seed, [path_index], i0, n, noise_dim, h, fine_level)[:, 0]
     incs.setflags(write=False)
     return WienerGrid(
@@ -292,11 +287,11 @@ def ensemble_increments(
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     h, salt = _grid(fine_level, dt)
     if h != dt:
-        raise WindowError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")
+        raise ValueError(f"dt {dt} must be the cell width {h}; fold coarser steps with tree_fold")
     if noise_dim < 1:
-        raise WindowError("noise_dim must be >= 1")
+        raise ValueError("noise_dim must be >= 1")
     if n_cells < 0:
-        raise WindowError(f"n_cells must be >= 0, got {n_cells}")
+        raise ValueError(f"n_cells must be >= 0, got {n_cells}")
     shape = (n_cells, len(paths), noise_dim)
     if out is None:
         out = np.empty(shape)

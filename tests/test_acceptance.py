@@ -168,7 +168,7 @@ def test_7_property_suites():
             rng.uniform(0.5 + 1e-9, 1.0),
             rng.uniform(2.0 + 1e-9, 100.0),
             rng.uniform(1e-9, 1.0),
-        ).c_delta
+        )
         c_ok = c_ok and 0.0 <= c < 1.0
     # (b) increment variance matches the cell width: the level-4 cells of (0, 6250)
     incs = ensemble_increments(2024, [0], 0, 100_000, 1, 2.0**-4, fine_level=4)[:, 0]

@@ -62,20 +62,22 @@ def moment_monitor(problem, scheme, k, ensemble, seed, xi=0.6):
 class TestContractionConstant:
     def test_boundary_example(self):
         # lam - L_f = 1, theta = 1, p* = 21, dt = 1: branches {1/3, 21/40, 0}
-        consts = contraction_constant(2.0, 1.0, 1.0, 21.0, 1.0)
-        assert consts.c_delta == pytest.approx(21.0 / 40.0, abs=1e-15)
+        c_delta = contraction_constant(2.0, 1.0, 1.0, 21.0, 1.0)
+        assert c_delta == pytest.approx(21.0 / 40.0, abs=1e-15)
 
     def test_third_branch_vanishes_at_theta_one(self):
         theta = 1.0
         assert (2 * theta - 1) / theta**2 == 1.0
-        consts = contraction_constant(3.0, 0.1, theta, 4.0, 0.5)
+        c_delta = contraction_constant(3.0, 0.1, theta, 4.0, 0.5)
         # with p* = 4, theta = 1: second branch = 1 - 2/6 = 2/3
         gap = 2 * (3.0 - 0.1) * 0.5
-        assert consts.c_delta == pytest.approx(max(1 - gap / (1 + gap), 2.0 / 3.0, 0.0))
+        assert c_delta == pytest.approx(max(1 - gap / (1 + gap), 2.0 / 3.0, 0.0))
 
     def test_exact_rate(self):
-        consts = contraction_constant(2.0, 0.5, 0.8, 21.0, 0.1)
-        assert consts.exact_rate == pytest.approx(math.exp(2 * (0.5 - 2.0) * 0.1))
+        prob = build_linear_model(2.0, 0.3)
+        test = numerical_contraction_test(prob, ThetaScheme(0.8, 0.1), [0.6], [-0.6], 1, 2, seed=0)
+        rate = math.exp(2 * (prob.one_sided_lipschitz - prob.lambda_min) * 0.1)
+        assert test.exact_rate == rate
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -96,7 +98,7 @@ class TestContractionConstant:
             theta = rng.uniform(0.5 + 1e-9, 1.0)
             pstar = rng.uniform(2.0 + 1e-9, 100.0)
             dt = rng.uniform(1e-9, 1.0 - 1e-9)
-            c = contraction_constant(lam, l_f, theta, pstar, dt).c_delta
+            c = contraction_constant(lam, l_f, theta, pstar, dt)
             assert 0.0 <= c < 1.0
 
     # bounds keep (lam - l_f) * theta * dt above ~1e-14 so the first branch
@@ -110,7 +112,7 @@ class TestContractionConstant:
     )
     @settings(max_examples=200, deadline=None)
     def test_property_hypothesis(self, lam, frac, theta, pstar, dt):
-        c = contraction_constant(lam, lam * frac, theta, pstar, dt).c_delta
+        c = contraction_constant(lam, lam * frac, theta, pstar, dt)
         assert 0.0 <= c < 1.0
 
 

@@ -21,7 +21,8 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-# a value each key's reader rejects: 1.5 for an integer, abc for a number or a list
+# a value each key's reader rejects: 1.5 for an integer, abc for a number or a list; a
+# tuple gives more than one, and 6;7 is a list whose separator is not a comma
 _SCHEME_BAD = {"theta": "abc", "dt": "abc", "newton_tol": "abc", "newton_max_iter": "1.5"}
 MALFORMED = {
     "simulate": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "horizon": "abc",
@@ -30,7 +31,7 @@ MALFORMED = {
                  "tolerance": "abc", "k_max": "1.5", "ensemble": "1.5"},
     "periodicity": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "window": "abc", "xi": "abc",
                     "x0": "abc", "horizon": "abc"},
-    "converge": {"theta": "abc", "newton_tol": "abc", "seed": "1.5", "levels": "abc",
+    "converge": {"theta": "abc", "newton_tol": "abc", "seed": "1.5", "levels": ("abc", "6;7"),
                  "reference_level": "1.5", "ensemble": "1.5", "t_start": "abc",
                  "t_end": "abc", "xi": "abc"},
     "contraction": {**_SCHEME_BAD, "seed": "1.5", "xi": "abc", "eta": "abc", "k": "1.5",
@@ -84,6 +85,10 @@ class TestConfig:
             ("simulate", ["--set", "level=8"]),  # dt=2^-L replaces the level key
             ("converge", ["--set", "levels=0,1"]),
             ("converge", ["--set", "reference_level=31"]),
+            ("pullback", ["--set", "k_max=0"]),
+            ("periodicity", ["--set", "horizon=3"]),  # not a multiple of the period 2
+            ("converge", ["--set", "t_start=1", "--set", "t_end=1"]),
+            ("simulate", ["--set", "horizon=-20"]),  # before the start -k*period = -10
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
@@ -96,7 +101,9 @@ class TestConfig:
              "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
              "window-nan", "model-nan-lam", "model-nan-a", "unknown-key-threshold-nan",
              "unknown-key-threshold-negative", "level-removed", "converge-level-zero",
-             "converge-reference-above-30"],
+             "converge-reference-above-30", "pullback-zero-k-max",
+             "periodicity-horizon-off-period", "converge-empty-window",
+             "simulate-horizon-before-start"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -166,6 +173,8 @@ class TestConfig:
             ("converge", ["--set", "t_end=1e300"],
              "error: t_end = 1e+300 spans 6.4e+301 steps of 0.015625; "
              "a run takes fewer than 2^62\n"),
+            ("converge", ["--set", "levels=6;7"],
+             "error: levels must be integers separated by commas, got '6;7'\n"),
         ],
         ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
              "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -182,7 +191,7 @@ class TestConfig:
              "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
              "periodicity-negative-k", "simulate-zero-newton-max-iter",
              "converge-zero-newton-tol", "simulate-infinite-steps", "pullback-huge-t-eval",
-             "simulate-tiny-dt", "converge-huge-t-end"],
+             "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -244,7 +253,8 @@ class TestConfig:
         [
             (command, key, value, "--set")
             for command, keys in MALFORMED.items()
-            for key, value in keys.items()
+            for key, values in keys.items()
+            for value in ((values,) if isinstance(values, str) else values)
         ]
         + [(command, "seed", "1.5", "--seed") for command in MALFORMED],
         ids=lambda v: str(v).lstrip("-"),
@@ -498,6 +508,20 @@ PINNED = {
             "manifest.txt": "35f2a4ec6245c36109c0f073c0dffb385e6d74fe9c51faaa81896f707fe29767",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "<stderr>": "003e514b993ede15fa29c7645f4f062f5edc6c55c524a1a277d2a6c6a1ba3c5f",
+        },
+    ),
+    # an affine model at theta < 1 from 0 and -0 at t = -2, an exact negative multiple of
+    # the period: the forcing at a folded time that is a zero of either sign
+    "simulate-additive-theta0.75-signed-zero": (
+        ["simulate", "--set", "model=additive_sine", "--set", "theta=0.75", "--set", "dt=0.1",
+         "--set", "k=2", "--set", "horizon=1", "--set", "initial_values=0,-0"],
+        0,
+        {
+            "manifest.txt": "d94f3418a1e807e4c53d3976079ef56754380ff01844c0d01cbecda139e06ad0",
+            "trajectories.csv": "2a5a58a229083367f3829bdafb199f9b51a2d96b99c7b79440f4b49d7c75ab40",
+            "trajectories.gp": "dfed5db335b07bf7b6db55ed44ad207bf4963e336b67f299f1b1fdc0fc2a81f9",
+            "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),
     # zero-length runs: horizon -10 is the start -k*period, horizon 0 an empty curve

@@ -284,6 +284,15 @@ class TestSimulatePath:
         with pytest.raises(ValueError, match="increments have shape"):
             simulate_ensemble(prob, sch, 0, np.zeros((x_batch, 1)), np.zeros((2, inc_batch, 1)))
 
+    # a flat batch, one path with two components, and a single state
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+    def test_initial_state_shape_rejected(self, shape):
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
+        message = re.escape(f"initial state has shape {shape}; the model's state_dim is 1")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_ensemble(prob, sch, 0, np.zeros(shape), np.zeros((2, 1, 1)))
+
     @pytest.mark.parametrize("first_step", [0.0, -1.5, np.float64(2.0)])
     def test_float_first_step_rejected(self, first_step):
         # grid time is an integer step; a float start is refused, not rounded

@@ -12,9 +12,10 @@ builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
 CSV writer. In `cli`, the raw config dict is read only by `main` and
 `_settings`, and no `run_*` function converts a value itself. Every public
 name is used inside the package, and every field of a result type is read
-there: a name that only the tests call belongs in the tests. The one loop
-over time steps is in `integrator.simulate_ensemble`, and it calls
-`_Kernel.step` for every problem.
+there: a name that only the tests call belongs in the tests. Every exception
+class the package defines is caught by name in it; bad input is a ValueError.
+The one loop over time steps is in `integrator.simulate_ensemble`, and it
+calls `_Kernel.step` for every problem.
 """
 
 import ast
@@ -205,9 +206,32 @@ def test_every_public_name_is_used_in_the_package():
     assert not stale, f"listed as unused exports but not public: {stale}"
 
 
+def caught_names(tree):
+    """The last part of every name in an except clause: `except A`, `(A, m.B)` give A, B."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            yield from (ast.unparse(t).split(".")[-1] for t in types)
+
+
+def test_every_error_class_is_caught_by_name_in_the_package():
+    # a subclass of an Error that nothing catches by name only re-labels its base
+    trees = {m.stem: ast.parse(m.read_text(), filename=str(m)) for m in MODULES}
+    caught = {name for tree in trees.values() for name in caught_names(tree)}
+    defined = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith("Error") for base in node.bases)
+    ]
+    assert defined, "no exception class found"
+    uncaught = [f"{m}.{name}" for m, name in defined if name not in caught]
+    assert not uncaught, f"exception classes that no except clause in rpsde names: {uncaught}"
+
+
 # the result types whose every field some part of the package reads
-REPORTS = ("ConvergenceReport", "ContractionTest", "ContractionConstants", "PullbackResult",
-           "PeriodicityReport")
+REPORTS = ("ConvergenceReport", "ContractionTest", "PullbackResult", "PeriodicityReport")
 # fields the package itself does not read, with the reason they stay
 UNREAD_FIELDS = {
     ("PullbackResult", "final_ensemble"): "test_periodic compares the whole ensemble at "

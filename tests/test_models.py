@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rpsde.models import (
-    ParameterError,
     SdeProblem,
     build_additive_model,
     build_cubic_model,
@@ -38,9 +37,9 @@ def check_dissipativity(problem, sample_count, box_radius, rng_seed, tolerance_r
     the ratios are computed on the whole batch.
     """
     if sample_count < 1:
-        raise ParameterError("sample_count must be >= 1")
+        raise ValueError("sample_count must be >= 1")
     if box_radius <= 0.0:
-        raise ParameterError("box_radius must be positive")
+        raise ValueError("box_radius must be positive")
     rng = np.random.default_rng(rng_seed)
     d = problem.state_dim
     max_ratio = 0.0
@@ -80,13 +79,18 @@ class TestCubicModel:
 
     def test_dcoef_constraint_rejected(self):
         # 12 * 0.5^2 * 20 = 60 > a = 3
-        with pytest.raises(ParameterError, match="12"):
+        with pytest.raises(ValueError, match=r"^need 12\*d\^2\*\(p\*-1\) <= a: 12\*0.5\^2\*20.0 "):
             build_cubic_model(5 * math.pi, 3.0, 1.5, 0.5, 0.5, 21.0)
 
     def test_large_c_rejected_at_construction(self):
         # L_f = 3*100*20 = 6000 >= lambda
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match=r"^need 3\*c\^2\*\(p\*-1\) < lam: 6000.0 >= "):
             build_cubic_model(5 * math.pi, 3.0, 1.5, 10.0, 0.01, 21.0)
+
+    @pytest.mark.parametrize("key, value", [("lam", 0.0), ("lam", -1.0), ("a", 0.0), ("a", -3.0)])
+    def test_non_positive_lam_or_a_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^need {key} > 0, got {value}$"):
+            build_cubic_model(**{**BENCH_PARAMS, key: value})
 
     def test_drift_diffusion_at_origin(self):
         prob = build_cubic_model(**BENCH_PARAMS)
@@ -183,9 +187,9 @@ class TestLinearModel:
             assert prob.drift(t, np.array([x]))[0] == 0.0
 
     def test_invalid_parameters(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^need lam > 0, got -1.0$"):
             build_linear_model(-1.0, 0.1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^need sigma >= 0, got -0.1$"):
             build_linear_model(1.0, -0.1)
 
 
@@ -196,13 +200,13 @@ class TestCatalog:
             assert entry.name == name
 
     def test_unknown_name(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^unknown model name 'heat_equation'; choose from"):
             catalog_entry("heat_equation")
 
     def test_unknown_parameter_names_accepted_ones(self):
-        with pytest.raises(ParameterError, match="bogus.*accepted: lam, sigma"):
+        with pytest.raises(ValueError, match="bogus.*accepted: lam, sigma"):
             catalog_entry("linear_ou", bogus=1.0)
-        with pytest.raises(ParameterError, match="accepted: none"):
+        with pytest.raises(ValueError, match="accepted: none"):
             catalog_entry("additive_sine", lam=1.0)
 
     @pytest.mark.parametrize(
@@ -212,14 +216,14 @@ class TestCatalog:
     )
     def test_non_finite_parameter_named(self, name, key, value):
         # nan used to fail a later check ("must be symmetric") or the first Newton solve
-        with pytest.raises(ParameterError, match=f"^model.{key} must be finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^model.{key} must be finite, got {value}$"):
             catalog_entry(name, **{key: value})
 
 
-def matrix_problem(a):
-    """A problem with linear part a and nothing else."""
+def matrix_problem(a, **overrides):
+    """A problem with linear part a and nothing else; overrides replace its other fields."""
     d = np.shape(a)[-1]
-    return SdeProblem(
+    fields = dict(
         noise_dim=1,
         linear_matrix=a,
         drift=lambda t, x: np.zeros_like(x),
@@ -230,16 +234,37 @@ def matrix_problem(a):
         moment_exponent=21.0,
         growth_exponent=1.0,
     )
+    return SdeProblem(**{**fields, **overrides})
 
 
 class TestProblemInvariants:
     def test_nonsymmetric_matrix_rejected(self):
-        with pytest.raises(ParameterError, match="symmetric"):
+        with pytest.raises(ValueError, match="^linear_matrix must be symmetric$"):
             matrix_problem(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
     def test_non_square_matrix_rejected(self):
-        with pytest.raises(ParameterError, match="square"):
+        with pytest.raises(ValueError, match=r"^linear_matrix must be square, got shape \(1, 2\)$"):
             matrix_problem(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("a", [np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((1, 1))])
+    def test_not_positive_definite_rejected(self, a):
+        with pytest.raises(ValueError, match=r"^linear_matrix must be positive definite \(min eig"):
+            matrix_problem(a)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(one_sided_lipschitz=1.0), r"^need 0 < L_f < lambda: L_f=1.0, lambda=1.0$"),
+            (dict(one_sided_lipschitz=0.0), r"^need 0 < L_f < lambda: L_f=0.0, lambda=1.0$"),
+            (dict(period=0.0), "^period must be positive$"),
+            (dict(period=-1.0), "^period must be positive$"),
+            (dict(growth_exponent=0.5), "^growth exponent must be >= 1$"),
+        ],
+        ids=["l-f-at-lambda", "l-f-zero", "period-zero", "period-negative", "growth-below-1"],
+    )
+    def test_standing_assumption_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            matrix_problem(np.eye(1), **overrides)
 
     def test_dimension_and_lambda_from_matrix(self):
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
@@ -264,7 +289,7 @@ class TestProblemInvariants:
         assert prob.linear_matrix[0, 0] == 4.0
 
     def test_moment_exponent_bound(self):
-        with pytest.raises(ParameterError, match="moment"):
+        with pytest.raises(ValueError, match=r"^moment exponent must exceed \(d\+4\)\*gamma: "):
             build_cubic_model(5 * math.pi, 3.0, 1.5, 0.5, 0.1, pstar=10.0)
 
     @pytest.mark.parametrize("name", ["cubic_multiplicative", "additive_sine", "linear_ou"])
@@ -312,7 +337,7 @@ class TestDissipativity:
 
     def test_bad_arguments(self):
         prob = build_additive_model()
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^sample_count must be >= 1$"):
             check_dissipativity(prob, 0, 1.0, rng_seed=0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="^box_radius must be positive$"):
             check_dissipativity(prob, 10, -1.0, rng_seed=0)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from rpsde.noise import (
-    WindowError,
     _mix64,
     _Streams,
     _stream_key,
@@ -165,21 +164,37 @@ class TestGridSteps:
 
     @pytest.mark.parametrize("t, h", [(0.1, 2.0**-4), (-3.95, 0.1), (0.25, 0.1), (1e-3, 2.0**-5)])
     def test_off_grid_rejected(self, t, h):
-        with pytest.raises(WindowError, match="t must be grid-aligned.*multiple of the stepsize"):
+        with pytest.raises(ValueError, match="t must be grid-aligned.*multiple of the stepsize"):
             grid_steps(t, h, "t")
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, t):
         # inf used to overflow in round() and nan to fail without naming t
-        with pytest.raises(WindowError, match=f"^t must be finite, got {t}$"):
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
             grid_steps(t, 0.1, "t")
 
 
 class TestValidation:
     def test_level_bound(self):
         # the window (0, 1) at level 31, rejected before anything is allocated
-        with pytest.raises(WindowError, match=r"fine_level must be in \[0, 30\], got 31"):
+        with pytest.raises(ValueError, match=r"fine_level must be in \[0, 30\], got 31"):
             path_increments(0, 0, 0, 2**31, 1, 2.0**-31, 31)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1])
+    def test_uniform_dt_must_be_positive(self, dt):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            ensemble_increments(0, range(1), 0, 1, 1, dt)
+
+    def test_noise_dim_at_least_one(self):
+        with pytest.raises(ValueError, match="^noise_dim must be >= 1$"):
+            ensemble_increments(0, range(1), 0, 1, 0, 0.1)
+
+    def test_cell_index_range(self):
+        # cell -2^62 is the first Philox position; the one before it has none
+        lowest = -(1 << 62)
+        assert np.isfinite(ensemble_increments(0, range(2), lowest, 3, 1, 0.1)).all()
+        with pytest.raises(ValueError, match="^cell index below supported range$"):
+            ensemble_increments(0, range(2), lowest - 1, 3, 1, 0.1)
 
 
 class TestStreamKey:
@@ -306,11 +321,11 @@ class TestEnsembleIncrements:
         for first in (-20, -17, 0, 3):
             incs = ensemble_increments(3, range(5), first, 0, 2, dt, fine_level)
             assert incs.shape == (0, 5, 2) and incs.dtype == np.float64
-        with pytest.raises(WindowError, match="n_cells must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="n_cells must be >= 0, got -1"):
             ensemble_increments(3, range(5), 0, -1, 2, dt, fine_level)
 
     def test_dyadic_dt_must_be_the_cell_width(self):
-        with pytest.raises(WindowError, match="cell width"):
+        with pytest.raises(ValueError, match=r"^dt 0.0625 must be the cell width 0.015625; fold"):
             ensemble_increments(5, range(3), 0, 64, 1, 2.0**-4, fine_level=6)
 
     def test_largest_word_gives_a_finite_normal(self):
@@ -352,18 +367,18 @@ class TestSideDoors:
     def test_coarse_step_requires_dyadic_grid(self):
         # a dyadic step 2^-3 is no whole number of uniform cells of 0.1
         g = generate_uniform(3, 0, 0.1, (0.0, 1.0), 1)
-        with pytest.raises(WindowError, match="dt must be grid-aligned"):
+        with pytest.raises(ValueError, match="dt must be grid-aligned"):
             g.step_increments(0.0, 1, 2.0**-3)
 
     def test_out_of_window(self):
         g = generate(3, 0, 4, (0.0, 1.0), 1)
-        with pytest.raises(WindowError, match="outside window"):
+        with pytest.raises(ValueError, match="outside window"):
             g.step_increments(-(2.0**-4), 1, 2.0**-4)
 
     def test_misaligned_window(self):
-        with pytest.raises(WindowError):
+        with pytest.raises(ValueError, match="^window start must be grid-aligned: 0.1 is not"):
             generate(0, 0, 2, (0.1, 1.0), 1)
 
     def test_empty_window(self):
-        with pytest.raises(WindowError):
+        with pytest.raises(ValueError, match=r"^window \(1.0, 1.0\) must have positive length$"):
             generate(0, 0, 4, (1.0, 1.0), 1)
