@@ -17,6 +17,7 @@ import numpy as np
 from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
 from .noise import ensemble_increments, grid_steps, tree_fold
+from .periodic import pullback_paths
 
 __all__ = [
     "ConvergenceReport",
@@ -231,17 +232,11 @@ def numerical_contraction_test(
             raise ValueError(
                 f"initial state has shape {(ensemble, v.size)}; the model's state_dim is {d}"
             )
-    dt = scheme.dt
-    n_steps = grid_steps(k * problem.period, dt, "k*period")
-    cells = ensemble_increments(seed, range(ensemble), -n_steps, n_steps, problem.noise_dim, dt)
-    # X and Y run as one batch of 2*ensemble over the same increments, joined
-    # along the path axis; a path's bits do not depend on its batch
-    incs = np.concatenate([cells, cells], axis=1)
-    x0 = np.repeat(np.stack([xi, eta]), ensemble, axis=0)
-    _, states, _ = simulate_ensemble(problem, scheme, -n_steps, x0, incs, record=True)
+    # X and Y run as one batch over the same increments; a path's bits do not depend on its batch
+    _, states, _ = pullback_paths(problem, scheme, [xi, eta], k, 0.0, seed, ensemble)
     xs, ys = states[:ensemble], states[ensemble:]
     gap = np.mean(np.sum((xs - ys) ** 2, axis=-1), axis=0)  # per step j
-    j = np.arange(n_steps + 1)
+    j = np.arange(len(gap))
     envelope = _SAFETY_FACTOR * gap[0] * c_delta ** j.astype(float)
     above_floor = gap > _FLOOR
     passed = bool(np.all(gap[above_floor] <= envelope[above_floor]))
@@ -252,7 +247,7 @@ def numerical_contraction_test(
         gap_series=gap,
         envelope=envelope,
         c_delta=c_delta,
-        exact_rate=math.exp(2.0 * (problem.one_sided_lipschitz - problem.lambda_min) * dt),
+        exact_rate=math.exp(2.0 * (problem.one_sided_lipschitz - problem.lambda_min) * scheme.dt),
         passed=passed,
     )
 

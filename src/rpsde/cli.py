@@ -22,14 +22,14 @@ import numpy as np
 
 from . import __version__
 from .analysis import ms_error, numerical_contraction_test
-from .integrator import NewtonError, ThetaScheme, simulate_ensemble
+from .integrator import NewtonError, ThetaScheme
 from .models import catalog_entry
-from .noise import ensemble_increments, grid_steps
 from .periodic import (
     PullbackError,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
+    pullback_paths,
 )
 
 __all__ = ["main"]
@@ -73,9 +73,9 @@ _SCHEME = {
     "newton_max_iter": (int, 50),
 }
 # key -> (reader, default) of each subcommand, besides _COMMON and model.<param>; a
-# default may be a function of the problem. The settings of pullback, converge and
-# contraction are the keyword arguments of pullback_converge, ms_error and
-# numerical_contraction_test, which take them whole.
+# default may be a function of the problem. The settings of simulate, pullback, converge
+# and contraction are the keyword arguments of pullback_paths, pullback_converge, ms_error
+# and numerical_contraction_test, which take them whole.
 _KEYS = {
     "simulate": {
         **_SCHEME,
@@ -172,32 +172,13 @@ def _write_plot_script(out: Path, name: str, lines: list[str]):
 
 
 def run_simulate(s: argparse.Namespace, out: Path) -> bool:
-    problem, scheme, xis = s.problem, s.scheme, s.initial_values
-    if s.k < 0:
-        raise ValueError(f"k must be >= 0, got {s.k}")
-    start = -s.k * problem.period
-    n_steps = grid_steps(s.horizon - start, scheme.dt, "horizon + k*period")
-    if n_steps < 0:
-        raise ValueError(f"horizon {s.horizon} precedes the start -k*period = {start}")
-    first = grid_steps(start, scheme.dt, "window start")
     # every initial value runs under the one noise path 0
-    incs = ensemble_increments(s.seed, range(1), first, n_steps, problem.noise_dim, scheme.dt)
-    incs = np.broadcast_to(incs, (n_steps, len(xis), problem.noise_dim))
-    x0s = np.array(xis, dtype=float)[:, None]
-    times, states, _ = simulate_ensemble(problem, scheme, first, x0s, incs)
+    times, states, _ = pullback_paths(**vars(s))
+    xis = s.initial_values
     rows = np.column_stack([times, states[:, :, 0].T]).tolist()
     _write_csv(out / "trajectories.csv", ["t"] + [f"xi_{v:.17g}" for v in xis], rows)
-    _write_plot_script(
-        out,
-        "trajectories.gp",
-        [
-            "plot "
-            + ", ".join(
-                f"'trajectories.csv' using 1:{i + 2} with lines"
-                for i in range(len(xis))
-            )
-        ],
-    )
+    plots = ", ".join(f"'trajectories.csv' using 1:{i + 2} with lines" for i in range(len(xis)))
+    _write_plot_script(out, "trajectories.gp", ["plot " + plots])
     return True
 
 
@@ -335,7 +316,9 @@ def main(argv=None) -> int:
         settings = _settings(cfg, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        ok = _COMMANDS[args.command](settings, out)
+        # an overflowing state ends in NewtonError or a non-finite statistic, not in warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ok = _COMMANDS[args.command](settings, out)
         # written last, so a run the library rejects leaves no manifest behind
         manifest = [f"command={args.command}", f"version={__version__}"]
         manifest += [f"{k}={v}" for k, v in sorted(cfg.items())]

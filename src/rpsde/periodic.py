@@ -25,6 +25,7 @@ __all__ = [
     "PullbackResult",
     "PeriodicityReport",
     "PullbackError",
+    "pullback_paths",
     "pullback_converge",
     "periodicity_check_shifted",
     "periodicity_check_pullback",
@@ -49,6 +50,31 @@ class PullbackResult:
     states: np.ndarray  # trajectory of path 0 over sample_times
     final_ensemble: np.ndarray  # (ensemble, d) states at t_eval
     gap_history: list = field(default_factory=list)
+
+
+def pullback_paths(
+    problem: SdeProblem, scheme: ThetaScheme, initial_values, k: int, horizon: float, seed: int,
+    ensemble: int = 1,
+):
+    """Run every initial value from -k*tau to horizon under the noise of paths 0 .. ensemble-1.
+
+    The noise is drawn once and every run goes in one batch, initial value s
+    on path e as row s*ensemble + e. Returns simulate_ensemble's triple.
+    """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    dt = scheme.dt
+    first = -grid_steps(k * problem.period, dt, "k*period")
+    n_steps = grid_steps(horizon, dt, "horizon") - first
+    if n_steps < 0:
+        raise ValueError(f"horizon {horizon} precedes the start -k*period = {-k * problem.period}")
+    starts = np.asarray(initial_values, dtype=float).reshape(len(initial_values), -1)
+    batch, m = len(starts) * ensemble, problem.noise_dim
+    cells = ensemble_increments(seed, range(ensemble), first, n_steps, m, dt)
+    # a view at ensemble 1: every start reads the one path's cells
+    incs = np.broadcast_to(cells[:, None], (n_steps, len(starts), ensemble, m))
+    x0 = np.repeat(starts, ensemble, axis=0)
+    return simulate_ensemble(problem, scheme, first, x0, incs.reshape(n_steps, batch, m))
 
 
 def pullback_converge(

@@ -219,18 +219,8 @@ class TestMsError:
         assert rep.fitted_slope == fit_slope([2.0**-3, 2.0**-4, 2.0**-6], rms)[0]
 
     def test_memory_bounded_by_block(self):
-        # the unblocked level-12 array of 200 paths over (-4, 4) alone is 52 MB
-        prob = build_linear_model(1.0, 0.3)
-        tracemalloc.start()
-        try:
-            ms_error(prob, 1.0, [9, 10], 12, 200, -4.0, 4.0, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
-
-    def test_working_set_of_one_block(self):
-        # the same call: a 1 MB block of 640 cells, its 0.5 MB first fold and the
+        # the unblocked level-12 array of 200 paths over (-4, 4) alone is 52 MB; the
+        # working set is a 1 MB block of 640 cells, its 0.5 MB first fold and the
         # noise draw's three 0.5 MB chunk arrays
         prob = build_linear_model(1.0, 0.3)
         tracemalloc.start()
@@ -335,7 +325,8 @@ class TestNumericalContraction:
         def no_draw(*args, **kwargs):
             raise AssertionError("the contraction test drew noise before checking its shapes")
 
-        monkeypatch.setattr(analysis, "ensemble_increments", no_draw)
+        for drawer in ("rpsde.analysis.ensemble_increments", "rpsde.periodic.ensemble_increments"):
+            monkeypatch.setattr(drawer, no_draw)
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError, match="state_dim is 1"):
@@ -384,7 +375,7 @@ class TestNumericalContraction:
             calls.append((args[2], len(args[4])))
             return simulate_ensemble(*args, **kwargs)
 
-        monkeypatch.setattr("rpsde.analysis.simulate_ensemble", counting)
+        monkeypatch.setattr("rpsde.periodic.simulate_ensemble", counting)
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=0.75, dt=0.1)
         test = numerical_contraction_test(prob, sch, [0.6], [-0.4], 3, 25, seed=2)

@@ -141,14 +141,16 @@ class TestConfig:
             ("pullback", ["--set", "t_eval=-2"], "t_eval"),
             ("pullback", ["--set", "model=linear_ou", "--set", "t_eval=-1.5"], "t_eval"),
             ("pullback", ["--set", "t_eval=inf"], "t_eval must be finite, got inf"),
-            ("simulate", ["--set", "horizon=nan"], "horizon + k*period must be finite, got nan"),
+            ("simulate", ["--set", "horizon=nan"], "error: horizon must be finite, got nan\n"),
             ("converge", ["--set", "t_start=-inf"], "t_start must be finite, got -inf"),
             ("periodicity", ["--set", "window=nan,0"], "window (nan, 0.0) must be finite"),
             ("simulate", ["--set", "model.lam=nan"], "model.lam must be finite, got nan"),
             ("simulate", ["--set", "model.a=nan"], "model.a must be finite, got nan"),
             # zero steps from -2, which is not on the grid of 0.8
             ("simulate", ["--set", "dt=0.8", "--set", "k=1", "--set", "horizon=-2"],
-             "window start must be grid-aligned"),
+             "error: k*period must be grid-aligned: 2.0 is not a multiple of the stepsize 0.8\n"),
+            ("simulate", ["--set", "horizon=0.05"],
+             "error: horizon must be grid-aligned: 0.05 is not a multiple of the stepsize 0.1\n"),
             ("simulate", ["--set", "initial_values=nan"], "initial_values must be"),
             ("pullback", ["--set", "model=linear_ou", "--set", "xi=nan"], "xi must be"),
             ("contraction", ["--set", "eta=inf"], "eta must be"),
@@ -162,13 +164,16 @@ class TestConfig:
             ("converge", ["--set", "newton_tol=0"],
              "error: newton_tol must be in (0, inf), got 0.0\n"),
             # step counts that once overflowed round(), np.empty or the block loop
+            # k*period is checked before horizon
             ("simulate", ["--set", "dt=1e-300", "--set", "horizon=1e300"],
-             "error: horizon + k*period = 1e+300 spans inf steps of 1e-300; "
+             "error: k*period = 10.0 spans 1e+301 steps of 1e-300; "
              "a run takes fewer than 2^62\n"),
+            ("simulate", ["--set", "dt=1e-10", "--set", "horizon=1e300"],
+             "error: horizon = 1e+300 spans inf steps of 1e-10; a run takes fewer than 2^62\n"),
             ("pullback", ["--set", "t_eval=1e300"],
              "error: t_eval = 1e+300 spans 1e+301 steps of 0.1; a run takes fewer than 2^62\n"),
             ("simulate", ["--set", "dt=1e-300", "--set", "k=1"],
-             "error: horizon + k*period = 2.0 spans 2e+300 steps of 1e-300; "
+             "error: k*period = 2.0 spans 2e+300 steps of 1e-300; "
              "a run takes fewer than 2^62\n"),
             ("converge", ["--set", "t_end=1e300"],
              "error: t_end = 1e+300 spans 6.4e+301 steps of 0.015625; "
@@ -186,11 +191,12 @@ class TestConfig:
              "pullback-t-eval-before-period", "pullback-t-eval-at-period",
              "pullback-linear-t-eval-before-period", "pullback-inf-t-eval",
              "simulate-nan-horizon", "converge-minus-inf-t-start", "window-nan", "model-nan-lam",
-             "model-nan-a", "simulate-zero-steps-off-grid",
+             "model-nan-a", "simulate-zero-steps-off-grid", "simulate-horizon-off-grid",
              "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
              "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
              "periodicity-negative-k", "simulate-zero-newton-max-iter",
-             "converge-zero-newton-tol", "simulate-infinite-steps", "pullback-huge-t-eval",
+             "converge-zero-newton-tol", "simulate-infinite-steps", "simulate-huge-horizon",
+             "pullback-huge-t-eval",
              "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
@@ -198,6 +204,23 @@ class TestConfig:
         assert main([command, "--out", str(tmp_path), *bad]) == 2
         assert names in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command, key", [("simulate", "initial_values"), ("pullback", "xi"),
+                         ("contraction", "xi"), ("periodicity", "xi"), ("converge", "xi")],
+    )
+    def test_overflow_fails_in_one_line(self, tmp_path, capsys, command, key):
+        # numpy's overflow warnings, made errors here, once printed before the error line
+        assert main([command, "--out", str(tmp_path), "--set", f"{key}=1e200"]) == 2
+        assert capsys.readouterr().err == "error: non-finite state in Newton iteration\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_statistic_warns_nothing(self, tmp_path, capsys):
+        # the gap series overflows; the run fails its check and says only that
+        args = ["contraction", "--set", "model=linear_ou", "--set", "xi=1e200"]
+        assert main([*args, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("contraction: c_delta=0.833472 (FAIL)\n", "")
 
     def test_huge_t_end_draws_no_noise(self, tmp_path, capsys, monkeypatch):
         # the block loop would run about 10^300 blocks; the count is rejected first
@@ -458,6 +481,20 @@ PINNED = {
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),
+    # the cubic model at theta < 1 over 25 paths: X and Y in one batch of 2 x 25, the
+    # explicit half-step and Newton's stage
+    "contraction-theta0.75-small": (
+        ["contraction", "--set", "theta=0.75", "--set", "k=3", "--set", "ensemble=25",
+         "--seed", "2"],
+        0,
+        {
+            "contraction.csv": "4674712bf931a75d6c7b3d6cfe6b43e6aa2f150cc0a8cd0419991ff5f0776e61",
+            "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
+            "manifest.txt": "5af635440f5c029ed759ac722bb87e97f38ceb892529fda1b20f7be3a910455f",
+            "<stdout>": "fab777598f6d9d18788e18135e114a1f825f1617c753bcb5ba92e625c6e18bd1",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
     # the cubic model at theta < 1: Newton's stage after an explicit half-step
     "converge-cubic-theta0.75-small": (
         ["converge", "--set", "theta=0.75", "--set", "levels=5,6,7",
@@ -532,6 +569,19 @@ PINNED = {
             "manifest.txt": "4ef23bcb515e30cb7e1c88b3d0b330d0195e75889b0abeda466eb590827ac601",
             "trajectories.csv": "66a5ff7d70ee6364996c23a34e387f89aeb657b954462b937b44a356fcec3377",
             "trajectories.gp": "881027c3bd31147141100a446797dd73557f877a353f5206790956c7d8dfb7b5",
+            "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        },
+    ),
+    # four starts under the one noise path from t = 0 (k = 0)
+    "simulate-linear-four-starts": (
+        ["simulate", "--set", "model=linear_ou", "--set", "k=0", "--set", "horizon=2",
+         "--set", "initial_values=1,-1,0.3,2"],
+        0,
+        {
+            "manifest.txt": "ea6ee550781b26ee374fafbfb4c8fc0a8c905b651be7ea9ff6614697471a29f4",
+            "trajectories.csv": "de36f7242393173ca5d1f3b4f6eb3be854ac4d45be7a3cd49d8aa7c04192863d",
+            "trajectories.gp": "b9ffcfa099fc4ef3917c5de4fe96295363d2fd87394d194e3b18bc23f0e0687f",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },

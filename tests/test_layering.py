@@ -10,7 +10,9 @@ first, which `noise._Streams.fill` writes through the package's only
 `transpose`. Files are written by `cli` alone: only `cli` imports csv, and the
 builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
 CSV writer. In `cli`, the raw config dict is read only by `main` and
-`_settings`, and no `run_*` function converts a value itself. Every public
+`_settings`, and no `run_*` function converts a value itself. `cli` neither
+draws noise nor steps paths: it imports nothing from `noise` and not
+`simulate_ensemble`, and leaves both to the library. Every public
 name is used inside the package, and every field of a result type is read
 there: a name that only the tests call belongs in the tests. Every exception
 class the package defines is caught by name in it; bad input is a ValueError.
@@ -148,6 +150,17 @@ def test_raw_config_read_only_by_main_and_settings():
                 if name in ("float", "int")
             ]
     assert not problems, "cli.py: " + "; ".join(problems) + "; read settings in _settings"
+
+
+def test_cli_neither_draws_nor_steps():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    problems = []
+    for node, module, names in rpsde_imports(tree):
+        if module.split(".")[-1] == "noise" or "noise" in names:
+            problems.append(f"line {node.lineno}: imports from rpsde.noise")
+        if "simulate_ensemble" in names:
+            problems.append(f"line {node.lineno}: imports simulate_ensemble")
+    assert not problems, "cli.py: " + "; ".join(problems) + "; call the library's runs"
 
 
 def test_one_csv_writer():

@@ -14,6 +14,7 @@ from rpsde.periodic import (
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
+    pullback_paths,
 )
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
@@ -236,13 +237,33 @@ class TestPullbackConverge:
         assert peak < 1.8 * (8 * 100 * 2000 * 8)
 
 
-def shared_noise_run(problem, scheme, xis, k, seed):
-    """Every initial value from -k*tau to 0 under the one noise path 0, as `rpsde simulate` runs them."""
-    n = round(k * problem.period / scheme.dt)
-    incs = ensemble_increments(seed, range(1), -n, n, problem.noise_dim, scheme.dt)
-    incs = np.broadcast_to(incs, (n, len(xis), problem.noise_dim))
-    times, states, _ = simulate_ensemble(problem, scheme, -n, np.array(xis, dtype=float), incs)
-    return times, states
+class TestPullbackPaths:
+    def test_one_path_is_shared_without_a_copy(self, monkeypatch):
+        seen = []
+
+        def recording(problem, scheme, first_step, x0, increments, record=True):
+            seen.append(increments)
+            return simulate_ensemble(problem, scheme, first_step, x0, increments, record)
+
+        monkeypatch.setattr("rpsde.periodic.simulate_ensemble", recording)
+        prob = build_cubic_model(**BENCH)
+        pullback_paths(prob, ThetaScheme(theta=1.0, dt=0.1), [0.6, 0.0, -0.6], 2, 0.0, seed=0)
+        (incs,) = seen
+        assert incs.shape == (40, 3, 1)
+        assert incs.strides[1] == 0
+
+    def test_rows_are_starts_by_paths(self):
+        prob = build_cubic_model(**BENCH)
+        sch = ThetaScheme(theta=0.75, dt=0.1)
+        starts = [[0.6], [0.0], [-0.6]]
+        times, states, _ = pullback_paths(prob, sch, starts, 1, 0.5, seed=4, ensemble=2)
+        assert states.shape == (6, 26, 1)
+        incs = ensemble_increments(4, range(2), -20, 25, 1, 0.1)
+        for s, x0 in enumerate(starts):
+            for e in range(2):
+                alone_times, alone, _ = simulate_ensemble(prob, sch, -20, [x0], incs[:, e : e + 1])
+                assert np.array_equal(states[2 * s + e], alone[0])
+        assert np.array_equal(times, alone_times)
 
 
 class TestInitialValueIndependence:
@@ -250,7 +271,7 @@ class TestInitialValueIndependence:
     def test_cubic_benchmark_setup(self, theta):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=theta, dt=0.1)
-        _, states = shared_noise_run(prob, sch, [[0.6], [0.0], [-0.6]], k=5, seed=11)
+        _, states, _ = pullback_paths(prob, sch, [[0.6], [0.0], [-0.6]], 5, 0.0, seed=11)
         # after a burn-in of two periods
         settled = states[:, 2 * round(prob.period / sch.dt) :]
         sup = max(
@@ -263,7 +284,7 @@ class TestInitialValueIndependence:
     def test_identical_initial_values(self):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
-        _, states = shared_noise_run(prob, sch, [[0.6], [0.6]], k=2, seed=0)
+        _, states, _ = pullback_paths(prob, sch, [[0.6], [0.6]], 2, 0.0, seed=0)
         assert np.array_equal(states[0], states[1])
 
     def test_zero_noise_linear_distance_formula(self):
@@ -271,7 +292,7 @@ class TestInitialValueIndependence:
         prob = build_linear_model(lam, 0.0)
         sch = ThetaScheme(theta=1.0, dt=dt)
         k = 4
-        times, states = shared_noise_run(prob, sch, [[1.0], [-1.0]], k=k, seed=0)
+        times, states, _ = pullback_paths(prob, sch, [[1.0], [-1.0]], k, 0.0, seed=0)
         rho = contraction_factor(1.0, lam, dt)
         for t, a, b in zip(times, states[0], states[1]):
             j = round((t + k * prob.period) / dt)
