@@ -218,10 +218,9 @@ class TestMsError:
         assert np.array_equal(rep.stderrs, stderrs)
         assert rep.fitted_slope == fit_slope([2.0**-3, 2.0**-4, 2.0**-6], rms)[0]
 
-    def test_memory_bounded_by_block(self):
-        # the unblocked level-12 array of 200 paths over (-4, 4) alone is 52 MB; the
-        # working set is a 1 MB block of 640 cells, its 0.5 MB first fold and the
-        # noise draw's three 0.5 MB chunk arrays
+    @pytest.fixture(scope="class")
+    def block_run_peak(self):
+        # traced peak of one ms_error call, measured once for both memory tests
         prob = build_linear_model(1.0, 0.3)
         tracemalloc.start()
         try:
@@ -229,7 +228,16 @@ class TestMsError:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        return peak
+
+    def test_memory_bounded_by_block(self, block_run_peak):
+        # the unblocked level-12 array of 200 paths over (-4, 4) alone is 52 MB
+        assert block_run_peak < 20e6
+
+    def test_working_set_of_one_block(self, block_run_peak):
+        # a 1 MB block of 640 cells, its 0.5 MB first fold and the noise draw's
+        # three 0.5 MB chunk arrays
+        assert block_run_peak < 4e6
 
     def test_level_diffs_by_hand(self):
         prob = build_cubic_model(**BENCH)
