@@ -10,7 +10,7 @@ the time window together, in blocks of a bounded number of fine values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class ConvergenceReport:
     level_diffs: np.ndarray  # rms|X_l - X_prev| for each level after the coarsest
     fitted_slope: float
     intercept: float
-    levels: list = field(default_factory=list)
+    levels: list
 
 
 def ms_error(
@@ -98,7 +98,7 @@ def ms_error(
     t_end: float,
     seed: int,
     xi=0.6,
-    newton_tol: float = 1e-5,
+    newton_tol: float = ThetaScheme.newton_tol,
 ) -> ConvergenceReport:
     """Root-mean-square error at t_end of dyadic-stepsize runs vs a fine reference.
 

@@ -69,8 +69,7 @@ _COMMON = {"model": (str, "cubic_multiplicative"), "seed": (int, 0)}
 _SCHEME = {
     "theta": (float, 1.0),
     "dt": (float, 0.1),
-    "newton_tol": (float, 1e-5),
-    "newton_max_iter": (int, 50),
+    "newton_tol": (float, ThetaScheme.newton_tol),
 }
 # key -> (reader, default) of each subcommand, besides _COMMON and model.<param>; a
 # default may be a function of the problem. The settings of simulate, pullback, converge

@@ -7,9 +7,9 @@ One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
                   + g(t_j, X_j) dW_j
 
 A model that supplies SdeProblem.stage solves the implicit stage itself,
-with 0 iterations; newton_tol and newton_max_iter have no effect there.
-Otherwise damped Newton iteration solves it; dissipativity (L_f < lambda)
-makes the stage map strongly monotone, so the root is unique.
+with 0 iterations; newton_tol has no effect there. Otherwise damped Newton
+iteration solves it, giving up after _MAX_ITER iterations; dissipativity
+(L_f < lambda) makes the stage map strongly monotone, so the root is unique.
 
 simulate_ensemble is the one stepping loop; it calls one theta step,
 _Kernel.step, for every problem. Grid time is an integer: a run starts at
@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 
+# a solve converges well inside 50 iterations or stalls at its residual's rounding floor
+_MAX_ITER = 50
+
+
 class NewtonError(RuntimeError):
     """Implicit stage failed to converge or produced non-finite values."""
 
@@ -60,7 +64,6 @@ class ThetaScheme:
     theta: float
     dt: float
     newton_tol: float = 1e-5
-    newton_max_iter: int = 50
 
     def __post_init__(self):
         if not 0.5 < self.theta <= 1.0:
@@ -69,8 +72,6 @@ class ThetaScheme:
             raise ValueError(f"dt must be in (0, 1), got {self.dt}")
         if not 0.0 < self.newton_tol < math.inf:
             raise ValueError(f"newton_tol must be in (0, inf), got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
 
 def _linear_part(a, y):
@@ -110,7 +111,6 @@ class _Kernel:
         a00, one = np.array(a[0, 0]), np.array(1.0)
         self.theta_dt = theta_dt = np.array(scheme.theta * scheme.dt)
         self.tol = np.array(scheme.newton_tol)
-        self.max_iter = scheme.newton_max_iter
         if problem.state_dim == 1:
             self.linear = linear = lambda y: y * a00
             self.norm = np.abs
@@ -165,7 +165,7 @@ class _Kernel:
         n_done = np.count_nonzero(done)
         it = 0
         while n_done < done.size:
-            if it == self.max_iter:
+            if it == _MAX_ITER:
                 worst, tol = float(nrm.max()), float(self.tol)
                 msg = f"Newton failed to reach tolerance {tol} in {it} iterations"
                 raise NewtonError(f"{msg} (worst residual {worst:g})")

@@ -183,8 +183,8 @@ class WienerGrid:
     def step_increments(self, t_start: float, n_steps: int, dt: float) -> np.ndarray:
         """Brownian increments over n_steps consecutive cells of width dt.
 
-        dt must be an integer multiple of the fine cell width; each coarse
-        increment is the exact sum of the fine increments it spans.
+        dt must be a power-of-two multiple of the fine cell width; each coarse
+        increment is the exact pairwise sum of the fine increments it spans.
         """
         h = self.cell_width
         q = grid_steps(dt, h, "dt")
@@ -203,14 +203,14 @@ class WienerGrid:
 def tree_fold(increments: np.ndarray, q: int) -> np.ndarray:
     """Sum each run of q consecutive steps of the leading time axis: (n * q, ...) -> (n, ...).
 
-    For q a power of two the sum is a pairwise tree: the sum over a cell is
-    bit for bit the sum of its two half-cell sums, so dyadic coarsening
+    q must be a power of two. The sum is a pairwise tree: the sum over a cell
+    is bit for bit the sum of its two half-cell sums, so dyadic coarsening
     telescopes exactly across every level, and folding level by level gives
     the bits of folding at once.
     """
-    n, *rest = increments.shape
-    if q & (q - 1):
-        return increments.reshape(n // q, q, *rest).sum(axis=1)
+    if q < 1 or q & (q - 1):
+        raise ValueError(f"fold ratio must be a power of two, got {q}")
+    rest = increments.shape[1:]
     while q > 1:
         increments = increments.reshape(-1, 2, *rest).sum(axis=1)
         q //= 2

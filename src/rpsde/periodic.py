@@ -13,7 +13,7 @@ one time-first draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class PullbackResult:
     sample_times: np.ndarray
     states: np.ndarray  # trajectory of path 0 over sample_times
     final_ensemble: np.ndarray  # (ensemble, d) states at t_eval
-    gap_history: list = field(default_factory=list)
+    gap_history: list
 
 
 def pullback_paths(
@@ -68,6 +68,7 @@ def pullback_paths(
     n_steps = grid_steps(horizon, dt, "horizon") - first
     if n_steps < 0:
         raise ValueError(f"horizon {horizon} precedes the start -k*period = {-k * problem.period}")
+    grid_steps(n_steps * dt, dt, "horizon + k*period")  # the whole run: fewer than 2^62 steps
     starts = np.asarray(initial_values, dtype=float).reshape(len(initial_values), -1)
     batch, m = len(starts) * ensemble, problem.noise_dim
     cells = ensemble_increments(seed, range(ensemble), first, n_steps, m, dt)

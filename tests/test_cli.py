@@ -23,7 +23,7 @@ def read_csv(path):
 
 # a value each key's reader rejects: 1.5 for an integer, abc for a number or a list; a
 # tuple gives more than one, and 6;7 is a list whose separator is not a comma
-_SCHEME_BAD = {"theta": "abc", "dt": "abc", "newton_tol": "abc", "newton_max_iter": "1.5"}
+_SCHEME_BAD = {"theta": "abc", "dt": "abc", "newton_tol": "abc"}
 MALFORMED = {
     "simulate": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "horizon": "abc",
                  "initial_values": "abc"},
@@ -50,8 +50,8 @@ class TestConfig:
             ("simulate", ["--set", "ensembel=5"]),  # mistyped key
             ("converge", ["--set", "dt=0.1"]),  # a key converge does not read
             ("simulate", ["--set", "model.bogus=1"]),  # unknown model parameter
-            # Newton cannot reach 1e-14 in one iteration
-            ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
+            # Newton stalls at a residual of 256 from 1e10
+            ("simulate", ["--set", "initial_values=1e10", "--set", "k=1"]),
             # the cubic model has period 2: -10,-9 ends within the first period
             ("periodicity", ["--set", "k=5", "--set", "window=-10,-9"]),
             ("periodicity", ["--set", "window=-2,-4"]),
@@ -159,8 +159,10 @@ class TestConfig:
             # k is checked before the window that it places
             ("periodicity", ["--set", "k=0"], "error: k must be >= 1, got 0\n"),
             ("periodicity", ["--set", "k=-1"], "error: k must be >= 1, got -1\n"),
+            # Newton's iteration cap is a constant, not a key
             ("simulate", ["--set", "newton_max_iter=0"],
-             "error: newton_max_iter must be >= 1, got 0\n"),
+             "error: unknown key newton_max_iter for simulate; accepted: dt, horizon, "
+             "initial_values, k, model, newton_tol, seed, theta, model.<param>\n"),
             ("converge", ["--set", "newton_tol=0"],
              "error: newton_tol must be in (0, inf), got 0.0\n"),
             # step counts that once overflowed round(), np.empty or the block loop
@@ -180,6 +182,11 @@ class TestConfig:
              "a run takes fewer than 2^62\n"),
             ("converge", ["--set", "levels=6;7"],
              "error: levels must be integers separated by commas, got '6;7'\n"),
+            # each end is within 2^62 steps, the whole run is not
+            ("simulate", ["--set", "dt=0.5", "--set", "horizon=2e18",
+                          "--set", "k=1000000000000000000"],
+             "error: horizon + k*period = 4e+18 spans 8e+18 steps of 0.5; "
+             "a run takes fewer than 2^62\n"),
         ],
         ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
              "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -197,7 +204,8 @@ class TestConfig:
              "periodicity-negative-k", "simulate-zero-newton-max-iter",
              "converge-zero-newton-tol", "simulate-infinite-steps", "simulate-huge-horizon",
              "pullback-huge-t-eval",
-             "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon"],
+             "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon",
+             "simulate-huge-run"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -240,7 +248,7 @@ class TestConfig:
             ("converge", ["--set", "levels=6"]),
             ("periodicity", ["--set", "window=-2,-4"]),
             ("periodicity", ["--set", "xi=0.1,0.2"]),
-            ("simulate", ["--set", "newton_max_iter=1", "--set", "newton_tol=1e-14"]),
+            ("simulate", ["--set", "initial_values=1e10", "--set", "k=1"]),
             ("converge", ["--set", "levels=1,2", "--set", "reference_level=24"]),
             # a seed outside [0, 2^64) once aliased another modulo 2^64
             ("simulate", ["--seed", "-1"]),

@@ -127,6 +127,11 @@ class TestCoarsening:
         # summation order differs between the tree fold and np.sum
         assert total == pytest.approx(g.sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("q", [3, 6, 0])
+    def test_fold_ratio_must_be_a_power_of_two(self, q):
+        with pytest.raises(ValueError, match=f"^fold ratio must be a power of two, got {q}$"):
+            tree_fold(np.zeros((12, 1)), q)
+
     def test_telescoping_all_levels(self):
         g = path_increments(17, 0, 0, 256, 1, 2.0**-8, 8)
         for c in range(0, 8):
