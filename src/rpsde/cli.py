@@ -25,7 +25,6 @@ from .analysis import ms_error, numerical_contraction_test
 from .integrator import NewtonError, ThetaScheme
 from .models import catalog_entry
 from .periodic import (
-    PullbackError,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
@@ -182,20 +181,20 @@ def run_simulate(s: argparse.Namespace, out: Path) -> bool:
 
 
 def run_pullback(s: argparse.Namespace, out: Path) -> bool:
-    try:
-        result = pullback_converge(**vars(s))
-    except PullbackError as exc:
-        print(f"pullback: FAILED ({exc})", file=sys.stderr)
-        return False
+    result = pullback_converge(**vars(s))
     rows = np.column_stack([result.sample_times, result.states[:, 0]]).tolist()
-    # failure raises PullbackError above, so a written result converged
-    rows += [["k_used", result.k_used], ["l2_gap", result.l2_gap], ["converged", 1]]
+    converged = 1 if result.converged else 0
+    rows += [["k_used", result.k_used], ["l2_gap", result.l2_gap], ["converged", converged]]
     _write_csv(out / "pullback.csv", ["t", "x"], rows)
     # gap_history[i] compares depth i + 2 with depth i + 1
     _write_csv(out / "pullback_gaps.csv", ["k", "l2_gap"], enumerate(result.gap_history, start=2))
     _write_plot_script(out, "pullback.gp", ["plot 'pullback.csv' using 1:2 with lines"])
-    print(f"pullback: converged k={result.k_used} gap={result.l2_gap:.3g}")
-    return True
+    if result.converged:
+        print(f"pullback: converged k={result.k_used} gap={result.l2_gap:.3g}")
+    else:
+        gap = f"pull-back gap {result.l2_gap:g} above tolerance {s.tolerance:g}"
+        print(f"pullback: FAILED ({gap} after k_max={s.k_max})", file=sys.stderr)
+    return result.converged
 
 
 def run_periodicity(s: argparse.Namespace, out: Path) -> bool:

@@ -4,11 +4,12 @@ The random periodic state at time t is obtained as the L2 limit of runs
 started ever further in the past: simulate from -k*tau with the same noise
 for consecutive k (nested windows, key-deterministic increments) and stop
 when consecutive runs agree to tolerance. Two complementary periodicity
-checks compare paths under the Wiener shift by one period. Every window is
-counted in whole cells of the stepsize: the period is steps_per_tau cells,
--k*tau is cell -k*steps_per_tau, the grid step a run from there starts at,
-and the Wiener shift by one period is an offset of steps_per_tau cells into
-one time-first draw.
+checks compare paths under the Wiener shift by one period, over the pairs
+whose later sample lies BURN_IN_PERIODS periods after its run's start. Every
+window is counted in whole cells of the stepsize: the period is steps_per_tau
+cells, -k*tau is cell -k*steps_per_tau, the grid step a run from there starts
+at, and the Wiener shift by one period is an offset of steps_per_tau cells
+into one time-first draw.
 """
 
 from __future__ import annotations
@@ -24,22 +25,17 @@ from .noise import ensemble_increments, grid_steps
 __all__ = [
     "PullbackResult",
     "PeriodicityReport",
-    "PullbackError",
     "pullback_paths",
     "pullback_converge",
     "periodicity_check_shifted",
     "periodicity_check_pullback",
 ]
 
-# pass/fail suprema exclude the first two periods after the start; pull-back
-# trajectories coincide only after a short transient
+# both periodicity checks judge only the pairs whose later sample lies this many
+# periods after the run's start: the runs coincide only after a transient
 BURN_IN_PERIODS = 2
 # both periodicity checks pass iff their supremum is at most THRESHOLD
 THRESHOLD = 1e-2
-
-
-class PullbackError(RuntimeError):
-    """Pull-back iteration exhausted k_max without meeting the tolerance."""
 
 
 @dataclass
@@ -50,6 +46,7 @@ class PullbackResult:
     states: np.ndarray  # trajectory of path 0 over sample_times
     final_ensemble: np.ndarray  # (ensemble, d) states at t_eval
     gap_history: list
+    converged: bool  # l2_gap <= tolerance; otherwise the depths ran out at k_max
 
 
 def pullback_paths(
@@ -88,7 +85,7 @@ def pullback_converge(
     ensemble: int,
     seed: int,
 ) -> PullbackResult:
-    """Increase the pull-back depth k until consecutive runs agree in L2.
+    """Increase the pull-back depth k until consecutive runs agree in L2, or k reaches k_max.
 
     The noise is identical per path across k (windows nested leftward), so
     the Monte-Carlo gap estimate is a paired difference. Each cell depends
@@ -105,10 +102,10 @@ def pullback_converge(
     k*steps_per_tau + n_eval rows as a view. A growth allocates the larger
     buffer, moves the held cells to its end, frees the old one and then
     draws the new periods straight into its front, so cells are copied once
-    per doubling. Each depth keeps only the final states; on acceptance
+    per doubling. Each depth keeps only the final states; at the last depth
     path 0 alone is run again from -k*tau on the same cells to record its
     last period, which equals its row of the batched run because a path's
-    bits do not depend on its batch.
+    bits do not depend on its batch. converged is False if k_max ran out.
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
@@ -153,20 +150,18 @@ def pullback_converge(
             gap_history.append(gap)
         # the first depth has no gap; only an infinite tolerance accepts it
         if gap <= tolerance:
-            n_keep = min(steps_per_tau, n_steps)
-            _, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], buf[lo:, :1])
-            return PullbackResult(
-                k_used=k,
-                l2_gap=gap,
-                sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
-                states=path0[0, -(n_keep + 1) :],
-                final_ensemble=final,
-                gap_history=gap_history,
-            )
+            break
         prev = final
-    raise PullbackError(
-        f"pull-back gap {gap_history[-1] if gap_history else float('nan'):g} "
-        f"above tolerance {tolerance:g} after k_max={k_max}"
+    n_keep = min(steps_per_tau, n_steps)
+    _, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], buf[lo:, :1])
+    return PullbackResult(
+        k_used=k,
+        l2_gap=gap,
+        sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
+        states=path0[0, -(n_keep + 1) :],
+        final_ensemble=final,
+        gap_history=gap_history,
+        converged=gap <= tolerance,
     )
 
 
@@ -192,11 +187,11 @@ def periodicity_check_shifted(
     P2 runs from -k*tau under the noise shifted by -tau and is sampled on the
     window; P1 runs under the base noise and is sampled one period earlier.
     Both run as one batch of two paths. The supremum of |P2(t) - P1(t - tau)|
-    over the window (after the burn-in) is a pull-back gap and contracts
-    geometrically.
+    over the window's t at least BURN_IN_PERIODS periods after -k*tau is a
+    pull-back gap and contracts geometrically.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if k < BURN_IN_PERIODS:
+        raise ValueError(f"k must be >= {BURN_IN_PERIODS}, got {k}")
     tau = problem.period
     dt = scheme.dt
     a, b = window
@@ -208,9 +203,9 @@ def periodicity_check_shifted(
     n_steps = grid_steps(b - start, dt, f"window {window}")
     if i_a < 0 or n_steps > k * shift_cells:
         raise ValueError(f"window {window} must lie in [{start}, 0]")
-    if i_a > n_steps or n_steps < shift_cells:
+    if i_a > n_steps or n_steps < BURN_IN_PERIODS * shift_cells:
         raise ValueError(
-            f"window {window} must satisfy a <= b and end at least one period "
+            f"window {window} must satisfy a <= b and end at least {BURN_IN_PERIODS} periods "
             f"after -k*tau = {start}"
         )
     # P1 reads the cells from start, P2 one period earlier, as one batch of two
@@ -226,8 +221,7 @@ def periodicity_check_shifted(
     p2_vals = p2[idx]
     p1_vals = p1[idx - shift_cells]
     gaps = np.linalg.norm(p2_vals - p1_vals, axis=-1)
-    settled = gaps[max(0, BURN_IN_PERIODS * shift_cells - idx[0]) :]
-    sup = float((settled if settled.size else gaps).max())
+    sup = float(gaps[idx >= BURN_IN_PERIODS * shift_cells].max())
     return PeriodicityReport(
         times=times[idx],
         reference=p1_vals,
@@ -255,17 +249,17 @@ def periodicity_check_pullback(
 
     The curve is pathwise periodic with period tau up to a geometrically
     decaying transient. Reports the curve and its discrete period deviation
-    max_t |curve(t+tau) - curve(t)| after one period.
+    max |curve(t+tau) - curve(t)| over t + tau >= BURN_IN_PERIODS*tau.
     """
     tau = problem.period
     dt = scheme.dt
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     shift_cells = grid_steps(tau, dt, "period")
-    if horizon < 0.0:
-        raise ValueError("horizon must be >= 0")
     n_total = grid_steps(horizon, dt, "horizon")
     if n_total % shift_cells:
         raise ValueError("horizon must be a multiple of the period")
+    if n_total < BURN_IN_PERIODS * shift_cells:
+        raise ValueError(f"horizon must be at least {BURN_IN_PERIODS} periods, got {horizon}")
     # the one path's cells of (-horizon, 0), (n_total, m)
     cells = ensemble_increments(seed, range(1), -n_total, n_total, problem.noise_dim, dt)[:, 0]
     curve = np.repeat(x0[None, :], n_total + 1, axis=0)
@@ -275,8 +269,7 @@ def periodicity_check_pullback(
         _, x, _ = simulate_ensemble(problem, scheme, i, x, incs, record=False)
         curve[i + 1], x = x[0], x[1:]
     dev = np.linalg.norm(curve[shift_cells:] - curve[:-shift_cells], axis=-1)
-    after = dev[shift_cells:]
-    sup = float((after if after.size else dev).max(initial=0.0))
+    sup = float(dev[(BURN_IN_PERIODS - 1) * shift_cells :].max())  # dev[i] ends at i + shift_cells
     return PeriodicityReport(
         times=dt * np.arange(n_total + 1), reference=curve, sup_gap=sup, passed=sup <= THRESHOLD
     )

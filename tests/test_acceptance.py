@@ -6,11 +6,12 @@ Run with `pytest -s tests/test_acceptance.py` to see the summary lines.
 import math
 
 import numpy as np
+import pytest
 
-from rpsde.analysis import contraction_constant, ms_error, numerical_contraction_test
+from rpsde.analysis import contraction_constant, fit_slope, ms_error, numerical_contraction_test
 from rpsde.cli import main as cli_main
 from rpsde.integrator import ThetaScheme, simulate_ensemble
-from rpsde.models import build_cubic_model, build_additive_model
+from rpsde.models import build_cubic_model, catalog_entry
 from rpsde.noise import ensemble_increments, tree_fold
 from rpsde.periodic import periodicity_check_pullback, periodicity_check_shifted
 from test_analysis import moment_monitor
@@ -45,20 +46,87 @@ def test_1_multiplicative_convergence_order():
     assert ok
 
 
-def test_2_additive_convergence_order():
-    prob = build_additive_model()
-    slopes = {}
-    for theta in (0.75, 1.0):
-        rep = ms_error(
-            prob, theta, LEVELS, REF_LEVEL, ENSEMBLE, *WINDOW, seed=SEED, xi=[0.6]
-        )
-        slopes[theta] = rep.fitted_slope
+@pytest.fixture(scope="module")
+def affine_report():
+    """ms_error of a catalog model at the reproduce settings, each (model, theta) run once."""
+    reports = {}
+
+    def report(name, theta):
+        if (name, theta) not in reports:
+            reports[name, theta] = ms_error(
+                catalog_entry(name).problem, theta, LEVELS, REF_LEVEL, ENSEMBLE, *WINDOW,
+                seed=SEED, xi=[0.6],
+            )
+        return reports[name, theta]
+
+    return report
+
+
+def test_2_additive_convergence_order(affine_report):
+    slopes = {theta: affine_report("additive_sine", theta).fitted_slope for theta in (0.75, 1.0)}
     ok = all(0.85 <= s <= 1.15 for s in slopes.values())
     _report(
         "2 additive convergence order",
         ok,
         f"slope(0.75)={slopes[0.75]:.4f}, slope(1.0)={slopes[1.0]:.4f}, band [0.85, 1.15]",
     )
+    assert ok
+
+
+def exact_rms(problem, theta, levels, reference_level, t_start, t_end, xi):
+    """The rms error that ms_error estimates, exactly, for an affine model with one noise.
+
+    One step is x_{j+1} = a x_j + b_j + s dW_j with a = (1 - (1 - theta) lam h) /
+    (1 + theta lam h) and s = sigma / (1 + theta lam h), so X_h(t_end) - X_ref(t_end)
+    is d + sum_i w_i dW_i over the fine cells: d is the difference of the zero-noise
+    runs, and fine cell i in coarse cell j weighs s_h a_h^(N_h-1-j) - s_ref a_ref^(N_ref-1-i).
+    Hence E|X_h - X_ref|^2 = d^2 + h_ref sum_i w_i^2, with no sampling.
+    """
+    lam = float(problem.linear_matrix[0, 0])
+    sigma = float(problem.diffusion(0.0, np.zeros((1, 1)))[0, 0, 0])
+
+    def run(level):
+        """The zero-noise final state, a, s and the step count at stepsize 2^-level."""
+        h = 2.0**-level
+        n = round((t_end - t_start) / h)
+        _, final, _ = simulate_ensemble(
+            problem, ThetaScheme(theta, h), round(t_start / h), np.array([[xi]]),
+            np.zeros((n, 1, 1)), record=False,
+        )
+        a = (1.0 - (1.0 - theta) * lam * h) / (1.0 + theta * lam * h)
+        return float(final[0, 0]), a, sigma / (1.0 + theta * lam * h), n
+
+    x_ref, a_ref, s_ref, n_ref = run(reference_level)
+    i = np.arange(n_ref)
+    w_ref = s_ref * a_ref ** (n_ref - 1 - i)
+    out = []
+    for level in levels:
+        x_h, a, s, n = run(level)
+        w = s * a ** (n - 1 - i // (n_ref // n)) - w_ref
+        out.append(math.sqrt((x_h - x_ref) ** 2 + 2.0**-reference_level * np.sum(w * w)))
+    return np.array(out)
+
+
+AFFINE = [(name, theta) for name in ("additive_sine", "linear_ou") for theta in (0.75, 1.0)]
+
+
+@pytest.mark.parametrize("name, theta", AFFINE)
+def test_exact_affine_slope_in_band(name, theta):
+    # test_2's band holds for the exact errors, not only for one seed's estimate
+    exact = exact_rms(catalog_entry(name).problem, theta, LEVELS, REF_LEVEL, *WINDOW, 0.6)
+    slope, _ = fit_slope([2.0**-lvl for lvl in LEVELS], exact)
+    assert 0.85 <= slope <= 1.15
+
+
+@pytest.mark.parametrize("name, theta", AFFINE)
+def test_affine_rms_within_three_stderrs_of_exact(affine_report, name, theta):
+    # the bound was fixed before the test first ran; the levels share paths, so their
+    # z-scores are correlated (all five negative for additive_sine at theta = 1)
+    rep = affine_report(name, theta)
+    exact = exact_rms(catalog_entry(name).problem, theta, LEVELS, REF_LEVEL, *WINDOW, 0.6)
+    z = (rep.rms_errors - exact) / rep.stderrs
+    ok = bool(np.abs(z).max() <= 3.0)
+    _report(f"exact oracle {name} theta={theta}", ok, f"z-scores {np.round(z, 2).tolist()}")
     assert ok
 
 

@@ -89,6 +89,7 @@ class TestConfig:
             ("periodicity", ["--set", "horizon=3"]),  # not a multiple of the period 2
             ("converge", ["--set", "t_start=1", "--set", "t_end=1"]),
             ("simulate", ["--set", "horizon=-20"]),  # before the start -k*period = -10
+            ("periodicity", ["--set", "horizon=0"]),  # shorter than the burn-in
         ],
         ids=["mistyped-key", "converge-dt", "model-param", "newton-failure",
              "window-first-period", "window-reversed", "negative-horizon",
@@ -103,7 +104,7 @@ class TestConfig:
              "unknown-key-threshold-negative", "level-removed", "converge-level-zero",
              "converge-reference-above-30", "pullback-zero-k-max",
              "periodicity-horizon-off-period", "converge-empty-window",
-             "simulate-horizon-before-start"],
+             "simulate-horizon-before-start", "periodicity-zero-horizon"],
     )
     def test_bad_input_one_line_exit_code(self, tmp_path, capsys, command, bad):
         rc = main([command, "--out", str(tmp_path), *bad])
@@ -157,8 +158,11 @@ class TestConfig:
             ("periodicity", ["--set", "x0=nan"], "x0 must be"),
             ("simulate", ["--seed", "-1"], "error: seed must be in [0, 2^64), got -1\n"),
             # k is checked before the window that it places
-            ("periodicity", ["--set", "k=0"], "error: k must be >= 1, got 0\n"),
-            ("periodicity", ["--set", "k=-1"], "error: k must be >= 1, got -1\n"),
+            ("periodicity", ["--set", "k=0"], "error: k must be >= 2, got 0\n"),
+            ("periodicity", ["--set", "k=-1"], "error: k must be >= 2, got -1\n"),
+            # no pair of the pull-back curve ends past the burn-in of 2 periods
+            ("periodicity", ["--set", "horizon=0"],
+             "error: horizon must be at least 2 periods, got 0.0\n"),
             # Newton's iteration cap is a constant, not a key
             ("simulate", ["--set", "newton_max_iter=0"],
              "error: unknown key newton_max_iter for simulate; accepted: dt, horizon, "
@@ -201,7 +205,8 @@ class TestConfig:
              "model-nan-a", "simulate-zero-steps-off-grid", "simulate-horizon-off-grid",
              "simulate-nan-initial-values", "pullback-nan-xi", "contraction-inf-eta",
              "periodicity-nan-x0", "seed-negative", "periodicity-zero-k",
-             "periodicity-negative-k", "simulate-zero-newton-max-iter",
+             "periodicity-negative-k", "periodicity-zero-horizon",
+             "simulate-zero-newton-max-iter",
              "converge-zero-newton-tol", "simulate-infinite-steps", "simulate-huge-horizon",
              "pullback-huge-t-eval",
              "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon",
@@ -378,6 +383,22 @@ class TestPullback:
         )
         assert rc == 1
 
+    def test_failure_writes_its_gaps(self, tmp_path):
+        # the run of test_failure_exit_code keeps the gap history that shows why it failed
+        rc = main(
+            ["pullback", "--out", str(tmp_path), "--set", "model=linear_ou",
+             "--set", "model.lam=0.01", "--set", "model.sigma=0",
+             "--set", "dt=0.25", "--set", "ensemble=4", "--set", "k_max=2",
+             "--set", "tolerance=1e-12", "--set", "xi=1.0"]
+        )
+        assert rc == 1
+        footer = read_csv(tmp_path / "pullback.csv")[-3:]
+        assert [row[0] for row in footer] == ["k_used", "l2_gap", "converged"]
+        assert footer[0][1] == "2" and footer[2][1] == "0"
+        # the one gap, depth 2 against depth 1, is the reported one
+        assert read_csv(tmp_path / "pullback_gaps.csv") == [["k", "l2_gap"], ["2", footer[1][1]]]
+        assert float(footer[1][1]) > 1e-12
+
 
 class TestPeriodicity:
     def test_cubic_defaults(self, tmp_path):
@@ -551,6 +572,10 @@ PINNED = {
         1,
         {
             "manifest.txt": "35f2a4ec6245c36109c0f073c0dffb385e6d74fe9c51faaa81896f707fe29767",
+            # written whatever the outcome; pullback.csv ends converged,0
+            "pullback.csv": "3a10745bfd158e91b7907babca7f7b03ba3b8daa1763caffb6ad1f0388334fb8",
+            "pullback.gp": "e4116019cfe8c25fbeda931334ac853e7b99e163b7f12dd5bc7cdaf3d8352348",
+            "pullback_gaps.csv": "8ff0e7df1dca92a8348450da1fbc55175bf3414771791f67de40e35945fb031c",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "<stderr>": "003e514b993ede15fa29c7645f4f062f5edc6c55c524a1a277d2a6c6a1ba3c5f",
         },
@@ -591,18 +616,6 @@ PINNED = {
             "trajectories.csv": "de36f7242393173ca5d1f3b4f6eb3be854ac4d45be7a3cd49d8aa7c04192863d",
             "trajectories.gp": "b9ffcfa099fc4ef3917c5de4fe96295363d2fd87394d194e3b18bc23f0e0687f",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        },
-    ),
-    "periodicity-zero-horizon": (
-        ["periodicity", "--set", "horizon=0"],
-        0,
-        {
-            "manifest.txt": "3773e5334b79d424c4d8c870aa70481dd5e3a5fbcd3be97c38a6d14ba19fcacd",
-            "periodicity.gp": "4f8bb225f8d69fb8a2881409a093505360a273132185c13b894022733f0e0f3b",
-            "periodicity_pullback.csv": "176357477b09206f11bc356cc5d7502a9b92ae0928578b83a43e35242db5f069",
-            "periodicity_shifted.csv": "28d3770044b3f7b0a47917e91e7c372c3a12069a6e98c080fc889d48c97e16f8",
-            "<stdout>": "a031e1f61826bf3cddb4b31aa621d377f39ef0669ac1ee0d7f9b9105f90f4f88",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
     ),

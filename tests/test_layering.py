@@ -16,7 +16,9 @@ draws noise nor steps paths: it imports nothing from `noise` and not
 name is used inside the package, and every field of a result type is read
 there: a name that only the tests call belongs in the tests. Every exception
 class the package defines is caught by name in it; bad input is a ValueError.
-The one loop over time steps is in `integrator.simulate_ensemble`, and it
+Both periodicity checks read the one burn-in rule, `periodic.BURN_IN_PERIODS`,
+and `periodic` reports a failed check as a result, never as an exception. The
+one loop over time steps is in `integrator.simulate_ensemble`, and it
 calls `_Kernel.step` for every problem.
 """
 
@@ -241,6 +243,23 @@ def test_every_error_class_is_caught_by_name_in_the_package():
     assert defined, "no exception class found"
     uncaught = [f"{m}.{name}" for m, name in defined if name not in caught]
     assert not uncaught, f"exception classes that no except clause in rpsde names: {uncaught}"
+
+
+def test_one_burn_in_rule_and_no_error_class_in_periodic():
+    tree = ast.parse((SRC / "periodic.py").read_text())
+    checks = {
+        node.name: node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("periodicity_check_")
+    }
+    assert set(checks) == {"periodicity_check_shifted", "periodicity_check_pullback"}
+    forked = [name for name, fn in checks.items() if not is_read(fn, "BURN_IN_PERIODS")]
+    assert not forked, f"periodicity checks that do not read BURN_IN_PERIODS: {forked}"
+    classes = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(ast.unparse(base).endswith(("Error", "Exception")) for base in node.bases)
+    ]
+    assert not classes, f"periodic defines exception classes {classes}; return a result"
 
 
 # the result types whose every field some part of the package reads

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -10,7 +9,7 @@ from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import SdeProblem, build_cubic_model, build_linear_model, catalog_entry
 from rpsde.noise import ensemble_increments
 from rpsde.periodic import (
-    PullbackError,
+    BURN_IN_PERIODS,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
@@ -136,11 +135,11 @@ class TestPullbackConverge:
     def test_k_max_exceeded(self):
         prob = build_linear_model(0.01, 0.0)  # very slow contraction
         sch = ThetaScheme(theta=1.0, dt=0.25)
-        with pytest.raises(PullbackError) as exc:
-            pullback_converge(prob, sch, 0.0, [1.0], 1e-12, 2, 4, seed=0)
-        message = re.fullmatch(r"pull-back gap (\S+) above tolerance 1e-12 after k_max=2",
-                               str(exc.value))
-        assert np.isfinite(float(message.group(1)))
+        res = pullback_converge(prob, sch, 0.0, [1.0], 1e-12, 2, 4, seed=0)
+        # a failure is a result at the last depth run, with its gap
+        assert not res.converged
+        assert res.k_used == 2
+        assert res.l2_gap == res.gap_history[-1] and np.isfinite(res.l2_gap)
 
     def test_gap_history_monotone_trend(self):
         # slow contraction so the history has several entries before the
@@ -180,7 +179,7 @@ class TestPullbackConverge:
 
     @staticmethod
     def drawn_cells(monkeypatch, tolerance, k_max):
-        """The result (None after PullbackError) and the sorted windows drawn, in cells."""
+        """The result and the sorted windows drawn, in cells."""
         windows = []
 
         def recording(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level=None, out=None):
@@ -192,11 +191,8 @@ class TestPullbackConverge:
         monkeypatch.setattr("rpsde.periodic.ensemble_increments", recording)
         prob = build_linear_model(1.0, 0.3)
         dt = 0.05
-        try:
-            res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=dt), 0.35, [0.6], tolerance,
-                                    k_max, 30, 1)
-        except PullbackError:
-            res = None
+        res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=dt), 0.35, [0.6], tolerance,
+                                k_max, 30, 1)
         cells = sorted(windows)
         # adjacent and never overlapping, the first ending at t_eval
         assert cells[-1][1] == round(0.35 / dt)
@@ -216,8 +212,10 @@ class TestPullbackConverge:
     )
     def test_draws_double_the_depth(self, monkeypatch, tolerance, k_max, depths):
         res, drawn = self.drawn_cells(monkeypatch, tolerance, k_max)
-        if res is None:
-            assert k_max == 3  # runs out of depths; nothing before -k_max*tau is drawn
+        if not res.converged:
+            # runs out of depths; nothing before -k_max*tau is drawn
+            assert k_max == 3
+            assert res.k_used == k_max and res.l2_gap == res.gap_history[-1]
         else:
             assert 5 <= res.k_used <= 8
         assert drawn == depths
@@ -343,20 +341,26 @@ class TestPeriodicityShifted:
         assert np.array_equal(rep.shifted, p2[0, idx])
 
     @pytest.mark.parametrize(
-        "window, match",
+        "k, window, match",
         [
-            ((-10.0, -9.0), "a <= b and end at least one period"),  # shorter than tau
-            ((-2.0, -4.0), "a <= b and end at least one period"),  # reversed
-            ((-3.95, 0.0), "grid-aligned"),
-            ((-12.0, 0.0), "must lie in"),
+            (5, (-10.0, -9.0), "a <= b and end at least 2 periods"),  # shorter than tau
+            (5, (-2.0, -4.0), "a <= b and end at least 2 periods"),  # reversed
+            # ends 1.5 periods after -k*tau, so no pair lies past the burn-in
+            (5, (-10.0, -7.0), "a <= b and end at least 2 periods"),
+            (5, (-3.95, 0.0), "grid-aligned"),
+            (5, (-12.0, 0.0), "must lie in"),
+            # the window lies in [-k*tau, 0], so k = 1 leaves no pair past the burn-in
+            # whatever the window: the message names k
+            (1, (-2.0, 0.0), f"k must be >= {BURN_IN_PERIODS}, got 1"),
         ],
-        ids=["within-first-period", "reversed", "misaligned", "before-start"],
+        ids=["within-first-period", "reversed", "within-burn-in", "misaligned", "before-start",
+             "k-within-burn-in"],
     )
-    def test_bad_window_rejected(self, window, match):
+    def test_bad_window_rejected(self, k, window, match):
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=1.0, dt=0.1)
         with pytest.raises(ValueError, match=match):
-            periodicity_check_shifted(prob, sch, k=5, xi=[0.6], window=window, seed=3)
+            periodicity_check_shifted(prob, sch, k=k, xi=[0.6], window=window, seed=3)
 
 
 class TestPeriodicityPullback:
@@ -399,18 +403,18 @@ class TestPeriodicityPullback:
             periodicity_check_pullback(prob, sch, [0.6], 0.5, seed=0)
 
     def test_zero_horizon_degenerate(self):
+        # at 0 and at one period no pair of the curve ends past the burn-in
         prob = build_linear_model(1.0, 0.1)
         sch = ThetaScheme(theta=1.0, dt=0.25)
-        rep = periodicity_check_pullback(prob, sch, [0.5], 0.0, seed=0)
-        # the curve is its starting point alone, with nothing to deviate
-        assert rep.sup_gap == 0.0
-        assert rep.passed
-        assert rep.times.tolist() == [0.0] and rep.reference.tolist() == [[0.5]]
+        for horizon in (0.0, prob.period):
+            message = f"horizon must be at least 2 periods, got {horizon}"
+            with pytest.raises(ValueError, match=message):
+                periodicity_check_pullback(prob, sch, [0.5], horizon, seed=0)
 
     def test_negative_horizon_rejected(self):
         prob = build_linear_model(1.0, 0.1)
         sch = ThetaScheme(theta=1.0, dt=0.25)
-        with pytest.raises(ValueError, match="horizon must be >= 0"):
+        with pytest.raises(ValueError, match="horizon must be at least 2 periods, got -2.0"):
             periodicity_check_pullback(prob, sch, [0.5], -2.0, seed=0)
 
     @pytest.mark.parametrize(
