@@ -4,12 +4,15 @@ The strong error is measured against a fine reference path computed with the
 same theta scheme on the same Brownian path: coarse-grid increments are the
 pairwise tree sums (`noise.tree_fold`) of the fine-grid increments, so every
 coarse run is coupled to the reference pathwise. The levels stream through
-the time window together, in blocks of a bounded number of fine values.
+the time window in blocks of a bounded number of fine values, the reference
+in a forked process beside the others where two CPUs are available.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,9 +116,13 @@ def ms_error(
     coarsest cell of q = 2^(reference_level - min(levels)) fine cells, and
     the working set is that block, its first fold (half as large again) and
     the noise draw's three chunk arrays (2^16 words each, or one path's
-    cells where that is more). Errors are pathwise differences at the final
-    time: against the reference, and between consecutive levels
-    (`level_diffs`). A failed Newton solve aborts the experiment; paths are
+    cells where that is more). With two CPUs or more in os.sched_getaffinity,
+    the reference, which takes more steps than all other levels together,
+    steps in a forked child on draws of its own, with the same bits; the
+    memory bound holds per process. Errors are pathwise differences at the
+    final time: against the reference, and between consecutive levels
+    (`level_diffs`). A failure (a Newton solve, an allocation) aborts the
+    experiment, the one that one loop over all levels meets first; paths are
     never dropped.
     """
     levels = sorted(levels)
@@ -138,23 +145,22 @@ def ms_error(
     if n_coarse <= 0:
         raise ValueError("t_start must precede t_end")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    m = problem.noise_dim
-    ref, h = reference_level, 2.0**-reference_level
+    ref = reference_level
     q = 1 << (ref - levels[0])  # fine cells per coarsest cell
-    block = max(q, _BLOCK_VALUES // (ensemble * m) // q * q)
+    block = max(q, _BLOCK_VALUES // (ensemble * problem.noise_dim) // q * q)
     schemes = {lvl: ThetaScheme(theta, 2.0**-lvl, newton_tol) for lvl in levels + [ref]}
-    states = dict.fromkeys(schemes, np.broadcast_to(xi, (ensemble, xi.size)))
-    c_end = (first + n_coarse) * q
-    for c in range(first * q, c_end, block):
-        n = min(block, c_end - c)
-        incs = ensemble_increments(seed, range(ensemble), c, n, m, h, fine_level=ref)
-        for lvl in range(ref, levels[0] - 1, -1):
-            if lvl < ref:
-                incs = tree_fold(incs, 2)
-            if lvl in schemes:
-                _, states[lvl], _ = simulate_ensemble(
-                    problem, schemes[lvl], c >> (ref - lvl), states[lvl], incs, record=False
-                )
+    x0 = np.broadcast_to(xi, (ensemble, xi.size))
+    args = (problem, schemes, ref, x0, range(first * q, (first + n_coarse) * q), block, seed)
+    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+        coarse = [lvl for lvl in levels if lvl != ref]
+        results = _beside_child(_run_levels, (*args, [ref]), (*args, coarse))
+    else:
+        results = [_run_levels(*args, sorted(schemes))]
+    # one loop over all levels meets the earliest block's failure first, the reference's on a tie
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    states = {lvl: x for done, _ in results for lvl, x in done.items()}
     finals = [states[lvl] for lvl in levels]
     rms, stderrs = _rms_gaps(finals, [states[ref]] * len(levels))
     diffs = _rms_gaps(finals[1:], finals[:-1])[0]
@@ -172,6 +178,59 @@ def ms_error(
         intercept=intercept,
         levels=list(levels),
     )
+
+
+def _run_levels(problem, schemes, ref, x0, cells, block, seed, group):
+    """Step group's levels through cells, each block drawn at ref and folded down to them.
+
+    Returns ({level: final states}, None), or (None, (c, exception)) at the
+    first failure, in the block that starts at cell c.
+    """
+    states = dict.fromkeys(group, x0)
+    for c in range(cells.start, cells.stop, block):
+        n = min(block, cells.stop - c)
+        try:
+            incs = ensemble_increments(
+                seed, range(len(x0)), c, n, problem.noise_dim, 2.0**-ref, fine_level=ref
+            )
+            for lvl in range(ref, min(group) - 1, -1):
+                incs = incs if lvl == ref else tree_fold(incs, 2)
+                if lvl in group:
+                    _, states[lvl], _ = simulate_ensemble(
+                        problem, schemes[lvl], c >> (ref - lvl), states[lvl], incs, record=False
+                    )
+        except Exception as exc:
+            return None, (c, exc)
+    return states, None
+
+
+def _beside_child(fn, child_args, args):
+    """[fn(*child_args), fn(*args)], the first run at the same time in a forked child.
+
+    The child sends its result through a pipe and leaves by os._exit, flushing
+    no buffer it inherited. It is reaped before this returns or raises, and
+    killed first if this raises before its result arrived.
+    """
+    from multiprocessing import Pipe  # here, so that a run without a fork does not load it
+
+    reader, writer = Pipe(duplex=False)
+    if (pid := os.fork()) == 0:
+        try:
+            writer.send(fn(*child_args))
+        finally:
+            os._exit(0)
+    writer.close()
+    try:
+        mine = fn(*args)
+        return [reader.recv(), mine]
+    except EOFError:
+        raise ChildProcessError("the forked process of ms_error ended without a result") from None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        reader.close()
+        os.waitpid(pid, 0)
 
 
 def _rms_gaps(xs, ys):

@@ -111,6 +111,8 @@ def pullback_converge(
         raise ValueError("tolerance must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if k_max < 2 and tolerance < float("inf"):
+        raise ValueError(f"k_max must be >= 2 for a finite tolerance, got {k_max}")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
     tau = problem.period

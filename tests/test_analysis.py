@@ -1,6 +1,11 @@
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from rpsde.analysis import (
     ms_error,
     numerical_contraction_test,
 )
-from rpsde.integrator import ThetaScheme, simulate_ensemble
+from rpsde.integrator import NewtonError, ThetaScheme, simulate_ensemble
 from rpsde.models import (
     build_additive_model,
     build_cubic_model,
@@ -25,6 +30,7 @@ from rpsde.noise import ensemble_increments, grid_steps, tree_fold
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @dataclass
@@ -280,6 +286,169 @@ class TestMsError:
         prob = build_additive_model()
         with pytest.raises(ValueError):
             ms_error(prob, 1.0, [5, 6], 4, 10, 0.0, 1.0, seed=0)
+
+
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def forking(monkeypatch):
+    """Two CPUs, whatever the host has; returns the list of the pids forked."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def failing(problem, theta, fail_after, error=None):
+    """problem whose stage fails at each level of fail_after from stage time t_after on.
+
+    The stage returns NaN rows, or raises error, so the step from t_after - dt
+    fails; the levels tell apart by c = theta*dt.
+    """
+    stage = problem.stage
+
+    def failing_stage(t, c, r):
+        if any(c == theta * 2.0**-lvl and t >= t_after for lvl, t_after in fail_after.items()):
+            if error is not None:
+                raise error
+            return np.full_like(r, np.nan)
+        return stage(t, c, r)
+
+    return replace(problem, stage=failing_stage)
+
+
+class TestForkedReference:
+    """ms_error steps the reference in a forked child when two CPUs are available."""
+
+    @pytest.mark.parametrize(
+        "problem, theta, levels, ref, xi",
+        [
+            (build_cubic_model(**BENCH), 1.0, [3, 4, 6], 8, [0.6]),
+            (build_cubic_model(**BENCH), 0.75, [3, 4, 6], 8, [0.6]),
+            (build_linear_model(1.0, 0.3), 1.0, [3, 4, 6], 8, [1.0]),
+            (build_linear_model(1.0, 0.3), 0.75, [3, 4, 6], 8, [1.0]),
+            (build_cubic_model(**BENCH), 1.0, [3, 4, 6], 6, [0.6]),
+            (coupled_problem(), 1.0, [3, 5], 7, [0.3, -0.2]),
+        ],
+        ids=["cubic-theta1", "cubic-theta0.75", "linear-ou-theta1", "linear-ou-theta0.75",
+             "reference-is-finest", "two-dim"],
+    )
+    def test_same_bits_as_one_process(self, monkeypatch, problem, theta, levels, ref, xi):
+        # blocks of 160 cells of 2^-8 over (-1, 1), as in the streamed-blocks test
+        monkeypatch.setattr(analysis, "_BLOCK_VALUES", 5 * problem.noise_dim * 180)
+        args = (problem, theta, levels, ref, 5, -1.0, 1.0)
+        pids = forking(monkeypatch)
+        split = ms_error(*args, seed=4, xi=xi)
+        assert len(pids) == 1
+        one_cpu(monkeypatch)
+        alone = ms_error(*args, seed=4, xi=xi)
+        for name in ("stepsizes", "rms_errors", "stderrs", "level_diffs"):
+            assert getattr(split, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert np.array([split.fitted_slope, split.intercept]).tobytes() == np.array(
+            [alone.fitted_slope, alone.intercept]
+        ).tobytes()
+        assert split.levels == alone.levels
+
+    @pytest.mark.parametrize(
+        "fail_after, error, at",
+        [
+            ({6: 0.5}, None, "t=0.484375"),
+            ({3: 0.375}, None, "t=0.25"),
+            ({6: 0.5}, MemoryError("no room"), None),
+            ({3: 0.375}, MemoryError("no room"), None),
+            # one loop meets level 3 in the block from 0.25 before level 6 in the block from 0.5
+            ({3: 0.375, 6: 0.75}, None, "t=0.25"),
+            # both in one block, where the loop steps the finer level first, though level 3
+            # (or 2) fails at an earlier time
+            ({3: 0.375, 6: 0.4375}, None, "t=0.421875"),
+            ({2: 0.25, 6: 0.125}, None, "t=0.109375"),
+            ({6: 0.125, 4: 0.5}, None, "t=0.109375"),
+        ],
+        ids=["reference-only", "coarse-only", "reference-memory", "coarse-memory",
+             "coarse-in-earlier-block", "reference-first-in-block", "reference-first-in-block-0",
+             "reference-in-earlier-block"],
+    )
+    def test_failure_as_one_process_meets_it(self, monkeypatch, capfd, fail_after, error, at):
+        # levels 2, 3, 4 against 6 over (0, 1): blocks of 16 cells, a quarter period each
+        monkeypatch.setattr(analysis, "_BLOCK_VALUES", 4 * 16)
+        problem = failing(build_linear_model(1.0, 0.3), 1.0, fail_after, error)
+        args = (problem, 1.0, [2, 3, 4], 6, 4, 0.0, 1.0)
+        raised = []
+        for patch in (forking, one_cpu):
+            patch(monkeypatch)
+            with pytest.raises((NewtonError, MemoryError)) as info:
+                ms_error(*args, seed=0, xi=[1.0])
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        if at is not None:
+            assert raised[0] == (NewtonError, f"non-finite state after step at {at}")
+        else:
+            assert raised[0] == (MemoryError, "no room")
+        assert capfd.readouterr() == ("", "")
+
+    def test_child_killed_without_result(self, monkeypatch):
+        # the reference's stage kills the process that runs it: the child
+        stage, runner = build_linear_model(1.0, 0.3).stage, os.getpid()
+
+        def killing(t, c, r):
+            if c == 2.0**-6:
+                assert os.getpid() != runner, "the reference ran in the test's own process"
+                os.kill(os.getpid(), signal.SIGKILL)
+            return stage(t, c, r)
+
+        problem = replace(build_linear_model(1.0, 0.3), stage=killing)
+        pids = forking(monkeypatch)
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            ms_error(problem, 1.0, [2, 3], 6, 4, 0.0, 1.0, seed=0, xi=[1.0])
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pids[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("interrupt", [False, True], ids=["returns", "interrupted"])
+    def test_output_once_and_child_reaped(self, interrupt):
+        # stdout is a pipe, so block-buffered: "before" is still in the buffer at the fork
+        script = f"""
+import os
+import time
+from dataclasses import replace
+from rpsde.analysis import ms_error
+from rpsde.models import build_linear_model
+
+os.sched_getaffinity = lambda pid: {{0, 1}}
+problem = build_linear_model(1.0, 0.3)
+stage = problem.stage
+
+def interrupting(t, c, r):
+    if {interrupt} and c == 0.25:  # level 2, in the calling process
+        raise KeyboardInterrupt
+    if {interrupt} and c == 2.0**-8:  # the reference, in the child, which must be killed
+        time.sleep(600)
+    return stage(t, c, r)
+
+print("before")
+try:
+    ms_error(replace(problem, stage=interrupting), 1.0, [2, 3], 8, 4, 0.0, 1.0, seed=0)
+except KeyboardInterrupt:
+    print("interrupted")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child")
+"""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+        )
+        expected = "before\n" + ("interrupted\n" if interrupt else "") + "no child\n"
+        assert (done.stdout, done.stderr, done.returncode) == (expected, "", 0)
 
 
 class TestMomentMonitor:

@@ -86,6 +86,7 @@ class TestConfig:
             ("converge", ["--set", "levels=0,1"]),
             ("converge", ["--set", "reference_level=31"]),
             ("pullback", ["--set", "k_max=0"]),
+            ("pullback", ["--set", "k_max=1"]),  # depth 1 has no gap to meet a finite tolerance
             ("periodicity", ["--set", "horizon=3"]),  # not a multiple of the period 2
             ("converge", ["--set", "t_start=1", "--set", "t_end=1"]),
             ("simulate", ["--set", "horizon=-20"]),  # before the start -k*period = -10
@@ -102,7 +103,7 @@ class TestConfig:
              "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
              "window-nan", "model-nan-lam", "model-nan-a", "unknown-key-threshold-nan",
              "unknown-key-threshold-negative", "level-removed", "converge-level-zero",
-             "converge-reference-above-30", "pullback-zero-k-max",
+             "converge-reference-above-30", "pullback-zero-k-max", "pullback-one-k-max",
              "periodicity-horizon-off-period", "converge-empty-window",
              "simulate-horizon-before-start", "periodicity-zero-horizon"],
     )
@@ -431,6 +432,19 @@ class TestConverge:
         assert rows[-2][0] == "slope"
         # the coarsest level has no previous level to differ from
         assert rows[1][4] == "" and all(float(r[4]) > 0.0 for r in rows[2:4])
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_newton_failure_one_line(self, tmp_path, capfd, monkeypatch, cpus):
+        # with two CPUs the reference fails in the forked child, which prints nothing itself
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: cpus)
+        args = ["--set", "xi=1e10", "--set", "levels=6,7", "--set", "reference_level=8",
+                "--set", "ensemble=20"]
+        assert main(["converge", "--out", str(tmp_path), *args]) == 2
+        assert capfd.readouterr() == (
+            "",
+            "error: Newton failed to reach tolerance 1e-05 in 50 iterations (worst residual 256)\n",
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestContraction:

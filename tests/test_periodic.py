@@ -132,6 +132,14 @@ class TestPullbackConverge:
         res = pullback_converge(prob, sch, 0.0, [1.0], float("inf"), 5, 4, seed=0)
         assert res.k_used == 1
 
+    def test_one_depth_only_at_infinite_tolerance(self):
+        # depth 1 has no gap, so k_max = 1 meets no finite tolerance
+        prob = build_linear_model(1.0, 0.1)
+        sch = ThetaScheme(theta=1.0, dt=0.25)
+        with pytest.raises(ValueError, match="^k_max must be >= 2 for a finite tolerance, got 1$"):
+            pullback_converge(prob, sch, 0.0, [1.0], 1e300, 1, 4, seed=0)
+        assert pullback_converge(prob, sch, 0.0, [1.0], float("inf"), 1, 4, seed=0).converged
+
     def test_k_max_exceeded(self):
         prob = build_linear_model(0.01, 0.0)  # very slow contraction
         sch = ThetaScheme(theta=1.0, dt=0.25)
