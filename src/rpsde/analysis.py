@@ -75,8 +75,8 @@ def fit_slope(stepsizes, errors) -> tuple[float, float]:
 # fine values (paths x cells x noise components) that ms_error draws at once:
 # 1 MB, unless one coarsest cell of every path's fine values is more. The
 # working set it bounds is that block, its first fold held beside it (half as
-# large again) and the three chunk arrays of `noise._Streams.fill` (2^16
-# words each, or one path's cells where that is more): 3 MB at a 1 MB block.
+# large again) and the three chunk arrays of `noise._fill` (2^16 words each,
+# or one path's cells where that is more): 3 MB at a 1 MB block.
 _BLOCK_VALUES = 1 << 17
 
 

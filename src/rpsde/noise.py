@@ -98,54 +98,44 @@ def _stream_key(seed: int, path_index, component: int, mode_salt: int) -> np.nda
 _CHUNK_WORDS = 1 << 16
 
 
-class _Streams:
-    """Scaled normals of cells [i0, i0 + n) from the streams of one seed and grid.
+def _fill(seed, mode_salt, h, i0, paths, out):
+    """Write sqrt(h) * N(0, 1) per cell into the time-first out, (n, len(paths), m).
 
-    The first Philox block and lane are found once per call, and the keys of
-    a component in one vector pass. Each (path, component) stream then sets
-    the key of one reused Philox instead of constructing a generator, and
-    the words of a chunk of streams become normals in one pass.
+    out[j, i] is cell i0 + j of path paths[i], from the streams of one seed
+    and grid. The first Philox block and lane are found once, and the keys
+    of a component in one vector pass. Each (path, component) stream then
+    sets the key of one reused Philox instead of constructing a generator,
+    and the words of a chunk of streams become normals in one pass.
     """
-
-    def __init__(self, seed, mode_salt, h, i0, n):
-        p0 = i0 + _POSITION_OFFSET
-        if p0 < 0:
-            raise ValueError("cell index below supported range")
-        b0, self.lane0 = divmod(p0, 4)
-        self.n_raw = 4 * ((p0 + n - b0 * 4 + 3) // 4)
-        self.n = n
-        self.scale = np.sqrt(h)
-        self.seed = seed
-        self.mode_salt = mode_salt
-        self.bitgen = np.random.Philox(key=0)
-        self.state = self.bitgen.state
-        self.state["state"]["counter"] = [b0 & _MASK64, b0 >> 64, 0, 0]
-        self.state["buffer_pos"] = 4  # empty buffer, as in a new generator
-
-    def fill(self, paths, out):
-        """Write sqrt(h) * N(0, 1) per cell into the time-first out, (n, len(paths), m).
-
-        out[j, i] is cell i0 + j of path paths[i].
-        """
-        m = out.shape[2]
-        keys = [_stream_key(self.seed, paths, comp, self.mode_salt) for comp in range(m)]
-        rows = max(1, _CHUNK_WORDS // (m * self.n_raw))
-        raw = np.empty((min(rows, len(paths)), m, self.n_raw), dtype=np.uint64)
-        for r0 in range(0, len(paths), rows):
-            chunk = paths[r0 : r0 + rows]
-            for i in range(len(chunk)):
-                for comp in range(m):
-                    self.state["state"]["key"] = keys[comp][r0 + i]
-                    self.bitgen.state = self.state
-                    raw[i, comp] = self.bitgen.random_raw(self.n_raw)
-            bits = raw[: len(chunk), :, self.lane0 : self.lane0 + self.n] >> np.uint64(11)
-            # inside (0, 1) so ndtri stays finite: bits = 2^53 - 1 rounds to 1.0 unclamped
-            u = bits.astype(np.float64)
-            u += 0.5
-            u *= 2.0**-53
-            np.minimum(u, 1.0 - 2.0**-53, out=u)
-            ndtri(u, out=u)
-            np.multiply(self.scale, u, out=out[:, r0 : r0 + len(chunk)].transpose(1, 2, 0))
+    n, _, m = out.shape
+    p0 = i0 + _POSITION_OFFSET
+    if p0 < 0:
+        raise ValueError("cell index below supported range")
+    b0, lane0 = divmod(p0, 4)
+    n_raw = 4 * ((p0 + n - b0 * 4 + 3) // 4)
+    scale = np.sqrt(h)
+    bitgen = np.random.Philox(key=0)
+    state = bitgen.state
+    state["state"]["counter"] = [b0 & _MASK64, b0 >> 64, 0, 0]
+    state["buffer_pos"] = 4  # empty buffer, as in a new generator
+    keys = [_stream_key(seed, paths, comp, mode_salt) for comp in range(m)]
+    rows = max(1, _CHUNK_WORDS // (m * n_raw))
+    raw = np.empty((min(rows, len(paths)), m, n_raw), dtype=np.uint64)
+    for r0 in range(0, len(paths), rows):
+        chunk = paths[r0 : r0 + rows]
+        for i in range(len(chunk)):
+            for comp in range(m):
+                state["state"]["key"] = keys[comp][r0 + i]
+                bitgen.state = state
+                raw[i, comp] = bitgen.random_raw(n_raw)
+        bits = raw[: len(chunk), :, lane0 : lane0 + n] >> np.uint64(11)
+        # inside (0, 1) so ndtri stays finite: bits = 2^53 - 1 rounds to 1.0 unclamped
+        u = bits.astype(np.float64)
+        u += 0.5
+        u *= 2.0**-53
+        np.minimum(u, 1.0 - 2.0**-53, out=u)
+        ndtri(u, out=u)
+        np.multiply(scale, u, out=out[:, r0 : r0 + len(chunk)].transpose(1, 2, 0))
 
 
 def _grid(fine_level, dt):
@@ -298,5 +288,5 @@ def ensemble_increments(
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out is {out.dtype} {out.shape}; need float64 {shape}")
     if n_cells:
-        _Streams(seed, salt, h, first_cell, n_cells).fill(paths, out)
+        _fill(seed, salt, h, first_cell, paths, out)
     return out

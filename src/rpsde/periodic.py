@@ -44,7 +44,6 @@ class PullbackResult:
     l2_gap: float
     sample_times: np.ndarray
     states: np.ndarray  # trajectory of path 0 over sample_times
-    final_ensemble: np.ndarray  # (ensemble, d) states at t_eval
     gap_history: list
     converged: bool  # l2_gap <= tolerance; otherwise the depths ran out at k_max
 
@@ -161,7 +160,6 @@ def pullback_converge(
         l2_gap=gap,
         sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
         states=path0[0, -(n_keep + 1) :],
-        final_ensemble=final,
         gap_history=gap_history,
         converged=gap <= tolerance,
     )
@@ -169,6 +167,8 @@ def pullback_converge(
 
 @dataclass
 class PeriodicityReport:
+    """A periodicity check's samples and verdict; every shifted-check row is judged."""
+
     times: np.ndarray
     reference: np.ndarray  # path values aligned to `times`
     sup_gap: float
@@ -188,9 +188,9 @@ def periodicity_check_shifted(
 
     P2 runs from -k*tau under the noise shifted by -tau and is sampled on the
     window; P1 runs under the base noise and is sampled one period earlier.
-    Both run as one batch of two paths. The supremum of |P2(t) - P1(t - tau)|
-    over the window's t at least BURN_IN_PERIODS periods after -k*tau is a
-    pull-back gap and contracts geometrically.
+    Both run as one batch of two paths. Only the window's t at least
+    BURN_IN_PERIODS periods after -k*tau are reported; the supremum of
+    |P2(t) - P1(t - tau)| over them is a geometrically contracting pull-back gap.
     """
     if k < BURN_IN_PERIODS:
         raise ValueError(f"k must be >= {BURN_IN_PERIODS}, got {k}")
@@ -218,12 +218,11 @@ def periodicity_check_shifted(
     x0 = np.broadcast_to(xi, (2, xi.size))
     times, (p1, p2), _ = simulate_ensemble(problem, scheme, -k * shift_cells, x0, incs)
 
-    # samples with a partner one period earlier
-    idx = np.arange(max(i_a, shift_cells), n_steps + 1)
+    # the window's samples past the burn-in, each against its partner one period earlier
+    idx = np.arange(max(i_a, BURN_IN_PERIODS * shift_cells), n_steps + 1)
     p2_vals = p2[idx]
     p1_vals = p1[idx - shift_cells]
-    gaps = np.linalg.norm(p2_vals - p1_vals, axis=-1)
-    sup = float(gaps[idx >= BURN_IN_PERIODS * shift_cells].max())
+    sup = float(np.linalg.norm(p2_vals - p1_vals, axis=-1).max())
     return PeriodicityReport(
         times=times[idx],
         reference=p1_vals,

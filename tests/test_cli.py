@@ -416,6 +416,15 @@ class TestPeriodicity:
         assert rows[-1][0] == "period_deviation"
         assert (tmp_path / "periodicity.gp").exists()
 
+    def test_shifted_rows_are_the_judged_ones(self, tmp_path):
+        # k = 5 and dt 0.1: -k*tau = -10, and the burn-in of 2 periods ends at -6
+        assert main(["periodicity", "--out", str(tmp_path), "--set", "window=-10,0"]) == 0
+        rows = read_csv(tmp_path / "periodicity_shifted.csv")
+        data, footer = rows[1:-1], rows[-1]
+        assert len(data) == 61 and float(data[0][0]) == -6.0
+        gaps = [abs(float(path) - float(shifted)) for _, path, shifted in data]
+        assert footer[0] == "sup_gap" and float(footer[1]) == max(gaps) == 1.1094045890280846e-09
+
 
 class TestConverge:
     def test_small_run(self, tmp_path):

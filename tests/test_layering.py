@@ -6,10 +6,10 @@ module level: a private name shared across modules belongs in the module
 that owns it, made public, and a function-level import hides a dependency.
 A time becomes a whole number of cells only in `noise.grid_steps`, so the
 builtin `round` is called nowhere else. Increments have one layout, time
-first, which `noise._Streams.fill` writes through the package's only
-`transpose`. Files are written by `cli` alone: only `cli` imports csv, and the
-builtin `open` and `csv.writer` are called only in `cli._write_csv`, the one
-CSV writer. In `cli`, the raw config dict is read only by `main` and
+first, which `noise._fill` writes through the package's only `transpose`.
+Files are written by `cli` alone: only `cli` imports csv, and the builtin
+`open` and `csv.writer` are called only in `cli._write_csv`, the one CSV
+writer. In `cli`, the raw config dict is read only by `main` and
 `_settings`, and no `run_*` function converts a value itself. `cli` neither
 draws noise nor steps paths: it imports nothing from `noise` and not
 `simulate_ensemble`, and leaves both to the library. Every public
@@ -102,7 +102,7 @@ def test_round_only_in_grid_steps(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_transpose_only_in_streams_fill(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    allowed = nodes_in(tree, "_Streams.fill") if path.name == "noise.py" else set()
+    allowed = nodes_in(tree, "_fill") if path.name == "noise.py" else set()
     lines = [
         node.lineno
         for node in ast.walk(tree)
@@ -264,11 +264,6 @@ def test_one_burn_in_rule_and_no_error_class_in_periodic():
 
 # the result types whose every field some part of the package reads
 REPORTS = ("ConvergenceReport", "ContractionTest", "PullbackResult", "PeriodicityReport")
-# fields the package itself does not read, with the reason they stay
-UNREAD_FIELDS = {
-    ("PullbackResult", "final_ensemble"): "test_periodic compares the whole ensemble at "
-    "t_eval with the definition",
-}
 
 
 def test_every_report_field_is_read_in_the_package():
@@ -288,10 +283,8 @@ def test_every_report_field_is_read_in_the_package():
         if isinstance(stmt, ast.AnnAssign)
     }
     assert {name for name, _ in fields} == set(REPORTS)
-    wrong = sorted(f"{c}.{f}" for c, f in fields if (f in read) == ((c, f) in UNREAD_FIELDS))
-    stale = sorted(f"{c}.{f}" for c, f in UNREAD_FIELDS if (c, f) not in fields)
-    assert not wrong, f"fields only the tests read, or read but listed as unread: {wrong}"
-    assert not stale, f"listed as unread fields but not fields: {stale}"
+    unread = sorted(f"{c}.{f}" for c, f in fields if f not in read)
+    assert not unread, f"fields only the tests read: {unread}"
 
 
 def loops(node):

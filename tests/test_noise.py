@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from rpsde.noise import (
+    _fill,
     _mix64,
-    _Streams,
     _stream_key,
     ensemble_increments,
     generate,
@@ -311,7 +311,7 @@ class TestEnsembleIncrements:
         def no_draw(*args):
             raise AssertionError("drew noise")
 
-        monkeypatch.setattr("rpsde.noise._Streams.fill", no_draw)
+        monkeypatch.setattr("rpsde.noise._fill", no_draw)
         with pytest.raises(ValueError, match=r"need float64 \(30, 5, 1\)"):
             ensemble_increments(3, range(5), -20, 30, 1, 0.05, out=out)
 
@@ -322,7 +322,7 @@ class TestEnsembleIncrements:
         def no_draw(*args):
             raise AssertionError("drew noise")
 
-        monkeypatch.setattr("rpsde.noise._Streams.fill", no_draw)
+        monkeypatch.setattr("rpsde.noise._fill", no_draw)
         for first in (-20, -17, 0, 3):
             incs = ensemble_increments(3, range(5), first, 0, 2, dt, fine_level)
             assert incs.shape == (0, 5, 2) and incs.dtype == np.float64
@@ -333,19 +333,19 @@ class TestEnsembleIncrements:
         with pytest.raises(ValueError, match=r"^dt 0.0625 must be the cell width 0.015625; fold"):
             ensemble_increments(5, range(3), 0, 64, 1, 2.0**-4, fine_level=6)
 
-    def test_largest_word_gives_a_finite_normal(self):
+    def test_largest_word_gives_a_finite_normal(self, monkeypatch):
         class AllOnes:
             """Stands in for Philox: every raw word is 2^64 - 1, so bits = 2^53 - 1."""
 
-            state = None
+            def __init__(self, key):
+                self.state = {"state": {}}
 
             def random_raw(self, n):
                 return np.full(n, 2**64 - 1, dtype=np.uint64)
 
-        streams = _Streams(0, 0, 0.25, 0, 6)
-        streams.bitgen = AllOnes()
+        monkeypatch.setattr("rpsde.noise.np.random.Philox", AllOnes)
         out = np.empty((6, 2, 1))
-        streams.fill(np.arange(2), out)
+        _fill(0, 0, 0.25, 0, np.arange(2), out)
         # (bits + 0.5) * 2^-53 rounds to 1.0 there; the clamp keeps u at 1 - 2^-53
         assert out.tobytes() == np.full_like(out, 0.5 * ndtri(1.0 - 2.0**-53)).tobytes()
         assert np.isfinite(out).all()

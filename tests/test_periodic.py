@@ -94,7 +94,6 @@ def pullback_by_definition(problem, scheme, t_eval, xi, tolerance, k_max, ensemb
                     k_used=k,
                     l2_gap=gaps[-1],
                     gap_history=gaps,
-                    final_ensemble=final,
                     states=states[0, -(n_keep + 1) :],
                     sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
                 )
@@ -109,7 +108,6 @@ class TestPullbackConverge:
         res = pullback_converge(prob, sch, 0.0, [0.6], 1e-3, 10, 100, seed=4)
         assert res.k_used <= 5
         assert res.l2_gap <= 1e-3
-        assert res.final_ensemble.shape == (100, 1)
 
     def test_deterministic_linear_gap_formula(self):
         lam, dt, theta = 1.0, 0.25, 1.0
@@ -182,7 +180,7 @@ class TestPullbackConverge:
             assert res.k_used == 10
         assert res.l2_gap == ref["l2_gap"]
         assert res.gap_history == ref["gap_history"]
-        for name in ("final_ensemble", "states", "sample_times"):
+        for name in ("states", "sample_times"):
             assert np.array_equal(getattr(res, name), ref[name]), name
 
     @staticmethod
@@ -328,25 +326,31 @@ class TestPeriodicityShifted:
         bound = rho**j_min
         assert 0.0 < rep.sup_gap <= bound * (1.0 + 1e-10)
 
-    @pytest.mark.parametrize("theta", [0.75, 1.0])
-    def test_equals_definition(self, theta):
+    @pytest.mark.parametrize(
+        "theta, window",
+        [(0.75, (-6.0, -1.0)), (1.0, (-6.0, -1.0)), (1.0, (-10.0, -1.0))],
+        ids=["0.75", "1.0", "1.0-from-start"],
+    )
+    def test_equals_definition(self, theta, window):
         # P1 from -k*tau under the base noise, read at start; P2 under the
         # noise shifted by -tau, i.e. the base cells one period earlier, read
-        # at start - tau
+        # at start - tau. Only samples 2 periods after -k*tau are reported.
         prob = build_cubic_model(**BENCH)
         sch = ThetaScheme(theta=theta, dt=0.1)
-        k, window, tau, dt = 5, (-6.0, -1.0), prob.period, 0.1
+        k, tau, dt = 5, prob.period, 0.1
         start = -k * tau
         first, shift = round(start / dt), round(tau / dt)
         n = round((window[1] - start) / dt)
         cells = ensemble_increments(3, [0], first - shift, shift + n, prob.noise_dim, dt)
         x0 = np.array([[0.6]])
-        _, p1, _ = simulate_ensemble(prob, sch, first, x0, cells[shift:])
+        times, p1, _ = simulate_ensemble(prob, sch, first, x0, cells[shift:])
         _, p2, _ = simulate_ensemble(prob, sch, first, x0, cells[:n])
         rep = periodicity_check_shifted(prob, sch, k=k, xi=[0.6], window=window, seed=3)
-        idx = np.arange(round((window[0] - start) / dt), n + 1)
+        idx = np.arange(max(round((window[0] - start) / dt), BURN_IN_PERIODS * shift), n + 1)
+        assert np.array_equal(rep.times, times[idx])
         assert np.array_equal(rep.reference, p1[0, idx - shift])
         assert np.array_equal(rep.shifted, p2[0, idx])
+        assert rep.sup_gap == np.abs(p2[0, idx] - p1[0, idx - shift]).max()
 
     @pytest.mark.parametrize(
         "k, window, match",
