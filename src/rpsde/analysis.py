@@ -101,7 +101,6 @@ def ms_error(
     t_end: float,
     seed: int,
     xi=0.6,
-    newton_tol: float = ThetaScheme.newton_tol,
 ) -> ConvergenceReport:
     """Root-mean-square error at t_end of dyadic-stepsize runs vs a fine reference.
 
@@ -148,7 +147,7 @@ def ms_error(
     ref = reference_level
     q = 1 << (ref - levels[0])  # fine cells per coarsest cell
     block = max(q, _BLOCK_VALUES // (ensemble * problem.noise_dim) // q * q)
-    schemes = {lvl: ThetaScheme(theta, 2.0**-lvl, newton_tol) for lvl in levels + [ref]}
+    schemes = {lvl: ThetaScheme(theta, 2.0**-lvl) for lvl in levels + [ref]}
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
     args = (problem, schemes, ref, x0, range(first * q, (first + n_coarse) * q), block, seed)
     if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
@@ -285,6 +284,8 @@ def numerical_contraction_test(
         raise ValueError("initial values must differ")
     if k < 1 or ensemble < 1:
         raise ValueError("k and ensemble must be >= 1")
+    if ensemble >= 1 << 63:  # a path index is an int64
+        raise ValueError(f"ensemble must be below 2^63, got {ensemble}")
     d = problem.state_dim
     for v in (xi, eta):
         if v.size != d:

@@ -68,7 +68,6 @@ _COMMON = {"model": (str, "cubic_multiplicative"), "seed": (int, 0)}
 _SCHEME = {
     "theta": (float, 1.0),
     "dt": (float, 0.1),
-    "newton_tol": (float, ThetaScheme.newton_tol),
 }
 # key -> (reader, default) of each subcommand, besides _COMMON and model.<param>; a
 # default may be a function of the problem. The settings of simulate, pullback, converge
@@ -99,7 +98,6 @@ _KEYS = {
     },
     "converge": {
         "theta": _SCHEME["theta"],
-        "newton_tol": _SCHEME["newton_tol"],
         "levels": (_ints, (6, 7, 8, 9, 10)),
         "reference_level": (int, 12),
         "ensemble": (int, 200),

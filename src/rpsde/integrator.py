@@ -7,8 +7,8 @@ One step of the scheme with parameter theta in (1/2, 1] and stepsize dt:
                   + g(t_j, X_j) dW_j
 
 A model that supplies SdeProblem.stage solves the implicit stage itself,
-with 0 iterations; newton_tol has no effect there. Otherwise damped Newton
-iteration solves it, giving up after _MAX_ITER iterations; dissipativity
+with 0 iterations. Otherwise damped Newton iteration solves it to the
+residual norm _NEWTON_TOL, giving up after _MAX_ITER iterations; dissipativity
 (L_f < lambda) makes the stage map strongly monotone, so the root is unique.
 
 simulate_ensemble is the one stepping loop; it calls one theta step,
@@ -34,7 +34,6 @@ iteration that left a path open.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -51,6 +50,8 @@ __all__ = [
 
 # a solve converges well inside 50 iterations or stalls at its residual's rounding floor
 _MAX_ITER = 50
+# a path's stage is solved once its residual norm is at most this
+_NEWTON_TOL = 1e-5
 
 
 class NewtonError(RuntimeError):
@@ -63,15 +64,12 @@ class ThetaScheme:
 
     theta: float
     dt: float
-    newton_tol: float = 1e-5
 
     def __post_init__(self):
         if not 0.5 < self.theta <= 1.0:
             raise ValueError(f"theta must be in (1/2, 1], got {self.theta}")
         if not 0.0 < self.dt < 1.0:
             raise ValueError(f"dt must be in (0, 1), got {self.dt}")
-        if not 0.0 < self.newton_tol < math.inf:
-            raise ValueError(f"newton_tol must be in (0, inf), got {self.newton_tol}")
 
 
 def _linear_part(a, y):
@@ -110,7 +108,7 @@ class _Kernel:
         a, jacobian = problem.linear_matrix, problem.drift_jacobian
         a00, one = np.array(a[0, 0]), np.array(1.0)
         self.theta_dt = theta_dt = np.array(scheme.theta * scheme.dt)
-        self.tol = np.array(scheme.newton_tol)
+        self.tol = np.array(_NEWTON_TOL)
         if problem.state_dim == 1:
             self.linear = linear = lambda y: y * a00
             self.norm = np.abs

@@ -200,10 +200,11 @@ def periodicity_check_shifted(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     start = -k * tau
     shift_cells = grid_steps(tau, dt, "period")
+    first = -grid_steps(k * tau, dt, "k*period")
     # window ends as step indices counted from the start
-    i_a = grid_steps(a - start, dt, f"window {window}")
-    n_steps = grid_steps(b - start, dt, f"window {window}")
-    if i_a < 0 or n_steps > k * shift_cells:
+    i_a = grid_steps(a, dt, "window start") - first
+    n_steps = grid_steps(b, dt, "window end") - first
+    if i_a < 0 or n_steps > -first:
         raise ValueError(f"window {window} must lie in [{start}, 0]")
     if i_a > n_steps or n_steps < BURN_IN_PERIODS * shift_cells:
         raise ValueError(
@@ -212,11 +213,11 @@ def periodicity_check_shifted(
         )
     # P1 reads the cells from start, P2 one period earlier, as one batch of two
     cells = ensemble_increments(
-        seed, range(1), -(k + 1) * shift_cells, shift_cells + n_steps, problem.noise_dim, dt
+        seed, range(1), first - shift_cells, shift_cells + n_steps, problem.noise_dim, dt
     )
     incs = np.concatenate([cells[shift_cells:], cells[:n_steps]], axis=1)
     x0 = np.broadcast_to(xi, (2, xi.size))
-    times, (p1, p2), _ = simulate_ensemble(problem, scheme, -k * shift_cells, x0, incs)
+    times, (p1, p2), _ = simulate_ensemble(problem, scheme, first, x0, incs)
 
     # the window's samples past the burn-in, each against its partner one period earlier
     idx = np.arange(max(i_a, BURN_IN_PERIODS * shift_cells), n_steps + 1)

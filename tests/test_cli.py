@@ -23,7 +23,7 @@ def read_csv(path):
 
 # a value each key's reader rejects: 1.5 for an integer, abc for a number or a list; a
 # tuple gives more than one, and 6;7 is a list whose separator is not a comma
-_SCHEME_BAD = {"theta": "abc", "dt": "abc", "newton_tol": "abc"}
+_SCHEME_BAD = {"theta": "abc", "dt": "abc"}
 MALFORMED = {
     "simulate": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "horizon": "abc",
                  "initial_values": "abc"},
@@ -31,7 +31,7 @@ MALFORMED = {
                  "tolerance": "abc", "k_max": "1.5", "ensemble": "1.5"},
     "periodicity": {**_SCHEME_BAD, "seed": "1.5", "k": "1.5", "window": "abc", "xi": "abc",
                     "x0": "abc", "horizon": "abc"},
-    "converge": {"theta": "abc", "newton_tol": "abc", "seed": "1.5", "levels": ("abc", "6;7"),
+    "converge": {"theta": "abc", "seed": "1.5", "levels": ("abc", "6;7"),
                  "reference_level": "1.5", "ensemble": "1.5", "t_start": "abc",
                  "t_end": "abc", "xi": "abc"},
     "contraction": {**_SCHEME_BAD, "seed": "1.5", "xi": "abc", "eta": "abc", "k": "1.5",
@@ -65,7 +65,9 @@ class TestConfig:
             ("pullback", ["--set", "xi=0.1,0.2"]),
             ("converge", ["--set", "levels=4,4,5"]),
             ("contraction", ["--set", "xi=0.1,0.2"]),
+            ("contraction", ["--set", "ensemble=100000000000000000000"]),
             ("pullback", ["--set", "tolerance=nan"]),
+            # Newton's tolerance is the constant integrator._NEWTON_TOL, not a key
             ("simulate", ["--set", "newton_tol=inf"]),
             ("simulate", ["--set", "newton_tol=nan"]),
             ("periodicity", ["--set", "x0=nan"]),
@@ -97,7 +99,8 @@ class TestConfig:
              "simulate-negative-k", "contraction-zero-k", "pullback-zero-ensemble",
              "converge-zero-ensemble", "converge-no-levels", "periodicity-x0-dim",
              "pullback-xi-dim", "converge-level-twice", "contraction-xi-dim",
-             "pullback-nan-tolerance", "newton-tol-inf", "newton-tol-nan",
+             "contraction-huge-ensemble", "pullback-nan-tolerance", "newton-tol-inf",
+             "newton-tol-nan",
              "periodicity-nan-x0-cubic", "periodicity-nan-x0-linear-ou",
              "window-one-number", "window-three-numbers", "pullback-inf-t-eval",
              "simulate-inf-horizon", "converge-minus-inf-t-start", "simulate-nan-horizon",
@@ -145,7 +148,7 @@ class TestConfig:
             ("pullback", ["--set", "t_eval=inf"], "t_eval must be finite, got inf"),
             ("simulate", ["--set", "horizon=nan"], "error: horizon must be finite, got nan\n"),
             ("converge", ["--set", "t_start=-inf"], "t_start must be finite, got -inf"),
-            ("periodicity", ["--set", "window=nan,0"], "window (nan, 0.0) must be finite"),
+            ("periodicity", ["--set", "window=nan,0"], "window start must be finite, got nan"),
             ("simulate", ["--set", "model.lam=nan"], "model.lam must be finite, got nan"),
             ("simulate", ["--set", "model.a=nan"], "model.a must be finite, got nan"),
             # zero steps from -2, which is not on the grid of 0.8
@@ -164,12 +167,13 @@ class TestConfig:
             # no pair of the pull-back curve ends past the burn-in of 2 periods
             ("periodicity", ["--set", "horizon=0"],
              "error: horizon must be at least 2 periods, got 0.0\n"),
-            # Newton's iteration cap is a constant, not a key
+            # Newton's iteration cap and tolerance are constants, not keys
             ("simulate", ["--set", "newton_max_iter=0"],
              "error: unknown key newton_max_iter for simulate; accepted: dt, horizon, "
-             "initial_values, k, model, newton_tol, seed, theta, model.<param>\n"),
+             "initial_values, k, model, seed, theta, model.<param>\n"),
             ("converge", ["--set", "newton_tol=0"],
-             "error: newton_tol must be in (0, inf), got 0.0\n"),
+             "error: unknown key newton_tol for converge; accepted: ensemble, levels, model, "
+             "reference_level, seed, t_end, t_start, theta, xi, model.<param>\n"),
             # step counts that once overflowed round(), np.empty or the block loop
             # k*period is checked before horizon
             ("simulate", ["--set", "dt=1e-300", "--set", "horizon=1e300"],
@@ -192,6 +196,15 @@ class TestConfig:
                           "--set", "k=1000000000000000000"],
              "error: horizon + k*period = 4e+18 spans 8e+18 steps of 0.5; "
              "a run takes fewer than 2^62\n"),
+            # the shifted check names the window end or the k*period that is at fault
+            ("periodicity", ["--set", "window=-3.95,0"],
+             "error: window start must be grid-aligned: -3.95 is not a multiple of the "
+             "stepsize 0.1\n"),
+            ("periodicity", ["--set", "k=10000000000000000000"],
+             "error: k*period = 2e+19 spans 2e+20 steps of 0.1; a run takes fewer than 2^62\n"),
+            # a path index is an int64
+            ("contraction", ["--set", "ensemble=100000000000000000000"],
+             "error: ensemble must be below 2^63, got 100000000000000000000\n"),
         ],
         ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
              "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -211,7 +224,8 @@ class TestConfig:
              "converge-zero-newton-tol", "simulate-infinite-steps", "simulate-huge-horizon",
              "pullback-huge-t-eval",
              "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon",
-             "simulate-huge-run"],
+             "simulate-huge-run", "periodicity-window-start-off-grid",
+             "periodicity-huge-k", "contraction-huge-ensemble"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -310,6 +324,27 @@ class TestConfig:
         accepted = capsys.readouterr().err.split("accepted: ", 1)[1].strip().split(", ")
         # a model name is checked against the catalog, not read as a number
         assert sorted(MALFORMED[command]) == sorted(set(accepted) - {"model", "model.<param>"})
+
+    @pytest.mark.parametrize(
+        "command, accepted",
+        [
+            ("simulate", "dt, horizon, initial_values, k, model, seed, theta"),
+            ("pullback", "dt, ensemble, k_max, model, seed, t_eval, theta, tolerance, xi"),
+            ("periodicity", "dt, horizon, k, model, seed, theta, window, x0, xi"),
+            ("converge", "ensemble, levels, model, reference_level, seed, t_end, t_start, "
+                         "theta, xi"),
+            ("contraction", "dt, ensemble, eta, k, model, seed, theta, xi"),
+        ],
+        ids=["simulate", "pullback", "periodicity", "converge", "contraction"],
+    )
+    def test_newton_tol_is_unknown_key(self, tmp_path, capsys, command, accepted):
+        # Newton's tolerance is the constant integrator._NEWTON_TOL, even at its own value
+        out = tmp_path / "out"
+        assert main([command, "--out", str(out), "--set", "newton_tol=1e-5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown key newton_tol for {command}; accepted: {accepted}, model.<param>\n"
+        )
+        assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path):
         # --seed wins over a seed given with --set
@@ -461,7 +496,7 @@ class TestContraction:
         rc = main(
             ["contraction", "--out", str(tmp_path), "--set", "model=linear_ou",
              "--set", "model.lam=2", "--set", "model.sigma=0",
-             "--set", "dt=0.25", "--set", "newton_tol=1e-12",
+             "--set", "dt=0.25",
              "--set", "xi=1", "--set", "eta=-1", "--set", "k=18",
              "--set", "ensemble=8"]
         )
@@ -737,18 +772,20 @@ def test_reproduce_unknown_experiment_runs_nothing(tmp_path, capsys, monkeypatch
 
 
 def test_kernel_timing_script_runs():
-    # a tiny noise window and four steps at batch 2 of every catalog model, through
-    # the functions the script times, without its rounds or its table
+    # a tiny noise window and eight steps at batch 2 of every catalog model, through
+    # the functions the script times and summarises, without its rounds or its table
     script = runpy.run_path(str(SCRIPTS / "kernel_timing.py"))
-    seconds = script["noise_run"](3, -4, 8, 0.25, None)()
-    assert math.isfinite(seconds) and seconds >= 0.0
+    seconds = [script["noise_run"](4, -4, 8, 0.25, None)() for _ in range(3)]
+    assert all(math.isfinite(s) and s >= 0.0 for s in seconds)
+    med, q1, q3 = script["quartiles"](seconds, 1e9 / (4 * 8))
+    assert all(math.isfinite(v) for v in (med, q1, q3)) and 0.0 <= q1 <= med <= q3
     for name in MODEL_NAMES:
         for theta in (1.0, 0.75):
             scheme = ThetaScheme(theta=theta, dt=script["DT"])
-            iters, run = script["kernel_run"](catalog_entry(name).problem, scheme, 2, 4)
+            iters, run = script["kernel_run"](catalog_entry(name).problem, scheme, 2, 8)
             assert math.isfinite(iters) and iters >= 0.0
-            seconds = run()
-            assert math.isfinite(seconds) and seconds >= 0.0
+            med, q1, q3 = script["quartiles"]([run(), run()], 1e6 / 8)
+            assert all(math.isfinite(v) for v in (med, q1, q3)) and 0.0 <= q1 <= med <= q3
     # the estimator row's call over one coarsest cell, (0, 2^-9), not (-4, 4)
     peak_mb, seconds = script["estimator_memory"](0.0, 2.0**-9)
     assert 0.0 < peak_mb < 4.0

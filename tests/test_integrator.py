@@ -1,10 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from rpsde import integrator
 from rpsde.integrator import NewtonError, ThetaScheme, simulate_ensemble
 from rpsde.models import (
     SdeProblem,
@@ -116,11 +117,9 @@ class TestThetaScheme:
         with pytest.raises(ValueError):
             ThetaScheme(theta=1.0, dt=dt)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-5, math.inf, math.nan])
-    def test_newton_tol_range(self, tol):
-        # inf would accept every guess as the root, nan would accept none
-        with pytest.raises(ValueError, match=r"^newton_tol must be in \(0, inf\), got "):
-            ThetaScheme(theta=1.0, dt=0.1, newton_tol=tol)
+    def test_fields_are_theta_and_dt(self):
+        # Newton's tolerance and iteration cap are the solver's constants, not a run's settings
+        assert [f.name for f in fields(ThetaScheme)] == ["theta", "dt"]
 
 
 class TestImplicitStep:
@@ -134,10 +133,11 @@ class TestImplicitStep:
         y = one_step(prob, sch, 0, np.array([[1.0]]), np.zeros((1, 1)))[0]
         assert y[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_cubic_root(self):
+    def test_cubic_root(self, monkeypatch):
         # y + 0.1 y^3 = 1.1 has root y = 1; linear part negligible
+        monkeypatch.setattr(integrator, "_NEWTON_TOL", 1e-12)
         prob = cubic_like_problem(1e-9)
-        sch = ThetaScheme(theta=1.0, dt=0.1, newton_tol=1e-12)
+        sch = ThetaScheme(theta=1.0, dt=0.1)
         y = one_step(prob, sch, 0, np.array([[1.1]]), np.zeros((1, 1)))[0]
         assert y[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -397,26 +397,27 @@ class TestClosedFormStage:
 
     @pytest.mark.parametrize("theta", [0.75, 1.0])
     @pytest.mark.parametrize("make", MODELS, ids=IDS)
-    def test_equals_newton(self, make, theta):
+    def test_equals_newton(self, monkeypatch, make, theta):
+        monkeypatch.setattr(integrator, "_NEWTON_TOL", 1e-13)
         prob = make()
         assert prob.stage is not None
-        sch = ThetaScheme(theta=theta, dt=0.05, newton_tol=1e-13)
+        sch = ThetaScheme(theta=theta, dt=0.05)
         _, closed, iters = self.run(prob, sch)
         _, newton, newton_iters = self.run(replace(prob, stage=None), sch)
         assert not iters.any() and newton_iters.all()
         np.testing.assert_allclose(closed, newton, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("make", MODELS, ids=IDS)
-    def test_no_jacobian_and_no_newton_settings(self, make):
+    def test_no_jacobian_and_no_newton_settings(self, monkeypatch, make):
         def jacobian(t, x):
             raise AssertionError("the model's stage called the Jacobian")
 
         prob = replace(make(), drift_jacobian=jacobian)
         _, states, iters = self.run(prob, ThetaScheme(theta=0.75, dt=0.05))
         assert iters.shape == (40,) and not iters.any()
-        # newton_tol has no effect on the model's stage
-        sch = ThetaScheme(theta=0.75, dt=0.05, newton_tol=1e-300)
-        assert np.array_equal(self.run(prob, sch)[1], states)
+        # Newton's tolerance has no effect on the model's stage
+        monkeypatch.setattr(integrator, "_NEWTON_TOL", 1e-300)
+        assert np.array_equal(self.run(prob, ThetaScheme(theta=0.75, dt=0.05))[1], states)
 
 
 class TestGoldenBits:

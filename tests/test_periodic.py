@@ -148,10 +148,9 @@ class TestPullbackConverge:
         assert res.l2_gap == res.gap_history[-1] and np.isfinite(res.l2_gap)
 
     def test_gap_history_monotone_trend(self):
-        # slow contraction so the history has several entries before the
-        # tolerance is met; tight Newton tolerance keeps paired runs exact
+        # slow contraction so the history has several entries before the tolerance is met
         prob = build_linear_model(2.0, 0.2)
-        sch = ThetaScheme(theta=1.0, dt=0.25, newton_tol=1e-13)
+        sch = ThetaScheme(theta=1.0, dt=0.25)
         res = pullback_converge(prob, sch, 0.0, [1.0], 1e-8, 25, 50, seed=7)
         hist = res.gap_history
         assert len(hist) >= 4
