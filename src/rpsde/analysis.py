@@ -108,8 +108,7 @@ def ms_error(
     reference run and every coarse run. The window is streamed in blocks of
     whole coarsest cells: a block's cells are drawn once, folded by
     `tree_fold` level by level down to the coarsest, and every level steps
-    through the block from its states and its integer grid step at the block
-    start, so every step time is the one of an unblocked run. Memory is
+    through the block from its states at the block's grid step. Memory is
     bounded by the block, not the window: a block is at most
     max(2^17, q*ensemble*m) fine values of 8 bytes, as it holds at least one
     coarsest cell of q = 2^(reference_level - min(levels)) fine cells, and
@@ -138,6 +137,8 @@ def ms_error(
         raise ValueError(f"reference_level must be at most 30, got {reference_level}")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
+    if ensemble >= 1 << 63:  # a path index is an int64
+        raise ValueError(f"ensemble must be below 2^63, got {ensemble}")
     coarse_dt = 2.0 ** -levels[0]
     first = grid_steps(t_start, coarse_dt, "t_start")
     n_coarse = grid_steps(t_end, coarse_dt, "t_end") - first

@@ -13,8 +13,9 @@ residual norm _NEWTON_TOL, giving up after _MAX_ITER iterations; dissipativity
 
 simulate_ensemble is the one stepping loop; it calls one theta step,
 _Kernel.step, for every problem. Grid time is an integer: a run starts at
-grid step first_step and takes one step per row of its increments. It is
-batched: states are (batch, d), increments come time first, exactly
+grid step first_step and takes one step per row of its increments, and grid
+step s runs at s*dt, so a run split at any step has the bits of the unsplit
+run. It is batched: states are (batch, d), increments come time first, exactly
 (steps, batch, m) as noise.ensemble_increments returns them, and every
 operation on the state acts on each row alone: the models' callables are
 elementwise in the path, the linear part sums its products in column order
@@ -133,17 +134,18 @@ class _Kernel:
         else:
             self.noise = lambda g, dw: np.einsum("...ij,...j->...i", g, dw)
 
-    def step(self, t_j, x, dw):
-        """States at t_j + dt of the batch x, and the most Newton iterations any path took."""
+    def step(self, s, x, dw):
+        """States at grid step s + 1 of the batch x at grid step s, and the most Newton
+        iterations any path took; the stage's time is the next step's, bit for bit."""
         # the fold into [0, period) is exact, so the phase stays periodic at large |t|
-        t = t_j % self.period
+        t = (s * self.dt) % self.period
         rhs = self.explicit(t, x) + self.noise(self.diffusion(t, x), dw)
-        tf = (t_j + self.dt) % self.period
+        tf = ((s + 1) * self.dt) % self.period
         if self.stage is None:
             return self._newton(tf, rhs, x)
         y = self.stage(tf, self.theta_dt, rhs)
         if np.count_nonzero(np.isfinite(y)) < y.size:
-            raise NewtonError(f"non-finite state after step at t={t_j}")
+            raise NewtonError(f"non-finite state after step at t={s * self.dt}")
         return y, 0
 
     def residual(self, tf, y, r):
@@ -204,15 +206,14 @@ def simulate_ensemble(
 ):
     """Drive a batch of paths through one theta step per row of increments.
 
-    first_step: the integer grid step of the start, so step j runs at
-    first_step*dt + j*dt; x0: (batch, d) initial states; increments:
+    first_step: the integer grid step of the start, so step j is grid step
+    s = first_step + j and runs at s*dt; x0: (batch, d) initial states; increments:
     (steps, batch, m) Brownian increments, as noise.ensemble_increments
     returns them. Step j reads increments[j] once. Returns (times, states,
     newton_iters) where states is (batch, steps+1, d) if record else the final
     (batch, d), and newton_iters is the per-step maximum iteration count.
     """
-    dt = scheme.dt
-    t_start = operator.index(first_step) * dt
+    first_step = operator.index(first_step)
     x = np.array(x0, dtype=float)
     if x.ndim != 2 or x.shape[1] != problem.state_dim:
         d = problem.state_dim
@@ -222,13 +223,13 @@ def simulate_ensemble(
         raise ValueError(f"increments have shape {shape}; need (steps, {batch}, {m})")
     n_steps = shape[0]
     kernel = _Kernel(problem, scheme)
-    times = t_start + dt * np.arange(n_steps + 1)
+    times = scheme.dt * np.arange(first_step, first_step + n_steps + 1)
     iters = np.zeros(n_steps, dtype=np.int64)
     if record:
         out = np.empty((batch, n_steps + 1, problem.state_dim))
         out[:, 0] = x
     for j in range(n_steps):
-        x, iters[j] = kernel.step(t_start + j * dt, x, increments[j])
+        x, iters[j] = kernel.step(first_step + j, x, increments[j])
         if record:
             out[:, j + 1] = x
     return times, (out if record else x), iters

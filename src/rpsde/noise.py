@@ -256,7 +256,6 @@ def ensemble_increments(
     noise_dim: int,
     dt: float,
     fine_level: int | None = None,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Increments of n_cells cells of width dt from absolute cell first_cell, for each path index.
 
@@ -269,9 +268,7 @@ def ensemble_increments(
     so adjacent windows concatenate along the time axis to the joint
     window. No cells give an empty array and draw nothing. One Philox
     generator serves every stream of the call, and the normals are written
-    straight into the output: a new array, or `out`, a float64 array of the
-    returned shape that the caller holds and that is checked before
-    anything is drawn, as is the seed, which must lie in [0, 2^64).
+    straight into the output. The seed must lie in [0, 2^64).
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
@@ -282,11 +279,7 @@ def ensemble_increments(
         raise ValueError("noise_dim must be >= 1")
     if n_cells < 0:
         raise ValueError(f"n_cells must be >= 0, got {n_cells}")
-    shape = (n_cells, len(paths), noise_dim)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out is {out.dtype} {out.shape}; need float64 {shape}")
+    out = np.empty((n_cells, len(paths), noise_dim))
     if n_cells:
         _fill(seed, salt, h, first_cell, paths, out)
     return out

@@ -14,6 +14,7 @@ into one time-first draw.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,13 @@ BURN_IN_PERIODS = 2
 THRESHOLD = 1e-2
 
 
+def _start_step(k: int, period: float, dt: float) -> int:
+    """The grid step of -k*period; a k that no float holds is rejected by name."""
+    if k > sys.float_info.max:
+        raise ValueError(f"k must be at most {sys.float_info.max:g}, got {k}")
+    return -grid_steps(k * period, dt, "k*period")
+
+
 @dataclass
 class PullbackResult:
     k_used: int
@@ -60,7 +68,7 @@ def pullback_paths(
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     dt = scheme.dt
-    first = -grid_steps(k * problem.period, dt, "k*period")
+    first = _start_step(k, problem.period, dt)
     n_steps = grid_steps(horizon, dt, "horizon") - first
     if n_steps < 0:
         raise ValueError(f"horizon {horizon} precedes the start -k*period = {-k * problem.period}")
@@ -88,23 +96,20 @@ def pullback_converge(
 
     The noise is identical per path across k (windows nested leftward), so
     the Monte-Carlo gap estimate is a paired difference. Each cell depends
-    only on its absolute index and adjacent windows concatenate, so the
-    cells are drawn ahead, each once, in doublings of the depth: the first
-    draw covers depths 1 and 2, (-2*tau, t_eval), and when depth k is not
-    yet drawn one call draws the periods of depths k to min(k_max, 2*(k-1)).
-    Depth 8 thus costs three draws, (-2*tau, t_eval), (-4*tau, -2*tau) and
-    (-8*tau, -4*tau), each opening one stream per path and component. A gap
-    needs two depths, and at an accepted depth k >= 2 fewer than twice its
-    cells are drawn, none before -k_max*tau. The cells are held time-first
-    in one buffer, the deepest first, so that the buffer always starts at
-    cell -k_drawn*steps_per_tau, and depth k runs on its last
-    k*steps_per_tau + n_eval rows as a view. A growth allocates the larger
-    buffer, moves the held cells to its end, frees the old one and then
-    draws the new periods straight into its front, so cells are copied once
-    per doubling. Each depth keeps only the final states; at the last depth
-    path 0 alone is run again from -k*tau on the same cells to record its
-    last period, which equals its row of the batched run because a path's
-    bits do not depend on its batch. converged is False if k_max ran out.
+    only on its absolute index, so the cells are drawn ahead, each once, in
+    doublings of the depth: the first draw covers depths 1 and 2,
+    (-2*tau, t_eval), and when depth k is not yet drawn one call draws the
+    periods of depths k to min(k_max, 2*(k-1)). Depth 8 thus costs three
+    draws, (-2*tau, t_eval), (-4*tau, -2*tau) and (-8*tau, -4*tau), each
+    opening one stream per path and component. A gap needs two depths, and
+    at an accepted depth k >= 2 fewer than twice its cells are drawn, none
+    before -k_max*tau. The draws are held as drawn, and depth k runs through
+    them in turn from its grid step -k*steps_per_tau; a step's time is a
+    function of its grid step alone, so the pieces give the bits of one
+    unsplit run. Each depth keeps only the final states; at the last depth
+    path 0 alone is run again on its own cells to record its last period,
+    which equals its row of the batched run because a path's bits do not
+    depend on its batch. converged is False if k_max ran out.
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
@@ -114,6 +119,8 @@ def pullback_converge(
         raise ValueError(f"k_max must be >= 2 for a finite tolerance, got {k_max}")
     if ensemble < 1:
         raise ValueError("ensemble must be >= 1")
+    if ensemble >= 1 << 63:  # a path index is an int64
+        raise ValueError(f"ensemble must be below 2^63, got {ensemble}")
     tau = problem.period
     dt = scheme.dt
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -123,28 +130,23 @@ def pullback_converge(
         raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
-    # cells (cells, ensemble, m) of depths 1 to k_drawn. No view of buf
-    # outlives its depth, so growing frees the old buffer.
-    buf = np.empty((0, ensemble, problem.noise_dim))
-    k_drawn = 0
+    # the draws as (first cell, cells (n, ensemble, m)), the deepest first, from cell lo
+    draws, lo = [], n_eval
     prev = None
     gap_history = []
     for k in range(1, k_max + 1):
-        if k > k_drawn:
-            k_to = min(k_max, max(2, 2 * k_drawn))
-            grown = np.empty((k_to * steps_per_tau + n_eval,) + buf.shape[1:])
-            new = len(grown) - len(buf)
-            grown[new:] = buf
-            buf = grown
-            ensemble_increments(
-                seed, range(ensemble), -k_to * steps_per_tau, new, problem.noise_dim, dt,
-                out=buf[:new],
-            )
-            k_drawn = k_to
         first = -k * steps_per_tau
-        n_steps = k * steps_per_tau + n_eval
-        lo = len(buf) - n_steps
-        _, final, _ = simulate_ensemble(problem, scheme, first, x0, buf[lo:], record=False)
+        if first < lo:
+            k_to = min(k_max, max(2, 2 * (k - 1)))
+            c0 = -k_to * steps_per_tau
+            drawn = ensemble_increments(seed, range(ensemble), c0, lo - c0, problem.noise_dim, dt)
+            draws.insert(0, (c0, drawn))
+            lo = c0
+        # each draw from the start on; one that ends before it takes zero steps
+        runs = [(max(c0, first), cells[max(0, first - c0) :]) for c0, cells in draws]
+        final = x0
+        for c0, cells in runs:
+            _, final, _ = simulate_ensemble(problem, scheme, c0, final, cells, record=False)
         gap = float("inf")
         if prev is not None:
             gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
@@ -153,8 +155,9 @@ def pullback_converge(
         if gap <= tolerance:
             break
         prev = final
-    n_keep = min(steps_per_tau, n_steps)
-    _, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], buf[lo:, :1])
+    n_keep = min(steps_per_tau, n_eval - first)
+    path0_cells = np.concatenate([cells[:, :1] for _, cells in runs])
+    _, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], path0_cells)
     return PullbackResult(
         k_used=k,
         l2_gap=gap,
@@ -198,9 +201,9 @@ def periodicity_check_shifted(
     dt = scheme.dt
     a, b = window
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    first = _start_step(k, tau, dt)
     start = -k * tau
     shift_cells = grid_steps(tau, dt, "period")
-    first = -grid_steps(k * tau, dt, "k*period")
     # window ends as step indices counted from the start
     i_a = grid_steps(a, dt, "window start") - first
     n_steps = grid_steps(b, dt, "window end") - first

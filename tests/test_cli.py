@@ -50,8 +50,8 @@ class TestConfig:
             ("simulate", ["--set", "ensembel=5"]),  # mistyped key
             ("converge", ["--set", "dt=0.1"]),  # a key converge does not read
             ("simulate", ["--set", "model.bogus=1"]),  # unknown model parameter
-            # Newton stalls at a residual of 256 from 1e10
-            ("simulate", ["--set", "initial_values=1e10", "--set", "k=1"]),
+            # Newton stalls at a residual of 4 from 1e9
+            ("simulate", ["--set", "initial_values=1e9", "--set", "k=1"]),
             # the cubic model has period 2: -10,-9 ends within the first period
             ("periodicity", ["--set", "k=5", "--set", "window=-10,-9"]),
             ("periodicity", ["--set", "window=-2,-4"]),
@@ -205,6 +205,17 @@ class TestConfig:
             # a path index is an int64
             ("contraction", ["--set", "ensemble=100000000000000000000"],
              "error: ensemble must be below 2^63, got 100000000000000000000\n"),
+            ("pullback", ["--set", "ensemble=100000000000000000000"],
+             "error: ensemble must be below 2^63, got 100000000000000000000\n"),
+            ("converge", ["--set", "ensemble=100000000000000000000"],
+             "error: ensemble must be below 2^63, got 100000000000000000000\n"),
+            # a k that no float holds once ended in an OverflowError traceback
+            ("simulate", ["--set", f"k={10**400}"],
+             f"error: k must be at most 1.79769e+308, got {10**400}\n"),
+            ("periodicity", ["--set", f"k={10**400}"],
+             f"error: k must be at most 1.79769e+308, got {10**400}\n"),
+            ("contraction", ["--set", f"k={10**400}"],
+             f"error: k must be at most 1.79769e+308, got {10**400}\n"),
         ],
         ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
              "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -225,7 +236,9 @@ class TestConfig:
              "pullback-huge-t-eval",
              "simulate-tiny-dt", "converge-huge-t-end", "converge-levels-semicolon",
              "simulate-huge-run", "periodicity-window-start-off-grid",
-             "periodicity-huge-k", "contraction-huge-ensemble"],
+             "periodicity-huge-k", "contraction-huge-ensemble", "pullback-huge-ensemble",
+             "converge-huge-ensemble", "simulate-float-overflowing-k",
+             "periodicity-float-overflowing-k", "contraction-float-overflowing-k"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message
@@ -268,7 +281,7 @@ class TestConfig:
             ("converge", ["--set", "levels=6"]),
             ("periodicity", ["--set", "window=-2,-4"]),
             ("periodicity", ["--set", "xi=0.1,0.2"]),
-            ("simulate", ["--set", "initial_values=1e10", "--set", "k=1"]),
+            ("simulate", ["--set", "initial_values=1e9", "--set", "k=1"]),
             ("converge", ["--set", "levels=1,2", "--set", "reference_level=24"]),
             # a seed outside [0, 2^64) once aliased another modulo 2^64
             ("simulate", ["--seed", "-1"]),
@@ -515,7 +528,7 @@ PINNED = {
         0,
         {
             "manifest.txt": "916e443a1c98d98df45f66f8b340a2bbf4eded3203dd9e2e0fe7f07882d7378b",
-            "trajectories.csv": "756d6d4f925ecf8fbf0c04c40179aacdf247607715d474ac177cc62f58970ad6",
+            "trajectories.csv": "27883f106760b36b52b2f966745b339ac1a9e0aec381bec0d4f6c3f9437ef157",
             "trajectories.gp": "881027c3bd31147141100a446797dd73557f877a353f5206790956c7d8dfb7b5",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -526,9 +539,9 @@ PINNED = {
         0,
         {
             "manifest.txt": "6456bbb3c1a5303c38eef655c6ac3c621c0667aa33bd1e97d6908c5472ad98ca",
-            "pullback.csv": "bb456d0f91fe020e9714874f4e0f638042f95992fc77ccde55c58d739c761dec",
+            "pullback.csv": "7d47fef7aeedff6edfe9fe95dc9a52f116ce30a11af55a2f910ec0f162d6261a",
             "pullback.gp": "e4116019cfe8c25fbeda931334ac853e7b99e163b7f12dd5bc7cdaf3d8352348",
-            "pullback_gaps.csv": "b7cec81ea6a0e674cb5f5091dc98acae8c446f63eabf33dd8d6d428a34786f56",
+            "pullback_gaps.csv": "ed205aabe49df67e2e390d7c2eaf4698cba2fb8457045fc75ae3b93d4882fdca",
             "<stdout>": "af35ca5cfd1b87c51d4ed4b2830968eeae7439d9ed06daa3abd36a858893bbb0",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
@@ -539,8 +552,8 @@ PINNED = {
         {
             "manifest.txt": "b490ec266765679f83a9d00807304749b696eb50639ff45ee6147176d603c575",
             "periodicity.gp": "4f8bb225f8d69fb8a2881409a093505360a273132185c13b894022733f0e0f3b",
-            "periodicity_pullback.csv": "7bc3538834a7f35da980c79eb9d7a09d888db194f3327ed03a65ba855d19db83",
-            "periodicity_shifted.csv": "28d3770044b3f7b0a47917e91e7c372c3a12069a6e98c080fc889d48c97e16f8",
+            "periodicity_pullback.csv": "678a45ad2c502a5ff97222c7fea25971f8df548bea0363eba161976c0a5cc978",
+            "periodicity_shifted.csv": "140ae61a9b168381ced76c179f76e6be6a60c2ef93e687fe18da424c17dc2e81",
             "<stdout>": "bd049a2c052f4caaa341baff0124fe317541ffb4c698cfc78e415e87cb3b62ca",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         },
@@ -549,7 +562,7 @@ PINNED = {
         ["contraction"],
         0,
         {
-            "contraction.csv": "ee42eae28111ab37889007f8a33354ad75d739c28b5255cf7195f4379dcd9c56",
+            "contraction.csv": "588cf5969537cd65ca5069e97c3e586d693051d5993df2e19418e61a3bfaf2ba",
             "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
             "manifest.txt": "5a0508df9dd932bc0095bb6f72893dcefd1370e4959f7f16f67a9fc8b0b3c4cd",
             "<stdout>": "bc9c8952234685109db7cd905d4d4dc72d3e59e9f6829947134fe910eba74192",
@@ -575,7 +588,7 @@ PINNED = {
          "--seed", "2"],
         0,
         {
-            "contraction.csv": "4674712bf931a75d6c7b3d6cfe6b43e6aa2f150cc0a8cd0419991ff5f0776e61",
+            "contraction.csv": "17be16552c53758dfd413ae1c9bf14fef6bf538398c12c519b7063da47a27b34",
             "contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
             "manifest.txt": "5af635440f5c029ed759ac722bb87e97f38ceb892529fda1b20f7be3a910455f",
             "<stdout>": "fab777598f6d9d18788e18135e114a1f825f1617c753bcb5ba92e625c6e18bd1",
@@ -646,7 +659,7 @@ PINNED = {
         0,
         {
             "manifest.txt": "d94f3418a1e807e4c53d3976079ef56754380ff01844c0d01cbecda139e06ad0",
-            "trajectories.csv": "2a5a58a229083367f3829bdafb199f9b51a2d96b99c7b79440f4b49d7c75ab40",
+            "trajectories.csv": "1557426675bddfeb963e0b5ee5783fb3cf25a4d4c3fae2f9f2b3b6cdbe9b2b74",
             "trajectories.gp": "dfed5db335b07bf7b6db55ed44ad207bf4963e336b67f299f1b1fdc0fc2a81f9",
             "<stdout>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "<stderr>": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -733,13 +746,13 @@ def test_reproduce_runs_the_table(tmp_path, monkeypatch):
 # at their defaults
 REPRODUCE_DIGESTS = {
     "initial_values/manifest.txt": "94eb933671df962812232e5b70a21192b0efa29337f565b9dc041136c7394320",
-    "initial_values/trajectories.csv": "f45d90c75eed054b0a9e60a79a17f351fcb6a0d4a5962a55e32879da30364377",
+    "initial_values/trajectories.csv": "c7b3b702b4bb3247392ee53e774e22bcbd69dddaa6a6cba9a891b682e697e330",
     "initial_values/trajectories.gp": "881027c3bd31147141100a446797dd73557f877a353f5206790956c7d8dfb7b5",
     "periodicity/manifest.txt": "6ab34d927c0cde38da73d0d3d1fb5385f94efaf761f0cbff636b0bce628f5e04",
     "periodicity/periodicity.gp": "4f8bb225f8d69fb8a2881409a093505360a273132185c13b894022733f0e0f3b",
-    "periodicity/periodicity_pullback.csv": "2f1530812d7ea198e19a95c1b8609011caa28348604cd8174e930e7959ba65f8",
-    "periodicity/periodicity_shifted.csv": "76b9037958455ce07039e4115cca838d0f266a04d5ea3f19ec61190ec642e310",
-    "contraction/contraction.csv": "850424dfb0b87cd3f5e10b8b863910ebcb9016e664b18d9ea1433f31d2c0591d",
+    "periodicity/periodicity_pullback.csv": "b64d853e6371a090ff4ade95bce99479c761d2eab4f06ba6e6b6c732c7acebb4",
+    "periodicity/periodicity_shifted.csv": "bcee81807c438b39ff16b4fc283ab19add9ef303bb11bcb1a0e465939f7f2db0",
+    "contraction/contraction.csv": "fa9dbb23cec77a99ad23f8fcdaae19c1788d044ad49f2fb017b1b5c6a738b516",
     "contraction/contraction.gp": "3a00d1b442b58ef47aa23d6c870b4e84f937789c7f1d988955671f5f0dcc386e",
     "contraction/manifest.txt": "304498f3baf366f4230eb17e74f0647a985601362d9d2ebff627e748d1d45d50",
 }

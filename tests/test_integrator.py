@@ -318,6 +318,69 @@ class TestSimulatePath:
         assert np.median(iters) <= 5
 
 
+class TestGridTime:
+    """A step's time is a function of its absolute grid step alone.
+
+    Sixty steps of 0.1 from grid step -37 at theta = 0.75, so the explicit half
+    runs, on the catalog cubic (period 2, Newton's stage) and on the d = m = 2
+    coupled problem (period 0.5).
+    """
+
+    PROBLEMS = pytest.mark.parametrize(
+        "make, x0",
+        [
+            (lambda: build_cubic_model(**BENCH), [[0.6], [-1.2], [3.0]]),
+            (coupled_problem, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2]]),
+        ],
+        ids=["cubic", "two-dim"],
+    )
+    SCHEME, FIRST, N = ThetaScheme(theta=0.75, dt=0.1), -37, 60
+
+    @PROBLEMS
+    def test_split_run_keeps_its_bits(self, make, x0):
+        prob = make()
+        incs = ensemble_increments(4, range(len(x0)), self.FIRST, self.N, prob.noise_dim, 0.1)
+        whole = simulate_ensemble(prob, self.SCHEME, self.FIRST, np.array(x0), incs)
+        # step -20 is t = -2, a period boundary of both problems
+        bounds = [self.FIRST, -30, -20, -9, 6, self.FIRST + self.N]
+        x, times, states, iters = np.array(x0), [], [], []
+        for a, b in zip(bounds, bounds[1:]):
+            rows = incs[a - self.FIRST : b - self.FIRST]
+            t, piece, it = simulate_ensemble(prob, self.SCHEME, a, x, rows)
+            times.append(t[1:] if times else t)
+            states.append(piece[:, 1:] if states else piece)
+            iters.append(it)
+            x = piece[:, -1]
+        assert np.concatenate(times).tobytes() == whole[0].tobytes()
+        assert np.concatenate(states, axis=1).tobytes() == whole[1].tobytes()
+        assert np.concatenate(iters).tobytes() == whole[2].tobytes()
+
+    @PROBLEMS
+    def test_stage_time_is_the_next_steps_time(self, make, x0):
+        prob = make()
+        # per step: the explicit drift, the diffusion at the same time, then Newton's drifts
+        calls = []
+
+        def drift(t, x):
+            calls.append(("drift", t))
+            return prob.drift(t, x)
+
+        def diffusion(t, x):
+            calls.append(("diffusion", t))
+            return prob.diffusion(t, x)
+
+        wrapped = replace(prob, drift=drift, diffusion=diffusion)
+        incs = ensemble_increments(4, range(len(x0)), self.FIRST, self.N, prob.noise_dim, 0.1)
+        simulate_ensemble(wrapped, self.SCHEME, self.FIRST, np.array(x0), incs, record=False)
+        marks = [i for i, (name, _) in enumerate(calls) if name == "diffusion"]
+        assert len(marks) == self.N
+        explicit = [calls[i - 1][1].hex() for i in marks]
+        assert [calls[i][1].hex() for i in marks] == explicit
+        for j in range(self.N - 1):
+            stage = {t.hex() for _, t in calls[marks[j] + 1 : marks[j + 1] - 1]}
+            assert stage == {explicit[j + 1]}
+
+
 class TestEnsembleConsistency:
     @pytest.mark.parametrize(
         "make, theta, dt, x0",
@@ -423,7 +486,9 @@ class TestClosedFormStage:
 class TestGoldenBits:
     """Final states pinned to the float.hex of the kernel before the lean rewrite.
 
-    Sixteen steps from t = -1.5 under ensemble_increments(seed 11). In
+    Sixteen steps from t = -1.5 under ensemble_increments(seed 11). The
+    two-dim rows, on the grid of 0.05, were re-recorded when step s came to
+    run at s*dt instead of at the run's start plus j*dt. In
     cubic-theta0.75 the paths from 5 and -3 halve a Newton step (three
     halvings, counted in an instrumented copy of the earlier kernel), so the
     damping branch runs inside a batch whose other paths have converged.
@@ -439,11 +504,11 @@ class TestGoldenBits:
              ["0x1.7e3b18efa2728p-2", "-0x1.2955320d2e1a5p-4", "-0x1.ef04d73f04cb6p-4",
               "-0x1.13f1aa8ef55a3p-7"], 45),
             (coupled_problem, 1.0, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2]],
-             ["0x1.7b1b98ef47259p-2", "-0x1.5d37d058cd484p-3", "0x1.55d417e0e3219p-3",
-              "0x1.b2f2943f62306p-5", "-0x1.e0c0af166edcfp-3", "0x1.09b450e513e43p-8"], 36),
+             ["0x1.7b1b98ef47259p-2", "-0x1.5d37d058cd489p-3", "0x1.55d417e0e3215p-3",
+              "0x1.b2f2943f6232ap-5", "-0x1.e0c0af166edcfp-3", "0x1.09b450e513e79p-8"], 36),
             (coupled_problem, 0.75, 0.05, [[0.4, -0.3], [2.0, 1.5], [-1.0, 0.2]],
-             ["0x1.8066b8edcc563p-2", "-0x1.5d33e5fb4dadap-3", "0x1.37aef557e60b9p-3",
-              "0x1.7aee3bb0eb233p-5", "-0x1.e5ce90eff35fap-3", "-0x1.e48784fb0f05cp-21"], 35),
+             ["0x1.8066b8edcc563p-2", "-0x1.5d33e5fb4dae0p-3", "0x1.37aef557e60b7p-3",
+              "0x1.7aee3bb0eb250p-5", "-0x1.e5ce90eff35f8p-3", "-0x1.e48784fa6fd44p-21"], 35),
         ],
         ids=["cubic-theta1", "cubic-theta0.75", "two-dim-theta1", "two-dim-theta0.75"],
     )

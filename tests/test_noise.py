@@ -291,30 +291,6 @@ class TestEnsembleIncrements:
         path_major = np.ascontiguousarray(incs.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert folded.tobytes() == tree_fold(path_major, 4).tobytes()
 
-    @pytest.mark.parametrize("noise_dim", [1, 2])
-    def test_out_holds_the_fresh_bits(self, noise_dim):
-        fresh = ensemble_increments(3, range(5), -20, 30, noise_dim, 0.05)
-        held = np.full((40, 5, noise_dim), np.nan)
-        out = held[10:]
-        incs = ensemble_increments(3, range(5), -20, 30, noise_dim, 0.05, out=out)
-        assert incs is out
-        assert held[10:].tobytes() == fresh.tobytes()
-        assert np.isnan(held[:10]).all()
-
-    @pytest.mark.parametrize(
-        "out",
-        [np.empty((29, 5, 1)), np.empty((30, 4, 1)), np.empty((30, 5, 2)), np.empty((5, 30, 1)),
-         np.empty((30, 5, 1), dtype=np.float32)],
-        ids=["short", "few-paths", "two-noises", "paths-first", "float32"],
-    )
-    def test_wrong_out_rejected_before_any_draw(self, monkeypatch, out):
-        def no_draw(*args):
-            raise AssertionError("drew noise")
-
-        monkeypatch.setattr("rpsde.noise._fill", no_draw)
-        with pytest.raises(ValueError, match=r"need float64 \(30, 5, 1\)"):
-            ensemble_increments(3, range(5), -20, 30, 1, 0.05, out=out)
-
     @pytest.mark.parametrize(
         "fine_level, dt", [(None, 0.05), (6, 2.0**-6)], ids=["uniform", "dyadic"]
     )

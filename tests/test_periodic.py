@@ -187,11 +187,10 @@ class TestPullbackConverge:
         """The result and the sorted windows drawn, in cells."""
         windows = []
 
-        def recording(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level=None, out=None):
+        def recording(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level=None):
             assert paths == range(30)
             windows.append((first_cell, first_cell + n_cells))
-            return ensemble_increments(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level,
-                                       out)
+            return ensemble_increments(seed, paths, first_cell, n_cells, noise_dim, dt, fine_level)
 
         monkeypatch.setattr("rpsde.periodic.ensemble_increments", recording)
         prob = build_linear_model(1.0, 0.3)
