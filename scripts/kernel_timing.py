@@ -21,7 +21,9 @@ The estimator row runs, once and after the timing rounds, the ms_error call
 of tests/test_analysis.py::test_memory_bounded_by_block (linear_ou, levels 9
 and 10 against a level-12 reference, 200 paths over (-4, 4)) under
 tracemalloc, and prints its traced peak in MB and its wall time, which
-includes the tracing's overhead.
+includes the tracing's overhead. As in that test, ms_error is shown one CPU,
+so it steps the reference in this process, where tracemalloc sees it, rather
+than in a forked child on a host with two CPUs or more.
 
 Every timed row runs once per round, in turn, for ROUNDS rounds, so a phase of
 load on the host falls on all rows alike rather than on the few that a
@@ -36,6 +38,7 @@ import math
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 
@@ -87,14 +90,15 @@ def kernel_run(problem, scheme, batch, n_steps):
 def estimator_memory(t_start=-4.0, t_end=4.0):
     """Traced peak in MB and wall seconds of the ms_error call over (t_start, t_end)."""
     problem = catalog_entry("linear_ou").problem
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        ms_error(problem, 1.0, [9, 10], 12, 200, t_start, t_end, seed=0)
-        seconds = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    with mock.patch("os.sched_getaffinity", lambda pid: {0}):
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            ms_error(problem, 1.0, [9, 10], 12, 200, t_start, t_end, seed=0)
+            seconds = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     return peak / 1e6, seconds
 
 

@@ -182,9 +182,9 @@ class _Kernel:
                 ft[worse] = self.residual(tf, trial[worse], r[worse])
                 nt[worse] = self.norm(ft[worse])
                 worse &= (nt >= nrm)[:, 0]
+            # a frozen row's residual feeds only the next quotient, whose row this discards
             if n_done:
                 np.copyto(trial, y, where=done)
-                np.copyto(ft, f, where=done)
                 np.copyto(nt, nrm, where=done)
             y, f, nrm = trial, ft, nt
             it += 1

@@ -88,7 +88,6 @@ class SdeProblem:
 
 @dataclass(frozen=True)
 class ModelCatalogEntry:
-    name: str
     problem: SdeProblem
 
 
@@ -208,4 +207,4 @@ def catalog_entry(name: str, **params) -> ModelCatalogEntry:
     for key, value in params.items():
         if not math.isfinite(value):
             raise ValueError(f"model.{key} must be finite, got {value}")
-    return ModelCatalogEntry(name, build(**{**defaults, **params}))
+    return ModelCatalogEntry(build(**{**defaults, **params}))

@@ -158,13 +158,10 @@ class WienerGrid:
     absolute cell i = first_cell + j, which covers [i*h, (i+1)*h], h = cell_width.
     """
 
-    seed: int
-    path_index: int
     noise_dim: int
     cell_width: float
     first_cell: int
     increments: np.ndarray
-    fine_level: int | None = None
 
     @property
     def n_cells(self) -> int:
@@ -237,15 +234,7 @@ def _generate(seed, path_index, fine_level, dt, window, noise_dim):
         raise ValueError(f"window {window} must have positive length")
     incs = ensemble_increments(seed, [path_index], i0, n, noise_dim, h, fine_level)[:, 0]
     incs.setflags(write=False)
-    return WienerGrid(
-        seed=seed,
-        path_index=path_index,
-        noise_dim=noise_dim,
-        cell_width=h,
-        first_cell=i0,
-        increments=incs,
-        fine_level=fine_level,
-    )
+    return WienerGrid(noise_dim=noise_dim, cell_width=h, first_cell=i0, increments=incs)
 
 
 def ensemble_increments(

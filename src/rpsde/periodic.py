@@ -50,7 +50,7 @@ def _start_step(k: int, period: float, dt: float) -> int:
 class PullbackResult:
     k_used: int
     l2_gap: float
-    sample_times: np.ndarray
+    sample_times: np.ndarray  # the grid times s*dt of path 0's recorded run
     states: np.ndarray  # trajectory of path 0 over sample_times
     gap_history: list
     converged: bool  # l2_gap <= tolerance; otherwise the depths ran out at k_max
@@ -109,7 +109,8 @@ def pullback_converge(
     unsplit run. Each depth keeps only the final states; at the last depth
     path 0 alone is run again on its own cells to record its last period,
     which equals its row of the batched run because a path's bits do not
-    depend on its batch. converged is False if k_max ran out.
+    depend on its batch; sample_times are that run's grid times s*dt.
+    converged is False if k_max ran out.
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
@@ -157,11 +158,11 @@ def pullback_converge(
         prev = final
     n_keep = min(steps_per_tau, n_eval - first)
     path0_cells = np.concatenate([cells[:, :1] for _, cells in runs])
-    _, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], path0_cells)
+    times, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], path0_cells)
     return PullbackResult(
         k_used=k,
         l2_gap=gap,
-        sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
+        sample_times=times[-(n_keep + 1) :],
         states=path0[0, -(n_keep + 1) :],
         gap_history=gap_history,
         converged=gap <= tolerance,

@@ -223,14 +223,17 @@ class TestMsError:
 
     @pytest.fixture(scope="class")
     def block_run_peak(self):
-        # traced peak of one ms_error call, measured once for both memory tests
+        # traced peak of one ms_error call, measured once for both memory tests; on one
+        # CPU, so the reference is stepped in this process and traced on every host
         prob = build_linear_model(1.0, 0.3)
-        tracemalloc.start()
-        try:
-            ms_error(prob, 1.0, [9, 10], 12, 200, -4.0, 4.0, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with pytest.MonkeyPatch.context() as mp:
+            one_cpu(mp)
+            tracemalloc.start()
+            try:
+                ms_error(prob, 1.0, [9, 10], 12, 200, -4.0, 4.0, seed=0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         return peak
 
     def test_memory_bounded_by_block(self, block_run_peak):

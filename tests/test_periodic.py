@@ -7,7 +7,7 @@ import pytest
 
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import SdeProblem, build_cubic_model, build_linear_model, catalog_entry
-from rpsde.noise import ensemble_increments
+from rpsde.noise import ensemble_increments, grid_steps
 from rpsde.periodic import (
     BURN_IN_PERIODS,
     periodicity_check_pullback,
@@ -95,10 +95,70 @@ def pullback_by_definition(problem, scheme, t_eval, xi, tolerance, k_max, ensemb
                     l2_gap=gaps[-1],
                     gap_history=gaps,
                     states=states[0, -(n_keep + 1) :],
-                    sample_times=t_eval - dt * np.arange(n_keep, -1, -1),
+                    sample_times=dt * np.arange(n_eval - n_keep, n_eval + 1),
                 )
         prev = final
     raise AssertionError("tolerance not met")
+
+
+# the exact series below is cut after this many periods; a^(40N) < 2e-17 where it is used
+RPS_PERIODS = 40
+
+
+def affine_factors(problem, scheme):
+    """a and s of one theta step of linear_ou, x_{j+1} = a x_j + s dW_j."""
+    lam = float(problem.linear_matrix[0, 0])
+    sigma = float(problem.diffusion(0.0, np.zeros((1, 1)))[0, 0, 0])
+    theta, h = scheme.theta, scheme.dt
+    implicit = 1.0 + theta * lam * h
+    return (1.0 - (1.0 - theta) * lam * h) / implicit, sigma / implicit
+
+
+def exact_rps(problem, scheme, seed, paths, steps):
+    """linear_ou's numerical random periodic solution X*_h at the grid steps `steps`.
+
+    X*_h(t_n) = sum_{i>=0} a^i s dW_{n-1-i}, the state at t_n of the scheme run
+    from the infinite past, on the cells of paths 0 .. paths-1, cut after
+    RPS_PERIODS periods and summed exactly (math.fsum) from its rounded terms.
+    Returns the values and the weights sum_i (i + 1) |a^i s dW_{n-1-i}|, both
+    (len(steps), paths): a^i is off by about i ulps, and a step's rounding
+    reaches t_n scaled by a^i, so eps times a weight bounds the rounding of
+    the series and of a run alike.
+    """
+    a, s = affine_factors(problem, scheme)
+    n_terms = RPS_PERIODS * grid_steps(problem.period, scheme.dt, "period")
+    first = min(steps) - n_terms
+    cells = ensemble_increments(seed, range(paths), first, max(steps) - first, 1, scheme.dt)
+    noise = s * cells[:, :, 0]
+    powers = a ** np.arange(n_terms)
+    values, weights = [], []
+    for n in steps:
+        # term i reads cell n - 1 - i, row n - 1 - i - first
+        terms = powers[:, None] * noise[n - first - 1 :: -1][:n_terms]
+        values.append([math.fsum(path) for path in terms.T.tolist()])
+        weights.append(np.arange(1, n_terms + 1) @ np.abs(terms))
+    return np.array(values), np.array(weights)
+
+
+def exact_pullback(problem, scheme, seed, paths, xi, first, steps):
+    """The runs of paths 0 .. paths-1 from xi at grid step first, at the grid steps `steps`.
+
+    Pathwise, a run differs from X*_h by a^(n - first) (xi - X*_h(t_first)) at
+    grid step n. Returns the values and a rounding tolerance of each, from
+    exact_rps's weights at both ends and the size of that transient.
+    """
+    a, _ = affine_factors(problem, scheme)
+    values, weights = exact_rps(problem, scheme, seed, paths, [first, *steps])
+    n = np.asarray(steps)[:, None] - first
+    offset = xi - values[0]
+    tol = 8 * np.finfo(float).eps * (
+        weights[1:] + a**n * weights[0] + (n + 1) * a ** (n - 1) * np.abs(offset)
+    )
+    return values[1:] + a**n * offset, tol
+
+
+# (theta, dt) of the exact pull-back tests: the implicit Euler step, and one with an explicit part
+EXACT_SCHEMES = [(1.0, 0.01), (0.75, 0.1)]
 
 
 class TestPullbackConverge:
@@ -182,6 +242,28 @@ class TestPullbackConverge:
         for name in ("states", "sample_times"):
             assert np.array_equal(getattr(res, name), ref[name]), name
 
+    def test_sample_times_are_grid_times(self):
+        # the last period, grid steps -17 to 3; t_eval - dt*i put 11 of these 21 off s*dt,
+        # grid step 0 at -5.55e-17
+        dt = 0.1
+        res = pullback_converge(build_cubic_model(**BENCH), ThetaScheme(theta=1.0, dt=dt), 0.3,
+                                [0.6], 1e-3, 10, 4, seed=0)
+        assert np.array_equal(res.sample_times, dt * np.arange(-17, 4))
+        assert res.sample_times[17] == 0.0
+
+    @pytest.mark.parametrize("theta, dt", EXACT_SCHEMES)
+    def test_states_equal_the_exact_pullback(self, theta, dt):
+        # path 0 over the last period, run from -k*tau at the accepted depth
+        prob = catalog_entry("linear_ou").problem
+        sch = ThetaScheme(theta=theta, dt=dt)
+        res = pullback_converge(prob, sch, 0.0, [0.6], 1e-3, 20, 200, seed=0)
+        assert res.converged
+        n = round(prob.period / dt)
+        steps = np.arange(-n, 1)
+        assert np.array_equal(res.sample_times, dt * steps)
+        exact, tol = exact_pullback(prob, sch, 0, 1, 0.6, -res.k_used * n, steps)
+        assert np.all(np.abs(res.states - exact) <= tol)
+
     @staticmethod
     def drawn_cells(monkeypatch, tolerance, k_max):
         """The result and the sorted windows drawn, in cells."""
@@ -225,8 +307,9 @@ class TestPullbackConverge:
         assert drawn == depths
 
     def test_memory_within_twice_the_held_cells(self):
-        # depth 8 holds 800 cells of 2000 paths; prepending each period with a
-        # concatenate peaked at twice that, growing by doubling peaks at 1.5x
+        # depth 8 holds its 800 cells of 2000 paths as drawn, 12.8 MB; the peak adds
+        # the noise draw's three 0.5 MB chunk arrays (words, bits, normals) and the
+        # step's small arrays, 1.17x in all
         prob = catalog_entry("linear_ou").problem
         tracemalloc.start()
         try:
@@ -236,7 +319,7 @@ class TestPullbackConverge:
         finally:
             tracemalloc.stop()
         assert res.k_used == 8
-        assert peak < 1.8 * (8 * 100 * 2000 * 8)
+        assert peak < 1.25 * (8 * 100 * 2000 * 8)
 
 
 class TestPullbackPaths:
@@ -266,6 +349,22 @@ class TestPullbackPaths:
                 alone_times, alone, _ = simulate_ensemble(prob, sch, -20, [x0], incs[:, e : e + 1])
                 assert np.array_equal(states[2 * s + e], alone[0])
         assert np.array_equal(times, alone_times)
+
+    @pytest.mark.parametrize("theta, dt", EXACT_SCHEMES)
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_paths_equal_the_exact_pullback(self, theta, dt, k):
+        # every start on 200 paths, at each period's end from -k*tau to 0
+        prob = catalog_entry("linear_ou").problem
+        sch = ThetaScheme(theta=theta, dt=dt)
+        starts = [0.6, -1.0]
+        _, states, _ = pullback_paths(prob, sch, [[x] for x in starts], k, 0.0, seed=2,
+                                      ensemble=200)
+        n = round(prob.period / dt)
+        at = np.arange(0, k * n + 1, n)
+        for i, xi in enumerate(starts):
+            exact, tol = exact_pullback(prob, sch, 2, 200, xi, -k * n, at - k * n)
+            got = states[200 * i : 200 * (i + 1), at, 0].T
+            assert np.all(np.abs(got - exact) <= tol)
 
 
 class TestInitialValueIndependence:
