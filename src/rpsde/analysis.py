@@ -5,14 +5,13 @@ same theta scheme on the same Brownian path: coarse-grid increments are the
 pairwise tree sums (`noise.tree_fold`) of the fine-grid increments, so every
 coarse run is coupled to the reference pathwise. The levels stream through
 the time window in blocks of a bounded number of fine values, the reference
-in a forked process beside the others where two CPUs are available.
+in a forked process beside the others where two CPUs are available
+(`periodic.beside_child`), with the bits of the one-process run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .integrator import ThetaScheme, simulate_ensemble
 from .models import SdeProblem
 from .noise import ensemble_increments, grid_steps, tree_fold
-from .periodic import pullback_paths
+from .periodic import beside_child, pullback_paths, two_cpus
 
 __all__ = [
     "ConvergenceReport",
@@ -121,7 +120,8 @@ def ms_error(
     final time: against the reference, and between consecutive levels
     (`level_diffs`). A failure (a Newton solve, an allocation) aborts the
     experiment, the one that one loop over all levels meets first; paths are
-    never dropped.
+    never dropped. This process takes the child's states block by block, so
+    a failure here waits for the child only to finish that block.
     """
     levels = sorted(levels)
     if len(set(levels)) < 2:
@@ -150,17 +150,21 @@ def ms_error(
     block = max(q, _BLOCK_VALUES // (ensemble * problem.noise_dim) // q * q)
     schemes = {lvl: ThetaScheme(theta, 2.0**-lvl) for lvl in levels + [ref]}
     x0 = np.broadcast_to(xi, (ensemble, xi.size))
-    args = (problem, schemes, ref, x0, range(first * q, (first + n_coarse) * q), block, seed)
-    if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-        coarse = [lvl for lvl in levels if lvl != ref]
-        results = _beside_child(_run_levels, (*args, [ref]), (*args, coarse))
+    args = (problem, schemes, ref, range(ensemble), range(first * q, (first + n_coarse) * q),
+            block, seed)
+    states = dict.fromkeys(schemes, x0)
+    if two_cpus():
+        del states[ref]
+        # block by block: one loop over all levels meets a reference failure first in a block;
+        # the reference, which takes the most steps, never waits
+        mine, theirs = _run_levels(*args, states), _run_levels(*args, {ref: x0})
+        with beside_child(mine, theirs, paced=False) as pairs:
+            for _, reference in pairs:
+                pass
+        states.update(reference)
     else:
-        results = [_run_levels(*args, sorted(schemes))]
-    # one loop over all levels meets the earliest block's failure first, the reference's on a tie
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    states = {lvl: x for done, _ in results for lvl, x in done.items()}
+        for _ in _run_levels(*args, states):
+            pass
     finals = [states[lvl] for lvl in levels]
     rms, stderrs = _rms_gaps(finals, [states[ref]] * len(levels))
     diffs = _rms_gaps(finals[1:], finals[:-1])[0]
@@ -180,57 +184,22 @@ def ms_error(
     )
 
 
-def _run_levels(problem, schemes, ref, x0, cells, block, seed, group):
-    """Step group's levels through cells, each block drawn at ref and folded down to them.
+def _run_levels(problem, schemes, ref, paths, cells, block, seed, states):
+    """Step the levels that states maps to their states through cells, in place.
 
-    Returns ({level: final states}, None), or (None, (c, exception)) at the
-    first failure, in the block that starts at cell c.
+    Each block is drawn at ref and folded down to the levels; yields states
+    after each block.
     """
-    states = dict.fromkeys(group, x0)
     for c in range(cells.start, cells.stop, block):
         n = min(block, cells.stop - c)
-        try:
-            incs = ensemble_increments(
-                seed, range(len(x0)), c, n, problem.noise_dim, 2.0**-ref, fine_level=ref
-            )
-            for lvl in range(ref, min(group) - 1, -1):
-                incs = incs if lvl == ref else tree_fold(incs, 2)
-                if lvl in group:
-                    _, states[lvl], _ = simulate_ensemble(
-                        problem, schemes[lvl], c >> (ref - lvl), states[lvl], incs, record=False
-                    )
-        except Exception as exc:
-            return None, (c, exc)
-    return states, None
-
-
-def _beside_child(fn, child_args, args):
-    """[fn(*child_args), fn(*args)], the first run at the same time in a forked child.
-
-    The child sends its result through a pipe and leaves by os._exit, flushing
-    no buffer it inherited. It is reaped before this returns or raises, and
-    killed first if this raises before its result arrived.
-    """
-    from multiprocessing import Pipe  # here, so that a run without a fork does not load it
-
-    reader, writer = Pipe(duplex=False)
-    if (pid := os.fork()) == 0:
-        try:
-            writer.send(fn(*child_args))
-        finally:
-            os._exit(0)
-    writer.close()
-    try:
-        mine = fn(*args)
-        return [reader.recv(), mine]
-    except EOFError:
-        raise ChildProcessError("the forked process of ms_error ended without a result") from None
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        reader.close()
-        os.waitpid(pid, 0)
+        incs = ensemble_increments(seed, paths, c, n, problem.noise_dim, 2.0**-ref, fine_level=ref)
+        for lvl in range(ref, min(states) - 1, -1):
+            incs = incs if lvl == ref else tree_fold(incs, 2)
+            if lvl in states:
+                _, states[lvl], _ = simulate_ensemble(
+                    problem, schemes[lvl], c >> (ref - lvl), states[lvl], incs, record=False
+                )
+        yield states
 
 
 def _rms_gaps(xs, ys):

@@ -10,11 +10,19 @@ window is counted in whole cells of the stepsize: the period is steps_per_tau
 cells, -k*tau is cell -k*steps_per_tau, the grid step a run from there starts
 at, and the Wiener shift by one period is an offset of steps_per_tau cells
 into one time-first draw.
+
+With two CPUs (`two_cpus`), `pullback_converge` at _SPLIT_PATHS paths or more
+steps half of them in a child forked by `beside_child`, as `analysis.ms_error`
+does its reference; a path's bits do not depend on its batch, so neither
+changes a bit of the one-process run.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,8 @@ __all__ = [
     "pullback_converge",
     "periodicity_check_shifted",
     "periodicity_check_pullback",
+    "two_cpus",
+    "beside_child",
 ]
 
 # both periodicity checks judge only the pairs whose later sample lies this many
@@ -37,6 +47,70 @@ __all__ = [
 BURN_IN_PERIODS = 2
 # both periodicity checks pass iff their supremum is at most THRESHOLD
 THRESHOLD = 1e-2
+# the ensemble from which pullback_converge steps half of its paths in a forked child: on
+# linear_ou at dt 0.01 the split lost at 500 paths, broke even near 1000 and won from 2000
+_SPLIT_PATHS = 2000
+
+
+def two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more, so that a forked child runs beside it."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+@contextmanager
+def beside_child(mine, theirs, paced):
+    """Pairs of the items of mine, iterated here, and of theirs, in a forked child.
+
+    theirs is a generator not yet started. The child computes its next item
+    while this process computes its own; if paced, only once the next pair
+    is asked for, else without waiting. In a step where either fails, the
+    child's exception is raised, else this process's. The child leaves by
+    os._exit, flushing no inherited buffer; leaving the with block kills it,
+    unless it has ended, and reaps it. A child that died raises
+    ChildProcessError.
+    """
+    from multiprocessing import Pipe  # here, so that a run without a fork does not load it
+
+    conn, child_conn = Pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            for item in theirs:
+                child_conn.send(item)
+                if paced:
+                    child_conn.recv()  # the next step
+        except Exception as exc:
+            child_conn.send(exc)
+        finally:
+            os._exit(0)
+    child_conn.close()
+
+    def received():
+        item = conn.recv()
+        if isinstance(item, Exception):
+            raise item
+        return item
+
+    def pairs():
+        while True:
+            try:
+                item = next(mine)
+            except StopIteration:
+                return
+            except Exception:
+                received()  # the child's failure in this step comes first
+                raise
+            yield item, received()
+            if paced:
+                conn.send(True)
+
+    try:
+        yield pairs()
+    except EOFError:
+        raise ChildProcessError("the forked process ended without a result") from None
+    finally:
+        conn.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _start_step(k: int, period: float, dt: float) -> int:
@@ -95,22 +169,16 @@ def pullback_converge(
     """Increase the pull-back depth k until consecutive runs agree in L2, or k reaches k_max.
 
     The noise is identical per path across k (windows nested leftward), so
-    the Monte-Carlo gap estimate is a paired difference. Each cell depends
-    only on its absolute index, so the cells are drawn ahead, each once, in
-    doublings of the depth: the first draw covers depths 1 and 2,
-    (-2*tau, t_eval), and when depth k is not yet drawn one call draws the
-    periods of depths k to min(k_max, 2*(k-1)). Depth 8 thus costs three
-    draws, (-2*tau, t_eval), (-4*tau, -2*tau) and (-8*tau, -4*tau), each
-    opening one stream per path and component. A gap needs two depths, and
-    at an accepted depth k >= 2 fewer than twice its cells are drawn, none
-    before -k_max*tau. The draws are held as drawn, and depth k runs through
-    them in turn from its grid step -k*steps_per_tau; a step's time is a
-    function of its grid step alone, so the pieces give the bits of one
-    unsplit run. Each depth keeps only the final states; at the last depth
-    path 0 alone is run again on its own cells to record its last period,
-    which equals its row of the batched run because a path's bits do not
-    depend on its batch; sample_times are that run's grid times s*dt.
-    converged is False if k_max ran out.
+    the Monte-Carlo gap estimate is a paired difference. At _SPLIT_PATHS
+    paths or more with two CPUs, paths [ensemble//2, ensemble) run in a
+    forked child that sends each depth's final states and runs the next
+    depth when asked; the gap is taken over both halves joined in path
+    order. A failure at depth k in either half re-runs depth k on every path
+    here, so the one-process error is raised, Newton's worst residual over
+    the whole batch included. At the last depth path 0 alone is run again on
+    its own cells to record its last period, bitwise its row of the batch;
+    sample_times are that run's grid times s*dt. converged is False if k_max
+    ran out.
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
@@ -123,42 +191,29 @@ def pullback_converge(
     if ensemble >= 1 << 63:  # a path index is an int64
         raise ValueError(f"ensemble must be below 2^63, got {ensemble}")
     tau = problem.period
-    dt = scheme.dt
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    steps_per_tau = grid_steps(tau, dt, "period")
-    n_eval = grid_steps(t_eval, dt, "t_eval")
+    steps_per_tau = grid_steps(tau, scheme.dt, "period")
+    n_eval = grid_steps(t_eval, scheme.dt, "t_eval")
     if n_eval <= -steps_per_tau:
         raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
-    x0 = np.broadcast_to(xi, (ensemble, xi.size))
 
-    # the draws as (first cell, cells (n, ensemble, m)), the deepest first, from cell lo
-    draws, lo = [], n_eval
+    args = (problem, scheme, xi, n_eval, steps_per_tau, seed, range(1, k_max + 1))
     prev = None
     gap_history = []
-    for k in range(1, k_max + 1):
-        first = -k * steps_per_tau
-        if first < lo:
-            k_to = min(k_max, max(2, 2 * (k - 1)))
-            c0 = -k_to * steps_per_tau
-            drawn = ensemble_increments(seed, range(ensemble), c0, lo - c0, problem.noise_dim, dt)
-            draws.insert(0, (c0, drawn))
-            lo = c0
-        # each draw from the start on; one that ends before it takes zero steps
-        runs = [(max(c0, first), cells[max(0, first - c0) :]) for c0, cells in draws]
-        final = x0
-        for c0, cells in runs:
-            _, final, _ = simulate_ensemble(problem, scheme, c0, final, cells, record=False)
-        gap = float("inf")
-        if prev is not None:
-            gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
-            gap_history.append(gap)
-        # the first depth has no gap; only an infinite tolerance accepts it
-        if gap <= tolerance:
-            break
-        prev = final
+    with closing(_all_depths(args, ensemble)) as depths:
+        for k, (runs, final) in enumerate(depths, start=1):
+            gap = float("inf")
+            if prev is not None:
+                gap = float(np.sqrt(np.mean(np.sum((final - prev) ** 2, axis=-1))))
+                gap_history.append(gap)
+            # the first depth has no gap; only an infinite tolerance accepts it
+            if gap <= tolerance:
+                break
+            prev = final
+    first = -k * steps_per_tau
     n_keep = min(steps_per_tau, n_eval - first)
     path0_cells = np.concatenate([cells[:, :1] for _, cells in runs])
-    times, path0, _ = simulate_ensemble(problem, scheme, first, x0[:1], path0_cells)
+    times, path0, _ = simulate_ensemble(problem, scheme, first, xi[None], path0_cells)
     return PullbackResult(
         k_used=k,
         l2_gap=gap,
@@ -167,6 +222,56 @@ def pullback_converge(
         gap_history=gap_history,
         converged=gap <= tolerance,
     )
+
+
+def _depths(problem, scheme, xi, n_eval, steps_per_tau, seed, depths, paths):
+    """Run paths from xi at each depth k of depths to t_eval; yields (runs, final states).
+
+    A cell depends only on its absolute index, so the cells are drawn ahead,
+    each once, in doublings of the depth: the first draw covers depths 1
+    and 2, (-2*tau, t_eval), and when depth k is not yet drawn one call draws
+    the periods of depths k to min(depths[-1], 2*(k-1)); depth 8 costs three
+    draws. At an accepted depth k >= 2 fewer than twice its cells are drawn.
+    Depth k runs through the draws as held, runs = [(grid step, cells)], from
+    its grid step -k*steps_per_tau; a step's time is a function of its grid
+    step alone, so the pieces give the bits of one unsplit run.
+    """
+    x0 = np.broadcast_to(xi, (len(paths), xi.size))
+    # the draws as (first cell, cells (n, paths, m)), the deepest first, from cell lo
+    draws, lo = [], n_eval
+    for k in depths:
+        first = -k * steps_per_tau
+        if first < lo:
+            c0 = -min(depths[-1], max(2, 2 * (k - 1))) * steps_per_tau
+            drawn = ensemble_increments(seed, paths, c0, lo - c0, problem.noise_dim, scheme.dt)
+            draws.insert(0, (c0, drawn))
+            lo = c0
+        # each draw from the start on; one that ends before it takes zero steps
+        runs = [(max(c0, first), cells[max(0, first - c0) :]) for c0, cells in draws]
+        final = x0
+        for c0, cells in runs:
+            _, final, _ = simulate_ensemble(problem, scheme, c0, final, cells, record=False)
+        yield runs, final
+
+
+def _all_depths(args, ensemble):
+    """_depths over paths 0 .. ensemble-1, the upper half in a forked child where that pays."""
+    if ensemble < _SPLIT_PATHS or not two_cpus():
+        yield from _depths(*args, range(ensemble))
+        return
+    half, k = ensemble // 2, 0
+    theirs = (final for _, final in _depths(*args, range(half, ensemble)))
+    try:
+        with beside_child(_depths(*args, range(half)), theirs, paced=True) as pairs:
+            for k, ((runs, final), their_final) in enumerate(pairs, start=1):
+                yield runs, np.concatenate([final, their_final])
+    except ChildProcessError:
+        raise
+    except Exception:
+        # depth k + 1 failed in a half: run it on every path, to raise what one batch meets
+        for _ in _depths(*args[:-1], range(k + 1, k + 2), range(ensemble)):
+            pass
+        raise
 
 
 @dataclass

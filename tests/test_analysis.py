@@ -27,6 +27,7 @@ from rpsde.models import (
     catalog_entry,
 )
 from rpsde.noise import ensemble_increments, grid_steps, tree_fold
+from conftest import forking, one_cpu
 from test_periodic import coupled_problem
 
 BENCH = dict(lam=5 * math.pi, a=3.0, b=1.5, c=0.5, dcoef=0.1, pstar=21.0)
@@ -288,25 +289,6 @@ class TestMsError:
             ms_error(prob, 1.0, [5, 6], 4, 10, 0.0, 1.0, seed=0)
 
 
-def one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-def forking(monkeypatch):
-    """Two CPUs, whatever the host has; returns the list of the pids forked."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    pids, fork = [], os.fork
-
-    def recording():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording)
-    return pids
-
-
 def failing(problem, theta, fail_after, error=None):
     """problem whose stage fails at each level of fail_after from stage time t_after on.
 
@@ -393,6 +375,28 @@ class TestForkedReference:
         else:
             assert raised[0] == (MemoryError, "no room")
         assert capfd.readouterr() == ("", "")
+
+    def test_early_failure_waits_only_for_its_block(self, monkeypatch):
+        # level 6 fails at its first step, in the first of 52 blocks; the child, on the
+        # reference's 32,768 steps, is killed once it reports that block done
+        problem = failing(build_linear_model(1.0, 0.3), 1.0, {6: 0.0})
+        statuses, waitpid = [], os.waitpid
+
+        def recording(pid, options):
+            done = waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "waitpid", recording)
+        raised = []
+        for patch in (forking, one_cpu):
+            patch(monkeypatch)
+            with pytest.raises(NewtonError) as info:
+                ms_error(problem, 1.0, [6, 7, 8, 9, 10], 12, 200, -4.0, 4.0, seed=0, xi=[1.0])
+            raised.append(str(info.value))
+        assert raised == ["non-finite state after step at t=-4.0"] * 2
+        assert len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
 
     def test_child_killed_without_result(self, monkeypatch):
         # the reference's stage kills the process that runs it: the child

@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from rpsde.periodic import pullback_converge
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -493,7 +497,7 @@ class TestConverge:
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_newton_failure_one_line(self, tmp_path, capfd, monkeypatch, cpus):
         # with two CPUs the reference fails in the forked child, which prints nothing itself
-        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         args = ["--set", "xi=1e10", "--set", "levels=6,7", "--set", "reference_level=8",
                 "--set", "ensemble=20"]
         assert main(["converge", "--out", str(tmp_path), *args]) == 2
@@ -803,3 +807,14 @@ def test_kernel_timing_script_runs():
     peak_mb, seconds = script["estimator_memory"](0.0, 2.0**-9)
     assert 0.0 < peak_mb < 4.0
     assert math.isfinite(seconds) and seconds >= 0.0
+
+
+def test_import_loads_no_multiprocessing():
+    # periodic.beside_child imports it when it forks; loaded at module level it adds
+    # memory and start-up time to every subcommand, forking or not
+    script = "import sys\nimport rpsde.cli\nprint('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.stdout, done.stderr, done.returncode) == ("False\n", "", 0)

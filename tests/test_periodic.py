@@ -1,15 +1,21 @@
 import math
+import os
+import signal
+import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from rpsde.integrator import ThetaScheme, simulate_ensemble
+from conftest import forking, one_cpu
+from rpsde import periodic
+from rpsde.integrator import NewtonError, ThetaScheme, simulate_ensemble
 from rpsde.models import SdeProblem, build_cubic_model, build_linear_model, catalog_entry
 from rpsde.noise import ensemble_increments, grid_steps
 from rpsde.periodic import (
     BURN_IN_PERIODS,
+    PullbackResult,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
@@ -306,20 +312,170 @@ class TestPullbackConverge:
             assert 5 <= res.k_used <= 8
         assert drawn == depths
 
-    def test_memory_within_twice_the_held_cells(self):
-        # depth 8 holds its 800 cells of 2000 paths as drawn, 12.8 MB; the peak adds
-        # the noise draw's three 0.5 MB chunk arrays (words, bits, normals) and the
-        # step's small arrays, 1.17x in all
+    @staticmethod
+    def traced_peak(monkeypatch, cpus, ensemble):
+        """The traced peak of the depth loop to k = 8, in this process."""
+        cpus(monkeypatch)
         prob = catalog_entry("linear_ou").problem
         tracemalloc.start()
         try:
             res = pullback_converge(prob, ThetaScheme(theta=1.0, dt=0.01), 0.0, [0.6], 1e-3, 20,
-                                    2000, seed=0)
+                                    ensemble, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert res.k_used == 8
+        return peak
+
+    def test_memory_within_twice_the_held_cells(self, monkeypatch):
+        # depth 8 holds its 800 cells of 2000 paths as drawn, 12.8 MB; the peak adds
+        # the noise draw's three 0.5 MB chunk arrays (words, bits, normals) and the
+        # step's small arrays, 1.17x in all
+        peak = self.traced_peak(monkeypatch, one_cpu, 2000)
         assert peak < 1.25 * (8 * 100 * 2000 * 8)
+
+    def test_memory_of_a_split_run_within_its_half(self, monkeypatch):
+        # of 4000 paths this process holds the cells of paths 0 .. 1999, 12.8 MB, and the
+        # same 1.17x as one process at 2000; all 4000 would be 25.6 MB
+        peak = self.traced_peak(monkeypatch, forking, 4000)
+        assert peak < 1.25 * (8 * 100 * 2000 * 8)
+
+
+def split_and_alone(monkeypatch, *args):
+    """pullback_converge(*args) with its paths split over two processes, and in one.
+
+    Checks that the split forks once and reaps its child.
+    """
+    monkeypatch.setattr(periodic, "_SPLIT_PATHS", 2)
+    pids = forking(monkeypatch)
+    split = pullback_converge(*args)
+    assert len(pids) == 1
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(pids[0], os.WNOHANG)
+    one_cpu(monkeypatch)
+    return split, pullback_converge(*args)
+
+
+def raised_split_and_alone(monkeypatch, make_problem, *args):
+    """(type, message) of what pullback_converge raises split over two processes, and in one.
+
+    make_problem() builds the problem afresh for each run, as its stage may count calls.
+    """
+    monkeypatch.setattr(periodic, "_SPLIT_PATHS", 2)
+    raised = []
+    for patch in (forking, one_cpu):
+        pids = patch(monkeypatch)
+        with pytest.raises(Exception) as info:
+            pullback_converge(make_problem(), *args)
+        raised.append((type(info.value), str(info.value)))
+        if pids is not None:
+            assert len(pids) == 1
+            with pytest.raises(ChildProcessError):  # reaped
+                os.waitpid(pids[0], os.WNOHANG)
+    return raised
+
+
+class TestSplitPaths:
+    """At _SPLIT_PATHS paths or more and two CPUs, pullback_converge runs half its paths in a
+    forked child, with the bits and the errors of one process."""
+
+    @pytest.mark.parametrize(
+        "problem, theta, dt, t_eval, tolerance, k_max, ensemble",
+        [
+            (catalog_entry("linear_ou").problem, 1.0, 0.01, 0.0, 1e-3, 20, 40),
+            (build_cubic_model(**BENCH), 0.75, 0.1, 0.3, 1e-3, 10, 40),
+            (catalog_entry("linear_ou").problem, 1.0, 0.05, 0.0, 1e-3, 20, 7),
+            (build_linear_model(0.01, 0.3), 1.0, 0.25, 0.0, 1e-12, 3, 8),
+            (catalog_entry("linear_ou").problem, 1.0, 0.05, 0.0, float("inf"), 1, 8),
+        ],
+        ids=["linear-ou-theta1", "cubic-theta0.75-t-eval0.3", "odd-ensemble", "k-max-exhausted",
+             "infinite-tolerance-k-max-1"],
+    )
+    def test_same_bits_as_one_process(self, monkeypatch, problem, theta, dt, t_eval, tolerance,
+                                      k_max, ensemble):
+        sch = ThetaScheme(theta=theta, dt=dt)
+        split, alone = split_and_alone(monkeypatch, problem, sch, t_eval, [0.6], tolerance, k_max,
+                                       ensemble, 5)
+        assert alone.converged == (k_max != 3)
+        for field in fields(PullbackResult):
+            a, b = (np.asarray(getattr(r, field.name)) for r in (split, alone))
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+    @pytest.mark.parametrize(
+        "mine, childs, at",
+        [(None, 0.5, 10), (0.25, 0.5, 5)],
+        ids=["childs-rows", "this-process-first-in-the-depth"],
+    )
+    def test_nan_from_depth_3_as_one_process_meets_it(self, monkeypatch, mine, childs, at):
+        # linear_ou at dt 0.05: 20 steps a period, so depths 1 and 2 take 60 steps. From
+        # there the stage fails on paths 0 .. 3 at the stage phase `mine` and on paths
+        # 4 .. 7, the child's, at `childs`: in the child, in this process's half, or in one
+        # batch of all 8. In the second case the child fails in depth 3 too, after this
+        # process, and one batch meets this process's failure
+        base, runner = catalog_entry("linear_ou").problem, os.getpid()
+
+        def make_problem():
+            calls = []
+
+            def failing_stage(t, c, r):
+                calls.append(t)
+                y = base.stage(t, c, r).copy()
+                if len(calls) > 60:
+                    halves = ([(y, childs)] if os.getpid() != runner
+                              else [(y[:4], mine), (y[4:], childs)] if len(r) == 8
+                              else [(y, mine)])
+                    for rows, phase in halves:
+                        if phase is not None and abs(t - phase) < 1e-9:
+                            rows[:] = np.nan
+                return y
+
+            return replace(base, stage=failing_stage)
+
+        args = (ThetaScheme(theta=1.0, dt=0.05), 0.0, [0.6], 1e-12, 10, 8, 0)
+        split, alone = raised_split_and_alone(monkeypatch, make_problem, *args)
+        assert split == alone
+        assert alone == (NewtonError, f"non-finite state after step at t={(at - 61) * 0.05}")
+
+    @pytest.mark.parametrize("seed", [1, 5], ids=["worst-in-childs-half", "worst-in-this-half"])
+    def test_newton_stall_as_one_process_meets_it(self, monkeypatch, seed):
+        # no path reaches 1e-300, so the first step stalls on most paths. The worst residual
+        # over paths 0 .. 7 lies in the child's half, 4 .. 7, at seed 1, and in this
+        # process's at seed 5, where the child's own stall has a smaller one
+        monkeypatch.setattr("rpsde.integrator._NEWTON_TOL", 1e-300)
+        prob = build_cubic_model(**BENCH)
+        args = (ThetaScheme(theta=1.0, dt=0.1), 0.0, [0.6], 1e-3, 10)
+        one_cpu(monkeypatch)
+        with pytest.raises(NewtonError) as half:
+            pullback_converge(prob, *args, 4, seed)
+        split, alone = raised_split_and_alone(monkeypatch, lambda: prob, *args, 8, seed)
+        assert split == alone
+        assert alone[0] is NewtonError and alone[1].startswith("Newton failed to reach tolerance")
+        assert (str(half.value) == alone[1]) == (seed == 5)
+
+    def test_interrupt_kills_and_reaps_the_child(self, monkeypatch):
+        base, runner = catalog_entry("linear_ou").problem, os.getpid()
+
+        def interrupting(t, c, r):
+            if os.getpid() == runner:
+                raise KeyboardInterrupt
+            time.sleep(30)  # the child, which must be killed
+            return base.stage(t, c, r)
+
+        statuses, waitpid = [], os.waitpid
+
+        def recording(pid, options):
+            done = waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "waitpid", recording)
+        monkeypatch.setattr(periodic, "_SPLIT_PATHS", 2)
+        pids = forking(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            pullback_converge(replace(base, stage=interrupting), ThetaScheme(theta=1.0, dt=0.05),
+                              0.0, [0.6], 1e-3, 10, 8, 0)
+        assert len(pids) == 1 and len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
 
 
 class TestPullbackPaths:
