@@ -12,6 +12,7 @@ in a forked process beside the others where two CPUs are available
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,17 +154,17 @@ def ms_error(
     args = (problem, schemes, ref, range(ensemble), range(first * q, (first + n_coarse) * q),
             block, seed)
     states = dict.fromkeys(schemes, x0)
+    mine = _run_levels(*args, states)
     if two_cpus():
-        del states[ref]
-        # block by block: one loop over all levels meets a reference failure first in a block;
-        # the reference, which takes the most steps, never waits
-        mine, theirs = _run_levels(*args, states), _run_levels(*args, {ref: x0})
-        with beside_child(mine, theirs, paced=False) as pairs:
+        # the child takes the reference from states before mine starts; block by block: one loop
+        # over all levels meets a reference failure first in a block; the reference never waits
+        theirs = _run_levels(*args, {ref: states.pop(ref)})
+        with closing(beside_child(mine, theirs, paced=False)) as pairs:
             for _, reference in pairs:
                 pass
         states.update(reference)
     else:
-        for _ in _run_levels(*args, states):
+        for _ in mine:
             pass
     finals = [states[lvl] for lvl in levels]
     rms, stderrs = _rms_gaps(finals, [states[ref]] * len(levels))

@@ -48,8 +48,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def grid_steps(t: float, h: float, name: str) -> int:
     """The whole number of cells of width h in t; `name` says what t is.
 
-    t must be finite, lie on the grid to within 1e-9 * max(1, |t|) and span
-    fewer than 2^62 cells, the range of `_POSITION_OFFSET`.
+    t must be finite, lie on the grid to within 4 ulps of t, whatever |t|,
+    and span fewer than 2^62 cells, the range of `_POSITION_OFFSET`.
     """
     if not math.isfinite(t):
         raise ValueError(f"{name} must be finite, got {t}")
@@ -59,7 +59,7 @@ def grid_steps(t: float, h: float, name: str) -> int:
             f"{name} = {t} spans {steps:.3g} steps of {h}; a run takes fewer than 2^62"
         )
     n = round(steps)
-    if abs(n * h - t) > 1e-9 * max(1.0, abs(t)):
+    if abs(n * h - t) > 4 * math.ulp(t):  # the rounding of a decimal t, of h and of n*h
         raise ValueError(
             f"{name} must be grid-aligned: {t} is not a multiple of the stepsize {h}"
         )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import signal
 import sys
-from contextlib import closing, contextmanager
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +57,17 @@ def two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
 
 
-@contextmanager
 def beside_child(mine, theirs, paced):
     """Pairs of the items of mine, iterated here, and of theirs, in a forked child.
 
-    theirs is a generator not yet started. The child computes its next item
-    while this process computes its own; if paced, only once the next pair
-    is asked for, else without waiting. In a step where either fails, the
-    child's exception is raised, else this process's. The child leaves by
-    os._exit, flushing no inherited buffer; leaving the with block kills it,
-    unless it has ended, and reaps it. A child that died raises
-    ChildProcessError.
+    A generator that forks at its first pair, closed by its caller
+    (`contextlib.closing`). theirs is a generator not yet started. The child
+    computes its next item while this process computes its own; if paced,
+    only once the next pair is asked for, else without waiting. In a step
+    where either fails, the child's exception is raised, else this
+    process's. The child leaves by os._exit, flushing no inherited buffer;
+    once the pairs end, fail or are closed, it is killed, unless it has
+    ended, and reaped. A child that died raises ChildProcessError.
     """
     from multiprocessing import Pipe  # here, so that a run without a fork does not load it
 
@@ -90,7 +90,7 @@ def beside_child(mine, theirs, paced):
             raise item
         return item
 
-    def pairs():
+    try:
         while True:
             try:
                 item = next(mine)
@@ -102,9 +102,6 @@ def beside_child(mine, theirs, paced):
             yield item, received()
             if paced:
                 conn.send(True)
-
-    try:
-        yield pairs()
     except EOFError:
         raise ChildProcessError("the forked process ended without a result") from None
     finally:
@@ -197,10 +194,10 @@ def pullback_converge(
     if n_eval <= -steps_per_tau:
         raise ValueError(f"t_eval must be after -period = {-tau}, got {t_eval}")
 
-    args = (problem, scheme, xi, n_eval, steps_per_tau, seed, range(1, k_max + 1))
+    args = (problem, scheme, xi, n_eval, steps_per_tau, seed)
     prev = None
     gap_history = []
-    with closing(_all_depths(args, ensemble)) as depths:
+    with closing(_all_depths(args, range(1, k_max + 1), range(ensemble))) as depths:
         for k, (runs, final) in enumerate(depths, start=1):
             gap = float("inf")
             if prev is not None:
@@ -254,22 +251,23 @@ def _depths(problem, scheme, xi, n_eval, steps_per_tau, seed, depths, paths):
         yield runs, final
 
 
-def _all_depths(args, ensemble):
-    """_depths over paths 0 .. ensemble-1, the upper half in a forked child where that pays."""
-    if ensemble < _SPLIT_PATHS or not two_cpus():
-        yield from _depths(*args, range(ensemble))
+def _all_depths(args, depths, paths):
+    """_depths over paths, the upper half in a forked child where that pays."""
+    if len(paths) < _SPLIT_PATHS or not two_cpus():
+        yield from _depths(*args, depths, paths)
         return
-    half, k = ensemble // 2, 0
-    theirs = (final for _, final in _depths(*args, range(half, ensemble)))
+    half, k = len(paths) // 2, 0
+    mine = _depths(*args, depths, paths[:half])
+    theirs = (final for _, final in _depths(*args, depths, paths[half:]))
     try:
-        with beside_child(_depths(*args, range(half)), theirs, paced=True) as pairs:
+        with closing(beside_child(mine, theirs, paced=True)) as pairs:
             for k, ((runs, final), their_final) in enumerate(pairs, start=1):
                 yield runs, np.concatenate([final, their_final])
     except ChildProcessError:
         raise
     except Exception:
-        # depth k + 1 failed in a half: run it on every path, to raise what one batch meets
-        for _ in _depths(*args[:-1], range(k + 1, k + 2), range(ensemble)):
+        # depths[k] failed in a half: run it on every path, to raise what one batch meets
+        for _ in _depths(*args, depths[k : k + 1], paths):
             pass
         raise
 

@@ -220,6 +220,12 @@ class TestConfig:
              f"error: k must be at most 1.79769e+308, got {10**400}\n"),
             ("contraction", ["--set", f"k={10**400}"],
              f"error: k must be at most 1.79769e+308, got {10**400}\n"),
+            # 0.256 coarse cells off: a tolerance that grows with |t| would snap it to -10^7
+            ("converge", ["--set", "t_start=-9999999.996", "--set", "t_end=-9999999",
+                          "--set", "levels=6,7", "--set", "reference_level=8",
+                          "--set", "ensemble=20"],
+             "error: t_start must be grid-aligned: -9999999.996 is not a multiple of the "
+             "stepsize 0.015625\n"),
         ],
         ids=["simulate-negative-k", "simulate-negative-k-horizon-5", "contraction-zero-k",
              "contraction-zero-ensemble", "pullback-zero-ensemble", "converge-zero-ensemble", "converge-no-levels",
@@ -242,7 +248,8 @@ class TestConfig:
              "simulate-huge-run", "periodicity-window-start-off-grid",
              "periodicity-huge-k", "contraction-huge-ensemble", "pullback-huge-ensemble",
              "converge-huge-ensemble", "simulate-float-overflowing-k",
-             "periodicity-float-overflowing-k", "contraction-float-overflowing-k"],
+             "periodicity-float-overflowing-k", "contraction-float-overflowing-k",
+             "converge-distant-t-start-off-grid"],
     )
     def test_bad_count_message_names_the_key(self, tmp_path, capsys, command, bad, names):
         # these used to reach numpy and fail with its message

@@ -19,7 +19,9 @@ class the package defines is caught by name in it; bad input is a ValueError.
 Both periodicity checks read the one burn-in rule, `periodic.BURN_IN_PERIODS`,
 and `periodic` reports a failed check as a result, never as an exception. The
 one loop over time steps is in `integrator.simulate_ensemble`, and it
-calls `_Kernel.step` for every problem.
+calls `_Kernel.step` for every problem. The one fork site is
+`periodic.beside_child`: no other code calls `os.fork` or imports
+`multiprocessing`.
 """
 
 import ast
@@ -116,6 +118,15 @@ def calls(tree):
     return [(n, ast.unparse(n.func)) for n in ast.walk(tree) if isinstance(n, ast.Call)]
 
 
+def imports(tree):
+    """(node, imported module) for every import in tree, relative ones as None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node, node.module
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_files_written_only_by_cli_write_csv(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -125,12 +136,8 @@ def test_files_written_only_by_cli_write_csv(path):
         for node, name in calls(tree)
         if name in ("open", "csv.writer") and id(node) not in allowed
     ]
-    for node in ast.walk(tree):
-        imported = (
-            [a.name for a in node.names] if isinstance(node, ast.Import)
-            else [node.module] if isinstance(node, ast.ImportFrom) else []
-        )
-        if "csv" in imported and path.name != "cli.py":
+    for node, module in imports(tree):
+        if module == "csv" and path.name != "cli.py":
             problems.append(f"line {node.lineno}: imports csv")
     assert not problems, f"{path.name}: " + "; ".join(problems) + "; write through cli._write_csv"
 
@@ -316,3 +323,24 @@ def test_one_step_loop_and_one_step_method():
     assert not isinstance(kernel_calls[0][0], ast.If), "kernel.step must run on every step"
     made = [name for _, name in calls(functions["simulate_ensemble"]) if name == "_Kernel"]
     assert made == ["_Kernel"]
+
+
+def test_one_fork_site():
+    # periodic.beside_child is the one fork helper of ms_error and pullback_converge; a
+    # second site would need its own rules for killing and reaping its child
+    inside, outside = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = nodes_in(tree, "beside_child") if path.name == "periodic.py" else set()
+        sites = [(node, f"calls {name}") for node, name in calls(tree)
+                 if name.split(".")[-1] == "fork"]
+        sites += [(node, f"imports {module}") for node, module in imports(tree)
+                  if (module or "").split(".")[0] == "multiprocessing"]
+        for node, what in sites:
+            (inside if id(node) in allowed else outside).append(
+                f"{path.name} line {node.lineno}: {what}"
+            )
+    assert not outside, "; ".join(outside) + "; fork through periodic.beside_child"
+    assert sorted(site.split(": ")[1] for site in inside) == [
+        "calls os.fork", "imports multiprocessing"
+    ]

@@ -167,7 +167,12 @@ class TestGridSteps:
     def test_on_grid(self, t, h, n):
         assert grid_steps(t, h, "t") == n
 
-    @pytest.mark.parametrize("t, h", [(0.1, 2.0**-4), (-3.95, 0.1), (0.25, 0.1), (1e-3, 2.0**-5)])
+    @pytest.mark.parametrize(
+        "t, h",
+        [(0.1, 2.0**-4), (-3.95, 0.1), (0.25, 0.1), (1e-3, 2.0**-5),
+         # 0.256 cells off: a tolerance that grows with |t| would snap it to -10^7
+         (-9999999.996, 2.0**-6)],
+    )
     def test_off_grid_rejected(self, t, h):
         with pytest.raises(ValueError, match="t must be grid-aligned.*multiple of the stepsize"):
             grid_steps(t, h, "t")

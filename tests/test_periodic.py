@@ -3,6 +3,7 @@ import os
 import signal
 import time
 import tracemalloc
+from contextlib import closing
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from rpsde.noise import ensemble_increments, grid_steps
 from rpsde.periodic import (
     BURN_IN_PERIODS,
     PullbackResult,
+    beside_child,
     periodicity_check_pullback,
     periodicity_check_shifted,
     pullback_converge,
@@ -478,6 +480,39 @@ class TestSplitPaths:
         assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
 
 
+class TestBesideChild:
+    """The fork helper's lifetime: it forks at its first pair and reaps its child once the
+    pairs end or are closed."""
+
+    def test_closed_before_its_first_pair_forks_nothing(self, monkeypatch):
+        pids = forking(monkeypatch)
+        with closing(beside_child(iter(range(3)), iter(range(3)), paced=True)):
+            pass
+        assert pids == []
+
+    @pytest.mark.parametrize("paced", [True, False])
+    def test_mine_ending_first_kills_and_reaps_the_child(self, monkeypatch, paced):
+        def endless():  # the child never ends by itself
+            while True:
+                yield "theirs"
+
+        statuses, waitpid = [], os.waitpid
+
+        def recording(pid, options):
+            done = waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "waitpid", recording)
+        pids = forking(monkeypatch)
+        with closing(beside_child(iter(range(3)), endless(), paced)) as pairs:
+            assert list(pairs) == [(0, "theirs"), (1, "theirs"), (2, "theirs")]
+            assert len(pids) == 1 and len(statuses) == 1  # before the with block closes it
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == signal.SIGKILL
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pids[0], os.WNOHANG)
+
+
 class TestPullbackPaths:
     def test_one_path_is_shared_without_a_copy(self, monkeypatch):
         seen = []
@@ -710,3 +745,55 @@ class TestPeriodicityPullback:
         periodicity_check_pullback(prob, sch, [-0.2], 4.0, seed=3)
         # one step per grid index, from grid step i as in a 40-step run
         assert calls == [(i, 1) for i in range(40)]
+
+
+class TestPeriodicityExact:
+    """Both periodicity checks of linear_ou against its exact solution, row by row."""
+
+    @pytest.mark.parametrize("theta, dt", EXACT_SCHEMES)
+    def test_shifted_rows_equal_the_exact_gap(self, theta, dt):
+        # P1 runs from first = -k*N and P2 reads the cells one period earlier, so P2 is the
+        # run from first - N: row i after first is P2 - P1 = a^i (xi - X*_h(first - N))
+        # - a^(i-N) (xi - X*_h(first)), and each run is within exact_pullback's tolerance
+        prob = catalog_entry("linear_ou").problem
+        sch = ThetaScheme(theta=theta, dt=dt)
+        k, xi, seed = 4, 0.6, 3
+        n = grid_steps(prob.period, dt, "period")
+        first = -k * n
+        rep = periodicity_check_shifted(prob, sch, k, [xi], (-k * prob.period, 0.0), seed)
+        i = np.arange(BURN_IN_PERIODS * n, k * n + 1)
+        assert np.array_equal(rep.times, dt * (first + i))
+        a, _ = affine_factors(prob, sch)
+        rps, _ = exact_rps(prob, sch, seed, 1, [first - n, first])
+        exact = a**i * (xi - rps[0, 0]) - a ** (i - n) * (xi - rps[1, 0])
+        _, tol2 = exact_pullback(prob, sch, seed, 1, xi, first - n, first - n + i)
+        _, tol1 = exact_pullback(prob, sch, seed, 1, xi, first, first + i - n)
+        tol = (tol1 + tol2)[:, 0] + np.finfo(float).eps * np.abs(exact)
+        assert np.all(np.abs((rep.shifted - rep.reference)[:, 0] - exact) <= tol)
+        assert abs(rep.sup_gap - np.abs(exact).max()) <= tol.max()
+
+    @pytest.mark.parametrize("theta, dt", EXACT_SCHEMES)
+    def test_pullback_curve_equals_the_exact_sums(self, theta, dt):
+        # point j is j steps from x0 under the cells of (-j*dt, 0):
+        # curve[j] = a^j x0 + sum_{l<j} a^l s dW(cell -1-l), summed exactly (math.fsum) from
+        # its rounded terms, with a tolerance of 8 eps times the weights of exact_rps
+        prob = catalog_entry("linear_ou").problem
+        sch = ThetaScheme(theta=theta, dt=dt)
+        x0, seed = -0.2, 3
+        n = grid_steps(prob.period, dt, "period")
+        n_total = 5 * n
+        rep = periodicity_check_pullback(prob, sch, [x0], 5 * prob.period, seed)
+        a, s = affine_factors(prob, sch)
+        cells = ensemble_increments(seed, range(1), -n_total, n_total, 1, dt)[::-1, 0, 0]
+        terms = (a ** np.arange(n_total) * (s * cells)).tolist()  # term l reads cell -1-l
+        j = np.arange(n_total + 1)
+        curve = np.array([math.fsum([a**jj * x0, *terms[:jj]]) for jj in j])
+        weights = np.concatenate([[0.0], np.cumsum((j[1:]) * np.abs(terms))])
+        tol = 8 * np.finfo(float).eps * (weights + (j + 1) * a ** (j - 1.0) * abs(x0))
+        assert np.all(np.abs(rep.reference[:, 0] - curve) <= tol)
+        # curve[j + N] - curve[j], from its own terms, over the pairs past the burn-in
+        js = j[(BURN_IN_PERIODS - 1) * n : -n]
+        dev = np.array([math.fsum([a ** (jj + n) * x0, -(a**jj) * x0, *terms[jj : jj + n]])
+                        for jj in js])
+        dev_tol = tol[js] + tol[js + n] + np.finfo(float).eps * np.abs(dev)
+        assert abs(rep.sup_gap - np.abs(dev).max()) <= dev_tol.max()
