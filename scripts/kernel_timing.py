@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Per-cell cost of ensemble_increments, per-step cost of simulate_ensemble, and
-the memory of one ms_error call.
+"""Per-cell cost of ensemble_increments, per-step cost of simulate_ensemble, the
+start-up of a cold process, and the memory of one ms_error call.
 
 The noise rows time noise.ensemble_increments for four shapes: 10^4 paths of
 100, 200 and 400 cells at uniform dt 0.01, the draws of one, two and four
@@ -16,6 +16,13 @@ solves its own stage). Noise and initial states come from numpy's
 default_rng outside the timed region, so only the stepping kernel is
 measured. The increments are (steps, batch, m), as ensemble_increments
 returns them, so the slab a step reads is contiguous.
+
+The start-up row starts a new interpreter that imports rpsde.cli and builds
+the cubic_multiplicative model with catalog_entry, as each benchmark sample
+does before its run, and times it from just before the spawn to just after
+the model is built. It prints the median seconds with their quartiles, the
+median peak resident memory (VmHWM) of those processes in MB, and the number
+of modules they had loaded.
 
 The estimator row runs, once and after the timing rounds, the ms_error call
 of tests/test_analysis.py::test_memory_bounded_by_block (linear_ou, levels 9
@@ -35,13 +42,17 @@ and, in brackets, their quartiles.
 
 import argparse
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
+import rpsde
 from rpsde.analysis import ms_error
 from rpsde.integrator import ThetaScheme, simulate_ensemble
 from rpsde.models import MODEL_NAMES, catalog_entry
@@ -70,6 +81,38 @@ def noise_run(paths, first_cell, n_cells, dt, fine_level):
         return time.perf_counter() - t0
 
     return run
+
+
+# a cold start: seconds on the monotonic clock once set up, VmHWM in kB, modules loaded
+STARTUP_SCRIPT = """\
+import sys, time
+import rpsde.cli
+from rpsde.models import catalog_entry
+catalog_entry("cubic_multiplicative")
+done = time.monotonic()
+with open("/proc/self/status") as fh:
+    kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(done, kb, len(sys.modules))
+"""
+
+
+def startup_run():
+    """A list of each start's (VmHWM MB, module count), and a function that times one start."""
+    # the rpsde this script imported, whatever the caller's path
+    env = {**os.environ, "PYTHONPATH": str(Path(rpsde.__file__).resolve().parents[1])}
+    seen = []
+
+    def run():
+        t0 = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT], capture_output=True, text=True,
+            env=env, check=True, timeout=60,
+        )
+        t_done, kb, modules = done.stdout.split()
+        seen.append((int(kb) / 1024, int(modules)))
+        return float(t_done) - t0
+
+    return seen, run
 
 
 def kernel_run(problem, scheme, batch, n_steps):
@@ -119,7 +162,8 @@ def main():
                 kernel.append((name, scheme, batch, n_steps,
                                *kernel_run(problem, scheme, batch, n_steps)))
 
-    runs = [run for _, run in noise] + [row[-1] for row in kernel]
+    started, startup = startup_run()
+    runs = [run for _, run in noise] + [row[-1] for row in kernel] + [startup]
     seconds = [[] for _ in runs]
     for _ in range(ROUNDS):
         for times, run in zip(seconds, runs):
@@ -140,6 +184,13 @@ def main():
         spread = f"[{q1:.1f}, {q3:.1f}]"
         print(f"{label:<22}{scheme.theta:>6}{batch:>7}{n_steps:>6}{med:>10.1f}  {spread:<16}"
               f"{1e3 * med / batch:>12.1f}{iters:>7.2f}")
+    med, q1, q3 = quartiles(seconds[-1], 1.0)
+    peak_mb = np.median([mb for mb, _ in started])
+    modules = sorted({n for _, n in started})
+    print()
+    print(f"{'start-up, cold':<22}{'s':>7}  {'[q1, q3]':<16}{'VmHWM MB':>9}  modules")
+    print(f"{'import + catalog_entry':<22}{med:>7.3f}  {f'[{q1:.3f}, {q3:.3f}]':<16}"
+          f"{peak_mb:>9.1f}  {', '.join(map(str, modules))}")
     peak_mb, seconds = estimator_memory()
     print()
     print(f"{'estimator, run once':<22}{'peak MB':>9}{'s':>7}")

@@ -50,7 +50,8 @@ def contraction_constant(
         raise ValueError(f"dt must be in (0, 1], got {dt}")
     gap = 2.0 * (lam - l_f) * theta * dt
     branches = (
-        1.0 - gap / (1.0 + gap),
+        # gap overflows for lambda above about 9e307; inf / inf is nan, the limit is 0
+        1.0 - gap / (1.0 + gap) if math.isfinite(gap) else 0.0,
         1.0 - (pstar - 2.0) / (2.0 * (pstar - 1.0) * theta),
         1.0 - (2.0 * theta - 1.0) / theta**2,
     )

@@ -108,6 +108,17 @@ class TestContractionConstant:
             c = contraction_constant(lam, l_f, theta, pstar, dt)
             assert 0.0 <= c < 1.0
 
+    @pytest.mark.parametrize("lam", [1e308, sys.float_info.max])
+    @pytest.mark.parametrize("theta, pstar, dt", [(1.0, 21.0, 1.0), (0.75, 4.0, 0.01)])
+    def test_overflowing_gap_takes_the_limit(self, lam, theta, pstar, dt):
+        # 2 (lam - L_f) overflows to inf here, and inf / (1 + inf) is nan; the first
+        # branch tends to 0 as the gap grows, which it already is, exactly, at 1e307
+        c = contraction_constant(lam, 1.0, theta, pstar, dt)
+        second = 1.0 - (pstar - 2.0) / (2.0 * (pstar - 1.0) * theta)
+        assert c == max(second, 1.0 - (2.0 * theta - 1.0) / theta**2)
+        assert c == contraction_constant(1e307, 1.0, theta, pstar, dt)
+        assert 0.0 <= c < 1.0
+
     # bounds keep (lam - l_f) * theta * dt above ~1e-14 so the first branch
     # stays representable below 1.0; at smaller gaps it rounds to exactly 1.0
     @given(

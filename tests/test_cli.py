@@ -3,12 +3,12 @@ import hashlib
 import math
 import os
 import runpy
-import subprocess
-import sys
+from importlib import metadata
 from pathlib import Path
 
 import pytest
 
+from conftest import fresh_interpreter
 from rpsde import analysis, cli
 from rpsde.cli import main
 from rpsde.integrator import ThetaScheme
@@ -17,7 +17,6 @@ from rpsde.periodic import pullback_converge
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -530,6 +529,14 @@ class TestContraction:
         assert rows[-2][0] == "c_delta"
         assert rows[-1][0] == "exact_rate"
 
+    def test_huge_lambda_rate_is_finite(self, tmp_path, capsys):
+        # 2 (lambda - L_f) overflows above lambda ~ 9e307; c_delta was nan and passed
+        assert main(["contraction", "--out", str(tmp_path), "--set", "model.lam=1e308"]) == 0
+        assert capsys.readouterr() == ("contraction: c_delta=0.525 (pass)\n", "")
+        rows = read_csv(tmp_path / "contraction.csv")
+        assert rows[-2][0] == "c_delta" and 0.0 <= float(rows[-2][1]) < 1.0
+        assert all(math.isfinite(float(row[2])) for row in rows[1:-2])
+
 
 # (arguments, exit code, sha256 of every file in --out and of stdout and stderr):
 # any change to an output byte has to change these on purpose
@@ -810,6 +817,11 @@ def test_kernel_timing_script_runs():
             assert math.isfinite(iters) and iters >= 0.0
             med, q1, q3 = script["quartiles"]([run(), run()], 1e6 / 8)
             assert all(math.isfinite(v) for v in (med, q1, q3)) and 0.0 <= q1 <= med <= q3
+    # two cold starts of the start-up row, each a new interpreter
+    started, startup = script["startup_run"]()
+    seconds = [startup(), startup()]
+    assert all(math.isfinite(s) and s > 0.0 for s in seconds)
+    assert len(started) == 2 and all(mb > 0.0 and modules > 0 for mb, modules in started)
     # the estimator row's call over one coarsest cell, (0, 2^-9), not (-4, 4)
     peak_mb, seconds = script["estimator_memory"](0.0, 2.0**-9)
     assert 0.0 < peak_mb < 4.0
@@ -820,8 +832,20 @@ def test_import_loads_no_multiprocessing():
     # periodic.beside_child imports it when it forks; loaded at module level it adds
     # memory and start-up time to every subcommand, forking or not
     script = "import sys\nimport rpsde.cli\nprint('multiprocessing' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    done = fresh_interpreter("-c", script)
     assert (done.stdout, done.stderr, done.returncode) == ("False\n", "", 0)
+
+
+def test_import_loads_ndtri_past_scipy_special():
+    # rpsde loads scipy.special's _ufuncs extension without the package's __init__, and
+    # noise loads numpy.random, which numpy loads lazily, at import, not at the first draw
+    script = (
+        "import sys\nimport rpsde.cli\n"
+        "print(*(m in sys.modules for m in ('scipy.special', 'scipy.special._ufuncs',"
+        " 'numpy.random', 'multiprocessing')))\n"
+        "import scipy.special, rpsde.noise\nprint(scipy.special.ndtri is rpsde.noise.ndtri)"
+    )
+    done = fresh_interpreter("-c", script)
+    assert (done.stdout, done.stderr, done.returncode) == ("False True True False\nTrue\n", "", 0), (
+        f"scipy {metadata.version('scipy')}"
+    )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scipy.special import ndtri
 
+from conftest import fresh_interpreter
 from rpsde.noise import (
     _fill,
     _mix64,
@@ -368,3 +369,54 @@ class TestSideDoors:
     def test_empty_window(self):
         with pytest.raises(ValueError, match=r"^window \(1.0, 1.0\) must have positive length$"):
             generate(0, 0, 4, (1.0, 1.0), 1)
+
+
+class TestLoadNdtri:
+    """`rpsde._load_ndtri`, which gives noise its `ndtri`: the lean load of a cold start."""
+
+    def test_numpy_loads_inside_the_extension(self):
+        # the extension's OpenBLAS threads spin while numpy imports, not during a run.
+        # -X importtime prints a module once loaded, one indent deeper per nesting
+        # level, so the module that imported numpy is the next line indented less
+        done = fresh_interpreter("-X", "importtime", "-c", "import rpsde.cli")
+        assert done.returncode == 0
+        names = [line.rsplit("|", 1)[-1] for line in done.stderr.splitlines()]
+        loaded = [(name.strip(), len(name) - len(name.lstrip())) for name in names]
+        i = next(i for i, (name, _) in enumerate(loaded) if name == "numpy")
+        assert next(name for name, depth in loaded[i:] if depth < loaded[i][1]) == (
+            "scipy.special._ufuncs"
+        )
+        assert "scipy.special" not in dict(loaded)
+
+    def test_loaded_scipy_special_gives_its_ndtri(self):
+        # the lean load begins with find_spec; made to fail, it shows no stand-in was built
+        script = (
+            "import sys\nfrom unittest import mock\nimport scipy.special\n"
+            "special = sys.modules['scipy.special']\n"
+            "with mock.patch('importlib.util.find_spec', side_effect=AssertionError):\n"
+            "    import rpsde.noise\n"
+            "print(rpsde.noise.ndtri is special.ndtri, sys.modules['scipy.special'] is special)"
+        )
+        done = fresh_interpreter("-c", script)
+        assert (done.stdout, done.stderr, done.returncode) == ("True True\n", "", 0)
+
+    def test_refused_lean_load_falls_back_to_the_public_import(self):
+        # a finder that refuses _ufuncs under the stand-in, which has no __file__; the
+        # public import then finds the real packages, not the stand-ins, in sys.modules
+        script = (
+            "import sys\n"
+            "class Refuse:\n"
+            "    stubs = []\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        parent = sys.modules.get('scipy.special')\n"
+            "        if name == 'scipy.special._ufuncs' and not hasattr(parent, '__file__'):\n"
+            "            self.stubs.append(parent)\n"
+            "            raise ImportError('refused under the stand-in')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "import rpsde.noise\n"
+            "special, scipy = sys.modules['scipy.special'], sys.modules['scipy']\n"
+            "print(len(Refuse.stubs), special is not Refuse.stubs[0], hasattr(special, '__file__'),"
+            " hasattr(scipy, '__file__'), rpsde.noise.ndtri is special.ndtri)"
+        )
+        done = fresh_interpreter("-c", script)
+        assert (done.stdout, done.stderr, done.returncode) == ("1 True True True True\n", "", 0)
